@@ -8,24 +8,27 @@
 //     testing.Benchmark: svm.DecisionInto (linear and RBF — the
 //     0 allocs/op contract) against the retained pre-fast-path
 //     DecisionReference, nn.ForwardInto against the allocating Forward,
-//     and weather.FactorIndex window factors against the naive trailing
-//     scan.
+//     and window factors three ways: the naive trailing scan, a
+//     single-point weather.FactorIndex query (resolve the storm series,
+//     then evaluate), and the per-person step of the prediction loop
+//     (evaluate against an already resolved series).
 //
 //   - Wall-clock of PredictProvider.Predict per 5-minute window on the
-//     evaluation episode, in four regimes: the retained pre-fast-path
-//     reference loop (the baseline the >=5x acceptance criterion is
-//     measured against), the fast path fully serial (Workers=1) cold
-//     and warm, and the sharded parallel path (Workers=0, GOMAXPROCS)
+//     evaluation episode: the retained pre-fast-path reference loop (the
+//     baseline the >=5x acceptance criterion is measured against), the
+//     fast path fully serial (Workers=1) cold and warm, cold at
+//     Workers=2, and the sharded parallel path (Workers=0, GOMAXPROCS)
 //     cold and warm.
 //
-//   - Byte-identity witnesses: the fast serial, parallel, and reference
-//     distributions are compared per window; benchpredict fails loudly
+//   - Byte-identity witnesses: the fast serial, 2-worker, parallel, and
+//     reference distributions are compared per window; benchpredict fails loudly
 //     on any mismatch, so the "no predicted distribution changes"
 //     contract is checked on every bench run, not just in CI tests.
 //
 // With -smoke the wall-clock passes shrink to a single iteration and
 // the command asserts the allocation contracts (0 allocs/op for
-// svm.DecisionInto and nn.ForwardInto) and identity witnesses without
+// svm.DecisionInto, nn.ForwardInto and weather.StormSeries.At) and
+// identity witnesses without
 // writing timings anyone should trust; CI's bench-smoke job runs this.
 //
 // Usage:
@@ -77,6 +80,7 @@ type predictResult struct {
 	// hits through the singleflight.
 	SerialColdNsPerWindow   float64 `json:"serial_cold_ns_per_window"`
 	SerialWarmNsPerWindow   float64 `json:"serial_warm_ns_per_window"`
+	Workers2ColdNsPerWindow float64 `json:"workers2_cold_ns_per_window"`
 	ParallelColdNsPerWindow float64 `json:"parallel_cold_ns_per_window"`
 	ParallelWarmNsPerWindow float64 `json:"parallel_warm_ns_per_window"`
 	// SingleThreadSpeedup is reference/serial_cold — the acceptance
@@ -84,8 +88,8 @@ type predictResult struct {
 	SingleThreadSpeedup float64 `json:"single_thread_speedup"`
 	// ParallelSpeedup is serial_cold/parallel_cold (cold windows).
 	ParallelSpeedup float64 `json:"parallel_speedup"`
-	// Identical is the byte-identity witness: fast serial == parallel
-	// == reference distribution at every measured window.
+	// Identical is the byte-identity witness: fast serial == 2-worker
+	// == parallel == reference distribution at every measured window.
 	Identical bool `json:"results_identical"`
 }
 
@@ -212,6 +216,19 @@ func microBenchmarks() ([]benchResult, error) {
 		}
 	})
 	out = append(out, toResult("window_factors_indexed", indexed))
+	var series weather.StormSeries
+	fidx.SeriesInto(&series, at)
+	perPerson := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			series.At(p)
+		}
+	})
+	ps := toResult("window_factors_series", perPerson)
+	if ps.AllocsPerOp != 0 {
+		return nil, fmt.Errorf("weather.StormSeries.At allocates %d/op, want 0", ps.AllocsPerOp)
+	}
+	out = append(out, ps)
 	return out, nil
 }
 
@@ -252,7 +269,7 @@ func evalWindows(sc *core.Scenario, n int) []time.Time {
 	return out
 }
 
-// predictWallClock times the four regimes and verifies byte-identity.
+// predictWallClock times the regimes and verifies byte-identity.
 func predictWallClock(sc *core.Scenario, prov *core.PredictProvider, scale string, seed int64, windows, passes int) (predictResult, error) {
 	pr := predictResult{
 		Scale:   scale,
@@ -295,12 +312,15 @@ func predictWallClock(sc *core.Scenario, prov *core.PredictProvider, scale strin
 		return perWindow(start, passes, windows), dist, nil
 	}
 
-	var serialDist, parallelDist []map[roadnet.SegmentID]float64
+	var serialDist, workers2Dist, parallelDist []map[roadnet.SegmentID]float64
 	var err error
 	if pr.SerialColdNsPerWindow, serialDist, err = measure(1, true); err != nil {
 		return pr, err
 	}
 	if pr.SerialWarmNsPerWindow, _, err = measure(1, false); err != nil {
+		return pr, err
+	}
+	if pr.Workers2ColdNsPerWindow, workers2Dist, err = measure(2, true); err != nil {
 		return pr, err
 	}
 	if pr.ParallelColdNsPerWindow, parallelDist, err = measure(0, true); err != nil {
@@ -314,9 +334,10 @@ func predictWallClock(sc *core.Scenario, prov *core.PredictProvider, scale strin
 	pr.ParallelSpeedup = pr.SerialColdNsPerWindow / pr.ParallelColdNsPerWindow
 	pr.Identical = true
 	for i := range ts {
-		if !reflect.DeepEqual(serialDist[i], refDist[i]) || !reflect.DeepEqual(parallelDist[i], refDist[i]) {
+		if !reflect.DeepEqual(serialDist[i], refDist[i]) || !reflect.DeepEqual(workers2Dist[i], refDist[i]) ||
+			!reflect.DeepEqual(parallelDist[i], refDist[i]) {
 			pr.Identical = false
-			return pr, fmt.Errorf("window %v: fast/parallel/reference distributions differ — the fast path changed the prediction", ts[i])
+			return pr, fmt.Errorf("window %v: fast/2-worker/parallel/reference distributions differ — the fast path changed the prediction", ts[i])
 		}
 	}
 	return pr, nil
@@ -371,7 +392,7 @@ func main() {
 	if *smoke {
 		// Smoke mode never overwrites the checked-in artifact; the run
 		// is about contracts, not numbers.
-		fmt.Printf("benchpredict: smoke ok (identity held, DecisionInto/ForwardInto 0 allocs/op, single-thread speedup %.2fx)\n",
+		fmt.Printf("benchpredict: smoke ok (identity held, DecisionInto/ForwardInto/StormSeries.At 0 allocs/op, single-thread speedup %.2fx)\n",
 			pred.SingleThreadSpeedup)
 		return
 	}

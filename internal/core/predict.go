@@ -126,18 +126,23 @@ const (
 	MetricPredictSeconds    = "mobirescue_predict_window_seconds"
 )
 
-// segMemo memoizes the nearest-segment lookup for one person's last
-// evaluated position: people are stationary for most 5-minute windows,
-// so the spatial-index ring search is skipped whenever the position is
-// unchanged. The pointer is swapped atomically because concurrent
-// Predict calls for different windows may touch the same person; the
-// memo is a pure function of the position, so racing writers store
-// equal values. Memos live in a dense index-addressed slice (one atomic
+// segMemo memoizes the position-dependent inputs of one person's last
+// evaluated position: the altitude factor, and — resolved lazily, only
+// once the person is predicted positive — the nearest road segment.
+// People are stationary for most 5-minute windows, so the elevation
+// model and the spatial-index ring search are skipped whenever the
+// position is unchanged. A memo is immutable once published; the
+// pointer is swapped atomically because concurrent Predict calls for
+// different windows may touch the same person, and since both fields
+// are pure functions of the position, racing writers store equal
+// values. Memos live in a dense index-addressed slice (one atomic
 // pointer per person), not a map — at metro scale a map-keyed memo is
 // O(people) of bucket overhead plus a hash per lookup.
 type segMemo struct {
-	pos geo.Point
-	seg roadnet.SegmentID
+	pos      geo.Point
+	alt      float64
+	seg      roadnet.SegmentID
+	resolved bool // seg is valid
 }
 
 // predictScratch is the per-worker reusable window scratch: the SVM
@@ -177,12 +182,13 @@ type predictMetrics struct {
 // current disaster-related factors, it applies the SVM per person and
 // counts predicted rescue requests per road segment (Equation 2).
 //
-// Queries run the prediction fast path: per-window storm-series factors
-// (weather.FactorIndex), zero-allocation SVM decisions
-// (svm.Model.DecisionInto), index-addressed memoized nearest-segment
-// lookups for stationary people, and a person loop over a columnar
-// pop.Source sharded along the region plan (pop.Regions — the paper's
-// council districts) across SetWorkers goroutines with per-shard
+// Queries run the prediction fast path: a storm series resolved once
+// per window (weather.FactorIndex.SeriesInto) and evaluated per person
+// without locks, zero-allocation SVM decisions
+// (svm.Model.DecisionInto), index-addressed memoized altitude and
+// nearest-segment lookups for stationary people, and a person loop over
+// a columnar pop.Source sharded along the region plan (pop.Regions —
+// the paper's council districts) across SetWorkers goroutines with per-shard
 // accumulators merged in fixed shard order. Per-person counts are small
 // integers, so the merged float64 sums are exact under any partition —
 // the predicted distribution is byte-identical for any worker count and
@@ -410,10 +416,12 @@ func (p *PredictProvider) evictLocked(newKey int64) {
 
 // computeWindow runs the per-person prediction loop for one window,
 // cutting the region-ordered plan into shards bounded by the worker
-// count. Each shard accumulates into a private map; shards merge in
-// fixed plan order. Per-person counts are small integers, so the merged
-// sums are exact and the result is byte-identical for any worker count
-// (and for the pre-columnar ID-ordered partition).
+// count. The window's storm series is resolved once up front and shared
+// read-only by every shard. Each shard accumulates into a private map;
+// shards merge in fixed plan order. Per-person counts are small
+// integers, so the merged sums are exact and the result is
+// byte-identical for any worker count (and for the pre-columnar
+// ID-ordered partition).
 func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float64 {
 	if p.serial {
 		p.winMu.Lock()
@@ -423,11 +431,13 @@ func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float
 	if n := p.src.NumPeople(); workers > n {
 		workers = n
 	}
+	series := new(weather.StormSeries)
+	p.factors.SeriesInto(series, t)
 	out := make(map[roadnet.SegmentID]float64)
 	shards := p.plan.Shards(workers)
 	if workers <= 1 || len(shards) <= 1 {
 		for _, sh := range shards {
-			p.predictRange(sh.Start, sh.End, t, out)
+			p.predictRange(sh.Start, sh.End, t, series, out)
 		}
 		return out
 	}
@@ -443,7 +453,7 @@ func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			m := make(map[roadnet.SegmentID]float64)
-			p.predictRange(sh.Start, sh.End, t, m)
+			p.predictRange(sh.Start, sh.End, t, series, m)
 			results[si] = m
 		}(si, sh)
 	}
@@ -456,26 +466,29 @@ func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float
 	return out
 }
 
-// predictRange evaluates plan positions [start, end) into out. The
-// per-person loop touches only flat columns — positions from the
-// source, pooled SVM workspace, index-addressed segment memos, and a
-// per-segment count column — so it performs no map operations and no
-// allocations; the sparse result map is built once from the touched
+// predictRange evaluates plan positions [start, end) at t into out,
+// against the window's resolved storm series. The per-person loop
+// touches only flat columns and read-only state — positions from the
+// source, the shared series, pooled SVM workspace, index-addressed
+// memos, and a per-segment count column — so it takes no lock and
+// performs no map operations; it allocates only when a person's memo
+// is refreshed. The sparse result map is built once from the touched
 // list afterwards.
-func (p *PredictProvider) predictRange(start, end int, t time.Time, out map[roadnet.SegmentID]float64) {
+func (p *PredictProvider) predictRange(start, end int, t time.Time, series *weather.StormSeries, out map[roadnet.SegmentID]float64) {
 	s := p.scratch.Get().(*predictScratch)
 	unixNano := t.UnixNano()
 	var vec [3]float64
 	positives := 0
 	for k := start; k < end; k++ {
 		i := p.plan.At(k)
-		pos := p.src.PosAt(i, unixNano)
-		p.factors.FactorsInto(vec[:], pos, t)
+		m := p.memoAt(i, p.src.PosAt(i, unixNano))
+		vec[0], vec[1] = series.At(m.pos)
+		vec[2] = m.alt
 		if !p.model.PredictInto(s.ws, vec[:]) {
 			continue
 		}
 		positives++
-		seg := p.nearestSegment(i, pos)
+		seg := p.segmentOf(i, m)
 		if seg == roadnet.NoSegment {
 			continue
 		}
@@ -494,14 +507,25 @@ func (p *PredictProvider) predictRange(start, end int, t time.Time, out map[road
 	p.met.positives.Add(int64(positives))
 }
 
-// nearestSegment resolves person i's current position to a road segment
-// through the index-addressed memo.
-func (p *PredictProvider) nearestSegment(i int, pos geo.Point) roadnet.SegmentID {
+// memoAt returns person i's memo for pos, replacing it with a fresh one
+// (altitude resolved, segment not yet) when the person has moved.
+func (p *PredictProvider) memoAt(i int, pos geo.Point) *segMemo {
 	if m := p.segs[i].Load(); m != nil && m.pos == pos {
+		return m
+	}
+	m := &segMemo{pos: pos, alt: weather.Altitude(p.elev, pos)}
+	p.segs[i].Store(m)
+	return m
+}
+
+// segmentOf resolves memo m of person i to its nearest road segment,
+// publishing the resolved memo on first use.
+func (p *PredictProvider) segmentOf(i int, m *segMemo) roadnet.SegmentID {
+	if m.resolved {
 		return m.seg
 	}
-	seg := p.index.NearestSegment(pos)
-	p.segs[i].Store(&segMemo{pos: pos, seg: seg})
+	seg := p.index.NearestSegment(m.pos)
+	p.segs[i].Store(&segMemo{pos: m.pos, alt: m.alt, seg: seg, resolved: true})
 	return seg
 }
 
@@ -597,8 +621,9 @@ func (p *PredictProvider) RegionTotals(t time.Time) []float64 {
 
 // PredictPerson returns the SVM decision for one person at time t, used
 // by the prediction-quality experiments (Figures 15–16). It shares the
-// window fast path (indexed factors, zero-alloc decision) and is
-// byte-identical to the per-person step Predict performs.
+// window fast path's kernel (resolve the storm series at t, evaluate
+// the person against it) and is byte-identical to the per-person step
+// Predict performs.
 func (p *PredictProvider) PredictPerson(personID int, t time.Time) (bool, geo.Point, bool) {
 	i := p.src.IndexOf(personID)
 	if i < 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mobirescue/internal/mobility"
 	"mobirescue/internal/obs"
 	"mobirescue/internal/roadnet"
 	"mobirescue/internal/weather"
@@ -200,6 +201,117 @@ func TestPredictPerson(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no people checked")
+	}
+}
+
+// TestPredictMovingPeopleMemos covers memo invalidation for people who
+// move. Over a streamed population on a pre-disaster travel day —
+// commuters change position from window to window, so their altitude
+// and segment memos must refresh — with the storm's impact window moved
+// onto that day so factor vectors are live, Predict must equal
+// PredictReference at every window for workers 1, 2 and 4 (the last
+// predicting all windows concurrently, so callers for different windows
+// race on the same people's memos; run under -race in CI), and the
+// distribution rebuilt from PredictPerson decisions must agree with
+// both.
+func TestPredictMovingPeopleMemos(t *testing.T) {
+	sys := testSystem(t)
+	sc := sys.Scenario
+	mcfg := sc.Eval.Data.Config
+	mcfg.NumPeople = 400
+	st, err := mobility.NewStreamer(sc.City, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := mcfg.Start // the streamer's day 0
+	if mcfg.PhaseOf(day.Add(12*time.Hour)) != mobility.PhaseBefore {
+		t.Fatalf("episode day 0 (%v) is not a pre-disaster travel day", day)
+	}
+	storm := *sc.Eval.Storm
+	span := storm.End.Sub(storm.Start)
+	storm.Start = day.Add(-span / 2)
+	storm.End = storm.Start.Add(span)
+	p, err := NewPredictProviderFromSource(sc.City, st, sys.SVM, &storm, sc.Elev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The morning and evening commutes, every 10 minutes.
+	var windows []time.Time
+	for _, from := range []time.Duration{6 * time.Hour, 16 * time.Hour} {
+		for at := day.Add(from); at.Before(day.Add(from + 4*time.Hour)); at = at.Add(10 * time.Minute) {
+			windows = append(windows, at)
+		}
+	}
+	want := make([]map[roadnet.SegmentID]float64, len(windows))
+	moved, positives := 0, 0.0
+	for w, at := range windows {
+		want[w] = p.PredictReference(at)
+		for _, n := range want[w] {
+			positives += n
+		}
+		if w > 0 {
+			for i := 0; i < st.NumPeople(); i++ {
+				if st.PosAt(i, at.UnixNano()) != st.PosAt(i, windows[w-1].UnixNano()) {
+					moved++
+				}
+			}
+		}
+	}
+	if moved == 0 || positives == 0 {
+		t.Fatalf("fixture exercises nothing: %d moves between windows, %v predicted positives", moved, positives)
+	}
+
+	check := func(workers int, w int, got map[roadnet.SegmentID]float64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want[w]) {
+			t.Fatalf("workers=%d window %v: Predict differs from PredictReference", workers, windows[w])
+		}
+	}
+	defer p.SetWorkers(0)
+	p.SetWorkers(1)
+	for w, at := range windows {
+		check(1, w, p.Predict(at))
+	}
+	// Backwards in time: every memo written by the forward pass is stale.
+	p.SetWorkers(2)
+	p.ResetCache()
+	for w := len(windows) - 1; w >= 0; w-- {
+		check(2, w, p.Predict(windows[w]))
+	}
+	p.SetWorkers(4)
+	p.ResetCache()
+	got := make([]map[roadnet.SegmentID]float64, len(windows))
+	var wg sync.WaitGroup
+	for w, at := range windows {
+		wg.Add(1)
+		go func(w int, at time.Time) {
+			defer wg.Done()
+			got[w] = p.Predict(at)
+		}(w, at)
+	}
+	wg.Wait()
+	for w := range windows {
+		check(4, w, got[w])
+	}
+
+	for w, at := range windows {
+		fromPerson := make(map[roadnet.SegmentID]float64)
+		for i := 0; i < st.NumPeople(); i++ {
+			pred, pos, ok := p.PredictPerson(st.ID(i), at)
+			if !ok {
+				t.Fatalf("PredictPerson(%d) not found", st.ID(i))
+			}
+			if !pred {
+				continue
+			}
+			if seg := p.index.NearestSegment(pos); seg != roadnet.NoSegment {
+				fromPerson[seg]++
+			}
+		}
+		if !reflect.DeepEqual(fromPerson, want[w]) {
+			t.Fatalf("window %v: PredictPerson decisions disagree with Predict/PredictReference", at)
+		}
 	}
 }
 

@@ -287,7 +287,10 @@ func metricKey(name string, labels []Label) string {
 }
 
 // lookup finds or creates an entry, enforcing kind consistency per name.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *entry {
+// A new entry gets its kind's handle (a histogram with the given bounds)
+// before the lock is released, so concurrent first uses of one metric
+// all receive the same handle.
+func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, labels []Label) *entry {
 	labels = sortLabels(labels)
 	key := metricKey(name, labels)
 	r.mu.Lock()
@@ -304,6 +307,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *e
 		return e
 	}
 	e := &entry{name: name, labels: labels}
+	switch kind {
+	case kindCounter:
+		e.counter = &Counter{}
+	case kindGauge:
+		e.gauge = &Gauge{}
+	case kindHistogram:
+		e.hist = newHistogram(bounds)
+	}
 	f.entries = append(f.entries, e)
 	r.byKey[key] = e
 	return e
@@ -315,11 +326,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, help, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.lookup(name, help, kindCounter, nil, labels).counter
 }
 
 // Gauge returns the gauge registered under name+labels, creating it on
@@ -328,11 +335,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, help, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.lookup(name, help, kindGauge, nil, labels).gauge
 }
 
 // Histogram returns the histogram registered under name+labels, creating
@@ -346,11 +349,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if len(bounds) == 0 {
 		bounds = DefSecondsBuckets
 	}
-	e := r.lookup(name, help, kindHistogram, labels)
-	if e.hist == nil {
-		e.hist = newHistogram(bounds)
-	}
-	return e.hist
+	return r.lookup(name, help, kindHistogram, bounds, labels).hist
 }
 
 // escapeLabelValue escapes a label value per the Prometheus text format.

@@ -198,6 +198,51 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
+// TestRegistryFirstUseRace has many goroutines make the first use of
+// one counter, gauge and histogram at the same instant: every caller
+// must receive the same handle, so no update lands in a handle the
+// registry does not hold (run under -race).
+func TestRegistryFirstUseRace(t *testing.T) {
+	const goroutines = 32
+	for round := 0; round < 20; round++ {
+		r := NewRegistry()
+		counters := make([]*Counter, goroutines)
+		gauges := make([]*Gauge, goroutines)
+		hists := make([]*Histogram, goroutines)
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(goroutines)
+		for i := 0; i < goroutines; i++ {
+			go func(i int) {
+				defer done.Done()
+				start.Wait()
+				counters[i] = r.Counter("first_counter", "h")
+				gauges[i] = r.Gauge("first_gauge", "h")
+				hists[i] = r.Histogram("first_hist", "h", []float64{1})
+				counters[i].Inc()
+				gauges[i].Add(1)
+				hists[i].Observe(0.5)
+			}(i)
+		}
+		start.Done()
+		done.Wait()
+		for i := 1; i < goroutines; i++ {
+			if counters[i] != counters[0] || gauges[i] != gauges[0] || hists[i] != hists[0] {
+				t.Fatalf("round %d: goroutine %d received a different handle on first use", round, i)
+			}
+		}
+		if got := r.Counter("first_counter", "h").Value(); got != goroutines {
+			t.Fatalf("round %d: counter = %d, want %d", round, got, goroutines)
+		}
+		if got := r.Gauge("first_gauge", "h").Value(); got != goroutines {
+			t.Fatalf("round %d: gauge = %v, want %d", round, got, goroutines)
+		}
+		if got := r.Histogram("first_hist", "h", nil).Count(); got != goroutines {
+			t.Fatalf("round %d: histogram count = %d, want %d", round, got, goroutines)
+		}
+	}
+}
+
 // TestNilRegistryAndHandles verifies the disabled path is safe end to end.
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry

@@ -28,14 +28,16 @@ type stormSample struct {
 }
 
 // FactorIndex answers WindowFactors queries over a Hurricane field in
-// O(samples) cheap arithmetic per point by precomputing the storm
-// series — the per-instant envelope/center state shared by every
-// spatial query at that instant — behind a bounded memo. Outputs are
-// byte-identical to the naive WindowFactors path: the index reproduces
-// the exact floating-point evaluation order of Hurricane.PrecipAt /
+// two steps: SeriesInto resolves the storm series of one query instant
+// — the per-instant envelope/center state shared by every spatial query
+// at that instant, behind a bounded memo — and StormSeries.At evaluates
+// one point against it in O(samples) cheap arithmetic. Outputs are
+// byte-identical to the naive WindowFactors path: the evaluation
+// reproduces the exact floating-point order of Hurricane.PrecipAt /
 // WindAt and the naive trailing-scan accumulation (pinned by
-// TestFactorIndexMatchesNaive). For fields other than *Hurricane the
-// index transparently falls back to the naive path.
+// TestFactorIndexMatchesNaive and TestSeriesMatchesNaive). For fields
+// other than *Hurricane, and for non-positive lookbacks, the series
+// transparently falls back to the naive path.
 //
 // A FactorIndex is safe for concurrent use.
 type FactorIndex struct {
@@ -72,77 +74,123 @@ func NewFactorIndex(f Field, elev func(geo.Point) float64, lookback time.Duratio
 // Lookback returns the trailing-average window the index answers for.
 func (fi *FactorIndex) Lookback() time.Duration { return fi.lookback }
 
-// sample returns the memoized storm state at t, computing and caching
-// it on miss.
-func (fi *FactorIndex) sample(t time.Time) stormSample {
+// sampleLocked returns the memoized storm state at t, computing and
+// caching it on miss. Called with fi.mu held.
+func (fi *FactorIndex) sampleLocked(t time.Time) stormSample {
 	key := t.UnixNano()
-	fi.mu.Lock()
-	s, ok := fi.samples[key]
-	if ok {
-		fi.mu.Unlock()
+	if s, ok := fi.samples[key]; ok {
 		return s
 	}
-	fi.mu.Unlock()
-
 	h := fi.hur
-	e := h.envelope(t)
-	if e == 0 {
-		s = stormSample{zero: true}
-	} else {
+	s := stormSample{zero: true}
+	if e := h.envelope(t); e != 0 {
 		s = stormSample{center: h.CenterAt(t), pe: h.PeakPrecip * e, e: e}
 	}
-
-	fi.mu.Lock()
 	if len(fi.samples) >= fi.maxSamples {
 		fi.samples = make(map[int64]stormSample)
 	}
 	fi.samples[key] = s
-	fi.mu.Unlock()
 	return s
+}
+
+// StormSeries is the storm series of one query instant t: the storm
+// state at each hourly lookback instant t, t-1h, ..., t-lookback,
+// resolved once (FactorIndex.SeriesInto) and then shared read-only by
+// every per-point evaluation at t. Only samples with a non-zero
+// envelope are kept, newest first; n counts every instant, zero ones
+// included, because the trailing mean divides by it. A resolved series
+// is safe for concurrent use by any number of readers; the zero value
+// is ready for SeriesInto.
+type StormSeries struct {
+	hur      *Hurricane // nil selects the naive fallback
+	windDiff float64
+	live     []stormSample
+	n        int
+
+	// The naive fallback's query.
+	field    Field
+	t        time.Time
+	lookback time.Duration
+}
+
+// SeriesInto resolves the storm series at t into s, reusing its
+// storage. It takes the memo lock once, whatever the number of samples.
+func (fi *FactorIndex) SeriesInto(s *StormSeries, t time.Time) {
+	*s = fi.series(t, s.live[:0])
+}
+
+// series resolves the storm series at t, appending its live samples to
+// live. Returning the series by value lets single-point queries keep it,
+// and a stack buffer behind live, off the heap.
+func (fi *FactorIndex) series(t time.Time, live []stormSample) StormSeries {
+	s := StormSeries{live: live, field: fi.field, t: t, lookback: fi.lookback}
+	h := fi.hur
+	if h == nil || fi.lookback <= 0 {
+		return s
+	}
+	s.hur = h
+	s.windDiff = h.PeakWind - h.BaseWind
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	for back := time.Duration(0); back <= fi.lookback; back += time.Hour {
+		s.n++
+		if smp := fi.sampleLocked(t.Add(-back)); !smp.zero {
+			s.live = append(s.live, smp)
+		}
+	}
+	return s
+}
+
+// At returns the trailing-window mean precipitation and wind at p —
+// byte-identical to the Precip and Wind of WindowFactors(f, elev, p, t,
+// lookback) for the series' field, instant and lookback. It takes no
+// lock and performs no allocation.
+func (s *StormSeries) At(p geo.Point) (precip, wind float64) {
+	if s.hur == nil {
+		return windowMeans(s.field, p, s.t, s.lookback)
+	}
+	return s.eval(p)
+}
+
+// eval is the per-point kernel over a Hurricane series' live samples.
+// It reads only the samples and storm parameters, so a series on the
+// stack stays there.
+func (s *StormSeries) eval(p geo.Point) (precip, wind float64) {
+	h := s.hur
+	for i := range s.live {
+		smp := &s.live[i]
+		d := geo.FastDistance(p, smp.center)
+		// Exact FP evaluation order of Hurricane.PrecipAt:
+		// (PeakPrecip*e) * spatial(d).
+		precip += smp.pe * h.spatial(d)
+		// Exact FP evaluation order of Hurricane.WindAt.
+		decay := math.Exp(-d / (2 * h.Radius))
+		wind += smp.e * (h.BaseWind + s.windDiff*decay)
+	}
+	// Zero samples contribute exactly +0 to the naive sums, so skipping
+	// them leaves the accumulation unchanged.
+	return precip / float64(s.n), wind / float64(s.n)
 }
 
 // WindowFactors returns the trailing-window-averaged factor vector at p
 // and t — byte-identical to weather.WindowFactors(f, elev, p, t,
-// lookback), but with the storm series memoized and the center distance
-// computed once per sample instead of once per field.
+// lookback): the series at t is resolved, then p is evaluated against
+// it. Lookbacks up to 24 h resolve into a stack buffer, so the query
+// does not allocate.
 func (fi *FactorIndex) WindowFactors(p geo.Point, t time.Time) Factors {
-	if fi.hur == nil || fi.lookback <= 0 {
+	var buf [25]stormSample
+	s := fi.series(t, buf[:0])
+	if s.hur == nil {
 		return WindowFactors(fi.field, fi.elev, p, t, fi.lookback)
 	}
-	h := fi.hur
-	windDiff := h.PeakWind - h.BaseWind
-	var precip, wind float64
-	n := 0
-	for back := time.Duration(0); back <= fi.lookback; back += time.Hour {
-		at := t.Add(-back)
-		s := fi.sample(at)
-		n++
-		if s.zero {
-			continue // both fields are exactly 0 outside the window
-		}
-		d := geo.FastDistance(p, s.center)
-		// Exact FP evaluation order of Hurricane.PrecipAt:
-		// (PeakPrecip*e) * spatial(d).
-		precip += s.pe * h.spatial(d)
-		// Exact FP evaluation order of Hurricane.WindAt.
-		decay := math.Exp(-d / (2 * h.Radius))
-		wind += s.e * (h.BaseWind + windDiff*decay)
-	}
-	alt := 0.0
-	if fi.elev != nil {
-		alt = fi.elev(p)
-	}
-	return Factors{
-		Precip:   precip / float64(n),
-		Wind:     wind / float64(n),
-		Altitude: alt,
-	}
+	precip, wind := s.eval(p)
+	return Factors{Precip: precip, Wind: wind, Altitude: Altitude(fi.elev, p)}
 }
 
 // FactorsInto fills vec (which must have length >= 3) with the factor
 // vector in the canonical (precipitation, wind, altitude) order without
-// allocating — the zero-alloc companion of Factors.Vector for per-worker
-// prediction loops.
+// allocating — the zero-alloc companion of Factors.Vector for
+// single-point queries.
 func (fi *FactorIndex) FactorsInto(vec []float64, p geo.Point, t time.Time) {
 	f := fi.WindowFactors(p, t)
 	vec[0] = f.Precip

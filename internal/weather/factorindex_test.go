@@ -61,29 +61,96 @@ func TestFactorIndexMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSeriesMatchesNaive pins the per-window kernel: one series resolved
+// per 5-minute boundary, evaluated at every point, must equal the naive
+// trailing scan with !=. The span covers windows whose samples are all
+// zero (before Start, and a lookback past End), windows straddling
+// Start or End, and windows wholly inside the impact window.
+func TestSeriesMatchesNaive(t *testing.T) {
+	h := fixtureStorm()
+	const lookback = 24 * time.Hour
+	fi := NewFactorIndex(h, fixtureElev, lookback)
+	city := geo.Point{Lat: 35.2271, Lon: -80.8431}
+	points := []geo.Point{
+		city,
+		h.TrackStart, // exactly on the initial storm center
+		geo.Destination(city, 270, 40000),
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 12; i++ {
+		points = append(points, geo.Destination(city, rng.Float64()*360, rng.Float64()*25000))
+	}
+	var s StormSeries
+	allZero, straddle, full := 0, 0, 0
+	for at := h.Start.Add(-6 * time.Hour); !at.After(h.End.Add(lookback + 6*time.Hour)); at = at.Add(5 * time.Minute) {
+		fi.SeriesInto(&s, at)
+		switch {
+		case len(s.live) == 0:
+			allZero++
+		case len(s.live) < s.n:
+			straddle++
+		default:
+			full++
+		}
+		for _, p := range points {
+			want := WindowFactors(h, fixtureElev, p, at, lookback)
+			precip, wind := s.At(p)
+			if precip != want.Precip || wind != want.Wind {
+				t.Fatalf("t=%v p=%v: series (%v, %v) != naive (%v, %v)", at, p, precip, wind, want.Precip, want.Wind)
+			}
+		}
+	}
+	if allZero == 0 || straddle == 0 || full == 0 {
+		t.Fatalf("span missed a regime: %d all-zero, %d straddling, %d full windows", allZero, straddle, full)
+	}
+}
+
+// TestSeriesAtZeroAlloc pins the per-person step of the prediction
+// loop: evaluating a point against a resolved series allocates nothing.
+func TestSeriesAtZeroAlloc(t *testing.T) {
+	h := fixtureStorm()
+	fi := NewFactorIndex(h, fixtureElev, 24*time.Hour)
+	var s StormSeries
+	fi.SeriesInto(&s, h.Start.Add(30*time.Hour))
+	p := geo.Destination(geo.Point{Lat: 35.2271, Lon: -80.8431}, 100, 8000)
+	if n := testing.AllocsPerRun(1000, func() { s.At(p) }); n != 0 {
+		t.Fatalf("StormSeries.At allocates %v/op, want 0", n)
+	}
+}
+
 // TestFactorIndexFallback pins the naive fallback for non-Hurricane
-// fields and non-positive lookbacks.
+// fields and non-positive lookbacks, and the nil elevation oracle, for
+// both a resolved series and single-point queries.
 func TestFactorIndexFallback(t *testing.T) {
 	p := geo.Point{Lat: 35.2, Lon: -80.8}
 	at := time.Date(2018, 9, 13, 12, 0, 0, 0, time.UTC)
-
-	// Calm is not a *Hurricane: the index must take the generic path.
-	fi := NewFactorIndex(Calm{}, fixtureElev, 24*time.Hour)
-	if got, want := fi.WindowFactors(p, at), WindowFactors(Calm{}, fixtureElev, p, at, 24*time.Hour); got != want {
-		t.Fatalf("calm fallback: %+v != %+v", got, want)
-	}
-
-	// Zero lookback degrades to instantaneous factors.
 	h := fixtureStorm()
-	fi0 := NewFactorIndex(h, fixtureElev, 0)
-	if got, want := fi0.WindowFactors(p, at), FactorsAt(h, fixtureElev, p, at); got != want {
-		t.Fatalf("zero-lookback fallback: %+v != %+v", got, want)
+	cases := []struct {
+		name     string
+		field    Field
+		elev     func(geo.Point) float64
+		lookback time.Duration
+	}{
+		// Calm is not a *Hurricane: the index must take the generic path.
+		{"calm", Calm{}, fixtureElev, 24 * time.Hour},
+		// Zero lookback degrades to instantaneous factors.
+		{"zero lookback", h, fixtureElev, 0},
+		{"nil elev", h, nil, 24 * time.Hour},
 	}
-
-	// Nil elevation oracle.
-	fiNil := NewFactorIndex(h, nil, 24*time.Hour)
-	if got, want := fiNil.WindowFactors(p, at), WindowFactors(h, nil, p, at, 24*time.Hour); got != want {
-		t.Fatalf("nil-elev: %+v != %+v", got, want)
+	for _, c := range cases {
+		fi := NewFactorIndex(c.field, c.elev, c.lookback)
+		want := WindowFactors(c.field, c.elev, p, at, c.lookback)
+		if got := fi.WindowFactors(p, at); got != want {
+			t.Fatalf("%s: index %+v != naive %+v", c.name, got, want)
+		}
+		var s StormSeries
+		fi.SeriesInto(&s, at)
+		if precip, wind := s.At(p); precip != want.Precip || wind != want.Wind {
+			t.Fatalf("%s: series (%v, %v) != naive %+v", c.name, precip, wind, want)
+		}
+	}
+	if got, want := NewFactorIndex(h, fixtureElev, 0).WindowFactors(p, at), FactorsAt(h, fixtureElev, p, at); got != want {
+		t.Fatalf("zero-lookback: %+v != instantaneous %+v", got, want)
 	}
 }
 
@@ -179,6 +246,15 @@ func BenchmarkWindowFactors(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			fi.WindowFactors(p, at)
+		}
+	})
+	b.Run("series", func(b *testing.B) {
+		fi := NewFactorIndex(h, fixtureElev, 24*time.Hour)
+		var s StormSeries
+		fi.SeriesInto(&s, at)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.At(p)
 		}
 	})
 }

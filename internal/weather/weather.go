@@ -167,15 +167,15 @@ func (f Factors) Vector() []float64 { return []float64{f.Precip, f.Wind, f.Altit
 // t, with elev supplying the altitude (e.g. the cellphone altimeter in
 // the paper).
 func FactorsAt(f Field, elev func(geo.Point) float64, p geo.Point, t time.Time) Factors {
-	alt := 0.0
-	if elev != nil {
-		alt = elev(p)
+	return WindowFactors(f, elev, p, t, 0)
+}
+
+// Altitude returns elev(p), or 0 for a nil elevation oracle.
+func Altitude(elev func(geo.Point) float64, p geo.Point) float64 {
+	if elev == nil {
+		return 0
 	}
-	return Factors{
-		Precip:   f.PrecipAt(p, t),
-		Wind:     f.WindAt(p, t),
-		Altitude: alt,
-	}
+	return elev(p)
 }
 
 // WindowFactors samples the factor vector using trailing-window averages
@@ -183,12 +183,20 @@ func FactorsAt(f Field, elev func(geo.Point) float64, p geo.Point, t time.Time) 
 // the mean rate over [t-lookback, t], sampled hourly. This matches the
 // paper's use of per-hour NWS averages rather than instantaneous rates —
 // and matters physically: flooding (and thus rescue demand) follows
-// accumulated rain, which lags the instantaneous rate.
+// accumulated rain, which lags the instantaneous rate. A non-positive
+// lookback gives the instantaneous factors (FactorsAt).
 func WindowFactors(f Field, elev func(geo.Point) float64, p geo.Point, t time.Time, lookback time.Duration) Factors {
+	precip, wind := windowMeans(f, p, t, lookback)
+	return Factors{Precip: precip, Wind: wind, Altitude: Altitude(elev, p)}
+}
+
+// windowMeans is the naive trailing scan behind WindowFactors: the mean
+// precipitation and wind at p over [t-lookback, t], sampled hourly, or
+// the instantaneous values for a non-positive lookback.
+func windowMeans(f Field, p geo.Point, t time.Time, lookback time.Duration) (precip, wind float64) {
 	if lookback <= 0 {
-		return FactorsAt(f, elev, p, t)
+		return f.PrecipAt(p, t), f.WindAt(p, t)
 	}
-	var precip, wind float64
 	n := 0
 	for back := time.Duration(0); back <= lookback; back += time.Hour {
 		at := t.Add(-back)
@@ -196,15 +204,7 @@ func WindowFactors(f Field, elev func(geo.Point) float64, p geo.Point, t time.Ti
 		wind += f.WindAt(p, at)
 		n++
 	}
-	alt := 0.0
-	if elev != nil {
-		alt = elev(p)
-	}
-	return Factors{
-		Precip:   precip / float64(n),
-		Wind:     wind / float64(n),
-		Altitude: alt,
-	}
+	return precip / float64(n), wind / float64(n)
 }
 
 // RegionAverages samples the field hourly over [from, to) at each center
