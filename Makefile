@@ -1,6 +1,6 @@
 # MobiRescue build/test entry points. `make ci` is the default gate:
-# tier-1 verify (vet + build + test) plus the event-log
-# determinism/bench-gate smoke. CI runs the same pieces as separate
+# tier-1 verify (vet + build + test), the benchmark module's own vet +
+# tests, and the event-log determinism/bench-gate smoke. CI runs the same pieces as separate
 # jobs (`verify`, `eventlog-smoke`, `crash-smoke`) alongside
 # `make race`, which runs the full suite — including the chaos and
 # resilience tests, whose goroutine-per-Decide wrapper is exactly where
@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-scale-smoke bench-ilp-smoke eventlog-smoke crash-smoke serve-smoke fuzz cover verify ci clean
+.PHONY: all build vet test bench-test race bench bench-smoke bench-scale-smoke bench-ilp-smoke eventlog-smoke crash-smoke serve-smoke fuzz cover verify ci clean
 
 all: ci race
 
@@ -23,6 +23,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark (bench/) is a Go module of its own, so the
+# root `go test ./...` does not reach it; it imports the core API, so
+# every API change must keep it building and passing.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Decide-latency micro-benchmarks, the routing fast-path benchmarks
 # (BenchmarkTree must report 0 allocs/op; BenchmarkTreeCached must be
@@ -96,9 +102,10 @@ cover:
 	done
 
 # Flight-recorder determinism + bench-gate smoke: record the small
-# scenario twice (workers 1 vs 8 — telemetry, like results, must not
-# depend on physical parallelism), assert `analyze diff` reports zero
-# divergence, render a timeline from the structured log, and run the
+# scenario three times — workers 1 vs 8 (telemetry, like results, must
+# not depend on physical parallelism) and once more with crash-safe
+# snapshots on (durability is the same run path, so the same bytes) —
+# assert `analyze diff` reports zero divergence for both pairs, render a timeline from the structured log, and run the
 # bench-regression gate over the checked-in BENCH_*.json artifacts in
 # portable mode (allocs/bytes strict, speedup ratios within tolerance;
 # raw ns/op skipped — they do not transfer across machines). The
@@ -107,7 +114,10 @@ cover:
 eventlog-smoke:
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -eventlog eventlog_a.jsonl
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -workers 8 -train-workers 8 -eventlog eventlog_b.jsonl
+	rm -rf eventlog_snaps
+	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -snapshot-dir eventlog_snaps -eventlog eventlog_c.jsonl
 	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_b.jsonl
+	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_c.jsonl
 	$(GO) run ./cmd/analyze timeline eventlog_a.jsonl >/dev/null
 	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_routing.json -fresh BENCH_routing.json
 	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_predict.json -fresh BENCH_predict.json
@@ -135,10 +145,10 @@ crash-smoke:
 
 verify: vet build test
 
-# The default CI gate: tier-1 verify plus the event-log smoke, the
-# metro-scale contract smoke, the serving-layer smoke, and the
-# assignment-solver contract smoke.
-ci: verify eventlog-smoke bench-scale-smoke serve-smoke bench-ilp-smoke
+# The default CI gate: tier-1 verify plus the benchmark module's tests,
+# the event-log smoke, the metro-scale contract smoke, the serving-layer
+# smoke, and the assignment-solver contract smoke.
+ci: verify bench-test eventlog-smoke bench-scale-smoke serve-smoke bench-ilp-smoke
 
 clean:
 	$(GO) clean ./...

@@ -187,7 +187,7 @@ func BenchmarkAblationRewardGamma(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.TrainRL(3); err != nil {
+		if _, err := sys.TrainRLParallel(3); err != nil {
 			b.Fatal(err)
 		}
 		res, err := sys.RunMethod("mr", 0)

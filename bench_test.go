@@ -42,7 +42,7 @@ func getFixture(b *testing.B) *benchFixture {
 			fixtureErr = err
 			return
 		}
-		if _, err := sys.TrainRL(4); err != nil {
+		if _, err := sys.TrainRLParallel(4); err != nil {
 			fixtureErr = err
 			return
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	analyze [-scale small|mid|full] [-seed S] [-out table1|fig2|...|fig6|all]
-//	analyze timeline [-legacy-text] <run.jsonl | report.txt>
+//	analyze timeline <run.jsonl>
 //	analyze diff <a.jsonl> <b.jsonl>
 //	analyze bench-check [-tol 0.05] [-portable] -base BENCH_x.json -fresh fresh.json
 //
@@ -16,17 +16,14 @@
 // when the log contains faults, the perturbation-and-recovery
 // resilience summary — from a flight-recorder event log written with
 // `-eventlog` (see README "Flight recorder & run diffing").
-// -legacy-text instead parses the old cmd/experiments text report
-// (results_small.txt format); that path is deprecated — the text
-// report collapses runs into hourly aggregates, so prefer the event
-// log (see EXPERIMENTS.md).
 //
 // diff compares two event logs window by window and pinpoints the
 // first divergence. Exit status 1 when the logs diverge or are not
 // comparable, so CI can assert determinism with a single command.
 //
 // bench-check compares a fresh benchmark artifact against a checked-in
-// baseline (BENCH_routing.json / BENCH_predict.json) with tolerance
+// baseline (BENCH_routing, BENCH_predict, BENCH_scale, BENCH_ilp or
+// BENCH_serve .json) with tolerance
 // bands — see internal/benchgate for the rules. -portable restricts
 // the gate to machine-independent checks (allocation counts, speedup
 // ratios, boolean invariants) for CI hardware that differs from the
@@ -34,15 +31,10 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 
 	"mobirescue/internal/benchgate"
 	"mobirescue/internal/core"
@@ -69,28 +61,14 @@ func main() {
 }
 
 // runTimeline prints per-window timelines (and resilience curves) from
-// a flight-recorder event log, or — deprecated — from a legacy
-// cmd/experiments text report.
+// a flight-recorder event log.
 func runTimeline(args []string) {
 	fs := flag.NewFlagSet("analyze timeline", flag.ExitOnError)
-	legacy := fs.Bool("legacy-text", false, "parse a legacy experiments text report (results_small.txt format) instead of an event log (deprecated; see EXPERIMENTS.md)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		log.Fatal("timeline: want exactly one input file (an -eventlog JSONL, or a text report with -legacy-text)")
+		log.Fatal("timeline: want exactly one -eventlog JSONL file")
 	}
-	path := fs.Arg(0)
-	if *legacy {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := legacyTimeline(os.Stdout, f); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	rl, err := eventlog.ReadFile(path)
+	rl, err := eventlog.ReadFile(fs.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,98 +136,6 @@ func runBenchCheck(args []string) {
 		fmt.Printf("  %s\n", v)
 	}
 	os.Exit(1)
-}
-
-// legacyTimeline parses the old cmd/experiments text report — the
-// results_small.txt format — and prints an hourly per-method timeline.
-// Deprecated: the text report only carries hourly aggregates (timely
-// served from Figure 9, serving teams from Figure 14); record with
-// -eventlog for the per-window stream instead.
-func legacyTimeline(w io.Writer, r io.Reader) error {
-	timely, servingF, err := parseLegacyReport(r)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "legacy text report (deprecated: hourly aggregates only — record with -eventlog for the per-window stream; see EXPERIMENTS.md)")
-	names := make([]string, 0, len(timely))
-	for n := range timely {
-		names = append(names, n)
-	}
-	for n := range servingF {
-		if _, dup := timely[n]; !dup {
-			names = append(names, n)
-		}
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("no hourly series found (is this a cmd/experiments report?)")
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "\nrun %s:\n", name)
-		fmt.Fprintf(w, "  %4s %8s %8s\n", "hour", "timely", "serving")
-		hours := len(timely[name])
-		if len(servingF[name]) > hours {
-			hours = len(servingF[name])
-		}
-		for h := 0; h < hours; h++ {
-			t, s := "-", "-"
-			if h < len(timely[name]) {
-				t = strconv.Itoa(timely[name][h])
-			}
-			if h < len(servingF[name]) {
-				s = strconv.FormatFloat(servingF[name][h], 'f', 1, 64)
-			}
-			fmt.Fprintf(w, "  %4d %8s %8s\n", h, t, s)
-		}
-	}
-	return nil
-}
-
-// parseLegacyReport extracts the Figure 9 (timely served per hour, int)
-// and Figure 14 (serving teams per hour, float) tables from an
-// experiments text report.
-func parseLegacyReport(r io.Reader) (timely map[string][]int, serving map[string][]float64, err error) {
-	timely = make(map[string][]int)
-	serving = make(map[string][]float64)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var names []string
-	mode := 0 // 0 = scanning, 1 = in Figure 9, 2 = in Figure 14
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "Figure 9:"):
-			mode, names = 1, nil
-		case strings.HasPrefix(line, "Figure 14:"):
-			mode, names = 2, nil
-		case mode != 0 && strings.TrimSpace(line) == "":
-			mode = 0
-		case mode != 0:
-			fields := strings.Fields(line)
-			if len(fields) == 0 {
-				continue
-			}
-			if fields[0] == "hour" {
-				names = fields[1:]
-				continue
-			}
-			if _, err := strconv.Atoi(fields[0]); err != nil || len(fields) != len(names)+1 {
-				continue // not a data row
-			}
-			for i, name := range names {
-				v, err := strconv.ParseFloat(fields[i+1], 64)
-				if err != nil {
-					continue
-				}
-				if mode == 1 {
-					timely[name] = append(timely[name], int(v))
-				} else {
-					serving[name] = append(serving[name], v)
-				}
-			}
-		}
-	}
-	return timely, serving, sc.Err()
 }
 
 // runFigures is the original mode: Table I and Figures 2–6 (Section

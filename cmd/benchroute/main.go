@@ -194,7 +194,7 @@ func buildSystem(scale string, seed int64, episodes int) (*core.Scenario, *core.
 	if err != nil {
 		return nil, nil, fmt.Errorf("building system: %w", err)
 	}
-	if _, err := sys.TrainRL(episodes); err != nil {
+	if _, err := sys.TrainRLParallel(episodes); err != nil {
 		return nil, nil, fmt.Errorf("training RL: %w", err)
 	}
 	return sc, sys, nil

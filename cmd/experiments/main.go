@@ -54,69 +54,35 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"mobirescue/internal/chaos"
+	"mobirescue/internal/cli"
 	"mobirescue/internal/core"
-	"mobirescue/internal/ilp"
 	"mobirescue/internal/obs"
-	"mobirescue/internal/obs/eventlog"
 	"mobirescue/internal/sim"
 	"mobirescue/internal/snapshot"
 	"mobirescue/internal/stats"
 )
 
 func main() {
-	var (
-		scale    = flag.String("scale", "mid", "scenario scale: "+core.ScaleNames)
-		episodes = flag.Int("episodes", 0, "RL training episodes (0 = config default, negative = skip training)")
-		teams    = flag.Int("teams", 0, "fleet size (0 = max daily requests, like the paper)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		fig      = flag.String("fig", "all", "which figure to print: all, 9..16, latency")
-		solver   = flag.String("assign-solver", "exact", "assignment solver for dispatcher cost matrices: "+ilp.SolverNames)
-		chaosArg = flag.String("chaos", "off", "chaos profile: "+chaos.ProfileNames)
-		chaosSd  = flag.Int64("chaos-seed", 1, "chaos fault-schedule seed")
-		obsAddr  = flag.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
-		workers  = flag.Int("workers", 0, "parallelism bound for routing prefetch and the three comparison runs (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
-		trainWk  = flag.Int("train-workers", 0, "parallel rollout bound for RL training (0 = -workers, then GOMAXPROCS; the trained policy is identical for any value)")
-		trainAc  = flag.Int("train-actors", 0, "logical actor count for RL training (0 = default 4; changes the training experiment, not just its speed)")
-		savePol  = flag.String("save-policy", "", "write the trained policy checkpoint to this file")
-		loadPol  = flag.String("load-policy", "", "warm-start the policy from this checkpoint before training")
-		evlogF   = flag.String("eventlog", "", "record the flight-recorder event stream (JSONL) to this file")
-		evlogT   = flag.Bool("eventlog-timing", false, "include wall-clock fields in -eventlog (breaks cross-run byte-identity)")
-		decideDl = flag.Duration("decide-deadline", 0, "resilient dispatcher per-round Decide deadline (0 = default 5s); expirations emit a typed deadline event")
-		snapDir  = flag.String("snapshot-dir", "", "install crash-safe snapshots of the training phase in this directory (see -resume)")
-		snapEv   = flag.Int("snapshot-every", 1, "snapshot cadence in training rounds (with -snapshot-dir)")
-		snapKeep = flag.Int("snapshot-keep", snapshot.DefaultKeep, "newest snapshots to keep in -snapshot-dir")
-		resume   = flag.Bool("resume", false, "resume from the latest valid snapshot in -snapshot-dir (same flags as the original run)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocs/heap profile to this file at exit")
-	)
-	flag.Parse()
+	f := cli.Register(flag.CommandLine, cli.Experiments)
+	fig := flag.String("fig", "all", "which figure to print: all, 9..16, latency")
+	f.Parse(flag.CommandLine, os.Args[1:])
 	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, slog.String("cmd", "experiments"))
 
-	if *cpuProf != "" {
-		stop, err := obs.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(logger, err)
-		}
-		defer stop()
+	stopProfiles, err := f.StartProfiles(logger)
+	if err != nil {
+		fatal(logger, err)
 	}
-	if *memProf != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memProf); err != nil {
-				logger.Warn("writing mem profile", slog.Any("err", err))
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	reg := obs.NewRegistry()
 	reg.PublishExpvar("mobirescue")
 	tracer := obs.NewTracer()
 	ctx := obs.ContextWithTracer(context.Background(), tracer)
-	if *obsAddr != "" {
-		server, err := obs.StartServer(*obsAddr, reg)
+	if f.Obs != "" {
+		server, err := obs.StartServer(f.Obs, reg)
 		if err != nil {
 			fatal(logger, err)
 		}
@@ -124,141 +90,55 @@ func main() {
 		logger.Info("observability server listening", slog.String("addr", server.Addr()))
 	}
 
-	sc, sys, err := buildSystem(ctx, *scale, *seed, *teams, *workers, *trainWk, *trainAc, *savePol, *solver, reg, logger)
+	cfg, err := f.ScenarioConfig()
 	if err != nil {
 		fatal(logger, err)
 	}
-	sys.Config.DecideTimeout = *decideDl
+	sc, sys, err := f.Build(ctx, cfg, reg, logger)
+	if err != nil {
+		fatal(logger, err)
+	}
 	defer obs.WriteReport(os.Stderr, reg, tracer)
 
-	// Durability: snapshots cover the training phase; the comparison
-	// re-executes deterministically on resume. Training snapshots are
-	// keyed to the MobiRescue method, matching RunMethodDurable's.
-	var (
-		durable core.Durability
-		snapSt  *snapshot.RunState
-	)
-	if *snapDir != "" {
-		mgr, err := snapshot.NewManager(*snapDir, *snapKeep)
-		if err != nil {
-			fatal(logger, err)
-		}
-		durable = core.Durability{
-			Mgr:        mgr,
-			Every:      *snapEv,
-			Stop:       snapshot.GracefulStop(os.Interrupt, syscall.SIGTERM),
-			ConfigHash: core.ConfigHash(sc.Config),
-			Scale:      *scale,
-		}
-		if *resume {
-			st, path, skipped, err := snapshot.Latest(*snapDir)
-			for name, serr := range skipped {
-				logger.Warn("skipping damaged snapshot", slog.String("file", name), slog.Any("err", serr))
-			}
-			switch {
-			case errors.Is(err, snapshot.ErrNoSnapshot):
-				logger.Info("no valid snapshot; starting fresh", slog.String("dir", *snapDir))
-			case err != nil:
-				fatal(logger, err)
-			default:
-				if err := st.Validate(durable.ConfigHash, *seed, "MobiRescue"); err != nil {
-					fatal(logger, err)
-				}
-				snapSt = st
-				logger.Info("resuming from snapshot", slog.String("path", path),
-					slog.String("phase", st.Phase), slog.Int("train_rounds", st.TrainRounds))
-			}
-		}
-	}
-
-	var elog *eventlog.Log
-	closeLog := func() {}
-	if *evlogF != "" {
-		if snapSt != nil {
-			// Truncate back to the snapshot's durability cursor; the resumed
-			// run re-executes (and re-appends) everything after it.
-			elog, err = eventlog.OpenAppend(*evlogF, snapSt.LogOffset, snapSt.LogEvents,
-				eventlog.Options{Timing: *evlogT})
-		} else {
-			elog, err = eventlog.Create(*evlogF, sys.BuildManifest(*scale, sc.Config),
-				eventlog.Options{Timing: *evlogT})
-		}
-		if err != nil {
-			fatal(logger, err)
-		}
-		elog.EnableMetrics(reg)
-		sys.SetEventLog(elog)
-		closeLog = func() {
-			events, bytes, drops := elog.Stats()
-			if err := elog.Close(); err != nil {
-				logger.Warn("closing event log", slog.Any("err", err))
-			}
-			logger.Info("event log written", slog.String("path", *evlogF),
-				slog.Int64("events", events), slog.Int64("bytes", bytes), slog.Int64("drops", drops))
-		}
-		defer closeLog()
-	}
-	if snapSt != nil && snapSt.Phase == snapshot.PhaseDone {
-		logger.Info("run already complete; nothing to resume", slog.String("dir", *snapDir))
+	// Snapshots cover the training phase, keyed to the MobiRescue method;
+	// the comparison re-executes deterministically on resume.
+	run, err := f.Open(sys, sc.Config, "MobiRescue", reg, logger)
+	if errors.Is(err, core.ErrRunComplete) {
 		return
+	}
+	if err != nil {
+		fatal(logger, err)
+	}
+	defer run.Close()
+	if run.Resume != nil && run.Resume.Phase == snapshot.PhaseEval {
+		fatal(logger, fmt.Errorf("snapshot is mid-evaluation from a single-method run; resume it with mobirescue -resume"))
 	}
 	fmt.Printf("# scenario: %d people, %d landmarks, %d segments, %d teams\n",
 		len(sc.Eval.Data.People), sc.City.Graph.NumLandmarks(), sc.City.Graph.NumSegments(), sys.Teams)
 	fmt.Printf("# eval day %d (peak), %d ground-truth requests\n",
 		sc.Eval.PeakRequestDay(), len(core.RequestsForDay(sc.Eval, sc.Eval.PeakRequestDay())))
 
-	if *loadPol != "" {
-		n, err := sys.LoadPolicy(*loadPol)
+	if f.LoadPolicy != "" {
+		n, err := sys.LoadPolicy(f.LoadPolicy)
 		if err != nil {
 			fatal(logger, err)
 		}
-		fmt.Printf("# warm-started policy from %s (%d episodes)\n", *loadPol, n)
+		fmt.Printf("# warm-started policy from %s (%d episodes)\n", f.LoadPolicy, n)
 	}
 	var trainRewards []float64
-	if *episodes >= 0 {
+	if f.Episodes >= 0 {
 		start := time.Now()
-		switch {
-		case snapSt != nil && snapSt.Phase == snapshot.PhaseEval:
-			fatal(logger, fmt.Errorf("snapshot is mid-evaluation from a single-method run; resume it with mobirescue -resume"))
-		case snapSt != nil && snapSt.Phase == snapshot.PhaseTrained:
-			// Training finished before the crash: restore the learner and
-			// skip straight to the comparison, which re-executes in full.
-			trainRewards = snapSt.TrainRewards
-			if len(snapSt.LearnerState) > 0 {
-				if _, err := sys.RestoreLearnerState(snapSt.LearnerState); err != nil {
-					fatal(logger, err)
-				}
-			}
-			logger.Info("training restored from snapshot",
-				slog.Uint64("episodes", sys.TrainedEpisodes()))
-		case *snapDir != "":
-			trainRewards, err = sys.TrainRLParallelDurable(*episodes, durable, snapSt)
-			if err == nil {
-				err = sys.InstallTrained(durable, "MobiRescue", trainRewards)
-			}
-			switch {
-			case errors.Is(err, snapshot.ErrStopRequested):
-				logger.Info("graceful stop: final snapshot installed, event log flushed",
-					slog.String("dir", *snapDir), slog.Int("exit", snapshot.StopExitCode))
-				closeLog()
-				os.Exit(snapshot.StopExitCode)
-			case err != nil:
-				fatal(logger, err)
-			}
-		default:
-			trainRewards, err = sys.TrainRLParallel(*episodes)
-			if err != nil {
-				fatal(logger, err)
-			}
+		if trainRewards, err = sys.TrainRLParallel(f.Episodes); err != nil {
+			run.Exit(err)
 		}
 		fmt.Printf("# trained RL for %d episodes in %v (timely served per episode: %v)\n",
 			len(trainRewards), time.Since(start).Round(time.Second), trainRewards)
 	}
-	if *savePol != "" {
-		if err := sys.SavePolicy(*savePol); err != nil {
+	if f.SavePolicy != "" {
+		if err := sys.SavePolicy(f.SavePolicy); err != nil {
 			fatal(logger, err)
 		}
-		fmt.Printf("# policy checkpoint written to %s (%d episodes)\n", *savePol, sys.TrainedEpisodes())
+		fmt.Printf("# policy checkpoint written to %s (%d episodes)\n", f.SavePolicy, sys.TrainedEpisodes())
 	}
 
 	cmp, err := sys.RunComparison()
@@ -332,16 +212,16 @@ func main() {
 			name, res.TotalServed(), res.TotalTimelyServed(), medD, medT, meanServing)
 	}
 
-	profile, err := chaos.ProfileByName(*chaosArg)
+	profile, err := chaos.ProfileByName(f.Chaos)
 	if err != nil {
 		fatal(logger, err)
 	}
 	if profile.Enabled() {
-		if err := runChaosComparison(sys, cmp, profile, *chaosSd, logger); err != nil {
+		if err := runChaosComparison(sys, cmp, profile, f.ChaosSeed, logger); err != nil {
 			fatal(logger, err)
 		}
 	}
-	if err := sys.InstallDone(durable, "MobiRescue", trainRewards); err != nil {
+	if err := sys.InstallDone("MobiRescue"); err != nil {
 		fatal(logger, err)
 	}
 }
@@ -371,36 +251,6 @@ func runChaosComparison(sys *core.System, base *core.Comparison, profile chaos.P
 		}
 	}
 	return nil
-}
-
-// buildSystem constructs scenario and system at the requested scale,
-// wiring the metrics registry and logger through both.
-func buildSystem(ctx context.Context, scale string, seed int64, teams, workers, trainWorkers, trainActors int, checkpointPath, solver string, reg *obs.Registry, logger *slog.Logger) (*core.Scenario, *core.System, error) {
-	scCfg, err := core.ScenarioConfigForScale(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	scCfg.Seed = seed
-	logger.Info("building scenario", slog.String("scale", scale), slog.Int64("seed", seed))
-	sc, err := core.BuildScenarioContext(ctx, scCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sysCfg := core.DefaultSystemConfig()
-	sysCfg.Seed = seed
-	sysCfg.Teams = teams
-	sysCfg.Workers = workers
-	sysCfg.TrainWorkers = trainWorkers
-	sysCfg.TrainActors = trainActors
-	sysCfg.CheckpointPath = checkpointPath
-	sysCfg.AssignmentSolver = solver
-	sysCfg.Metrics = reg
-	sysCfg.Logger = logger
-	sys, err := core.NewSystemContext(ctx, sc, sysCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sc, sys, nil
 }
 
 func fatal(logger *slog.Logger, err error) {

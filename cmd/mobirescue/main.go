@@ -53,75 +53,43 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"syscall"
 	"time"
 
 	"mobirescue/internal/chaos"
+	"mobirescue/internal/cli"
 	"mobirescue/internal/core"
-	"mobirescue/internal/ilp"
 	"mobirescue/internal/obs"
-	"mobirescue/internal/obs/eventlog"
-	"mobirescue/internal/sim"
-	"mobirescue/internal/snapshot"
 	"mobirescue/internal/stats"
 )
 
 func main() {
+	f := cli.Register(flag.CommandLine, cli.MobiRescue)
 	var (
-		method   = flag.String("method", "mr", "dispatch method: mr, rescue, or schedule")
-		scale    = flag.String("scale", "small", "scenario scale: "+core.ScaleNames)
-		episodes = flag.Int("episodes", 6, "RL training episodes (mr only)")
-		teams    = flag.Int("teams", 0, "fleet size (0 = max daily requests)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		solver   = flag.String("assign-solver", "exact", "assignment solver for dispatcher cost matrices: "+ilp.SolverNames)
-		chaosArg = flag.String("chaos", "off", "chaos profile: "+chaos.ProfileNames)
-		chaosSd  = flag.Int64("chaos-seed", 1, "chaos fault-schedule seed")
-		obsAddr  = flag.String("obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
-		report   = flag.Bool("report", false, "print the span/metric report on stderr after the run")
-		verbose  = flag.Bool("v", false, "verbose (debug-level) logging")
-		workers  = flag.Int("workers", 0, "parallelism bound for routing prefetch and eval runs (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
-		trainWk  = flag.Int("train-workers", 0, "parallel rollout bound for RL training (0 = -workers, then GOMAXPROCS; the trained policy is identical for any value)")
-		trainAc  = flag.Int("train-actors", 0, "logical actor count for RL training (0 = default 4; changes the training experiment, not just its speed)")
-		savePol  = flag.String("save-policy", "", "write the trained policy checkpoint to this file (also checkpointed during training)")
-		loadPol  = flag.String("load-policy", "", "warm-start the policy from this checkpoint before training/evaluation")
-		ckptEv   = flag.Int("checkpoint-every", 0, "also checkpoint to -save-policy every N training rounds (0 = only at the end)")
-		evlogF   = flag.String("eventlog", "", "record the flight-recorder event stream (JSONL) to this file")
-		evlogT   = flag.Bool("eventlog-timing", false, "include wall-clock fields in -eventlog (breaks cross-run byte-identity)")
-		snapDir  = flag.String("snapshot-dir", "", "install crash-safe run snapshots into this directory at window boundaries")
-		snapEv   = flag.Int("snapshot-every", 1, "snapshot cadence in dispatch windows / training rounds")
-		snapKeep = flag.Int("snapshot-keep", 0, "snapshot generations to retain (0 = default 3)")
-		resume   = flag.Bool("resume", false, "resume from the latest valid snapshot in -snapshot-dir (fresh start when none)")
-		decideDl = flag.Duration("decide-deadline", 0, "resilient wrapper's wall-clock Decide deadline in chaos runs (0 = default 5s)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocs/heap profile to this file at exit")
+		method  = flag.String("method", "mr", "dispatch method: mr, rescue, or schedule")
+		report  = flag.Bool("report", false, "print the span/metric report on stderr after the run")
+		verbose = flag.Bool("v", false, "verbose (debug-level) logging")
+		ckptEv  = flag.Int("checkpoint-every", 0, "also checkpoint to -save-policy every N training rounds (0 = only at the end)")
 	)
-	flag.Parse()
+	f.Parse(flag.CommandLine, os.Args[1:])
 	level := slog.LevelInfo
 	if *verbose {
 		level = slog.LevelDebug
 	}
 	logger := obs.NewLogger(os.Stderr, level, slog.String("cmd", "mobirescue"))
 
-	if *cpuProf != "" {
-		stop, err := obs.StartCPUProfile(*cpuProf)
-		if err != nil {
-			fatal(logger, err)
-		}
-		defer stop()
-	}
-	if *memProf != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memProf); err != nil {
-				logger.Warn("writing mem profile", slog.Any("err", err))
-			}
-		}()
-	}
-
-	cfg, err := core.ScenarioConfigForScale(*scale)
+	stopProfiles, err := f.StartProfiles(logger)
 	if err != nil {
 		fatal(logger, err)
 	}
-	cfg.Seed = *seed
+	defer stopProfiles()
+	name, err := core.MethodName(*method)
+	if err != nil {
+		fatal(logger, err)
+	}
+	cfg, err := f.ScenarioConfig()
+	if err != nil {
+		fatal(logger, err)
+	}
 
 	// Observability: a registry + tracer when -obs or -report is set.
 	var (
@@ -129,15 +97,15 @@ func main() {
 		tracer *obs.Tracer
 		ctx    = context.Background()
 	)
-	if *obsAddr != "" || *report {
+	if f.Obs != "" || *report {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer()
 		ctx = obs.ContextWithTracer(ctx, tracer)
 		reg.PublishExpvar("mobirescue")
 	}
 	var server *obs.Server
-	if *obsAddr != "" {
-		server, err = obs.StartServer(*obsAddr, reg)
+	if f.Obs != "" {
+		server, err = obs.StartServer(f.Obs, reg)
 		if err != nil {
 			fatal(logger, err)
 		}
@@ -146,160 +114,49 @@ func main() {
 			slog.String("metrics", "http://"+server.Addr()+"/metrics"))
 	}
 
-	logger.Info("building scenario", slog.String("scale", *scale), slog.Int64("seed", *seed))
-	sc, err := core.BuildScenarioContext(ctx, cfg)
+	_, sys, err := f.Build(ctx, cfg, reg, logger)
 	if err != nil {
 		fatal(logger, err)
 	}
-	sysCfg := core.DefaultSystemConfig()
-	sysCfg.Seed = *seed
-	sysCfg.Teams = *teams
-	sysCfg.Workers = *workers
-	sysCfg.TrainWorkers = *trainWk
-	sysCfg.TrainActors = *trainAc
-	sysCfg.CheckpointPath = *savePol
-	sysCfg.CheckpointEvery = *ckptEv
-	sysCfg.DecideTimeout = *decideDl
-	sysCfg.AssignmentSolver = *solver
-	sysCfg.Metrics = reg
-	sysCfg.Logger = logger
-	sys, err := core.NewSystemContext(ctx, sc, sysCfg)
-	if err != nil {
-		fatal(logger, err)
-	}
-	profile, err := chaos.ProfileByName(*chaosArg)
+	sys.Config.CheckpointEvery = *ckptEv
+	profile, err := chaos.ProfileByName(f.Chaos)
 	if err != nil {
 		fatal(logger, err)
 	}
 	if profile.Enabled() {
-		if err := sys.SetChaos(profile, *chaosSd); err != nil {
+		if err := sys.SetChaos(profile, f.ChaosSeed); err != nil {
 			fatal(logger, err)
 		}
 		logger.Info("chaos enabled",
-			slog.String("profile", profile.Name), slog.Int64("chaos-seed", *chaosSd))
+			slog.String("profile", profile.Name), slog.Int64("chaos-seed", f.ChaosSeed))
 	}
-	// Crash-safe snapshots: build the manager, arm graceful shutdown, and
-	// load the latest valid snapshot when resuming.
-	var (
-		durable core.Durability
-		snapSt  *snapshot.RunState
-	)
-	if *snapDir != "" {
-		mgr, err := snapshot.NewManager(*snapDir, *snapKeep)
-		if err != nil {
-			fatal(logger, err)
-		}
-		durable = core.Durability{
-			Mgr:        mgr,
-			Every:      *snapEv,
-			Stop:       snapshot.GracefulStop(os.Interrupt, syscall.SIGTERM),
-			ConfigHash: core.ConfigHash(cfg),
-			Scale:      *scale,
-		}
-		if *resume {
-			st, path, skipped, err := snapshot.Latest(*snapDir)
-			for name, serr := range skipped {
-				logger.Warn("skipping damaged snapshot", slog.String("file", name), slog.Any("err", serr))
-			}
-			switch {
-			case errors.Is(err, snapshot.ErrNoSnapshot):
-				logger.Info("no valid snapshot; starting fresh", slog.String("dir", *snapDir))
-			case err != nil:
-				fatal(logger, err)
-			default:
-				snapSt = st
-				logger.Info("resuming from snapshot", slog.String("path", path),
-					slog.String("phase", st.Phase), slog.Int("window", st.Window),
-					slog.Int("train_rounds", st.TrainRounds))
-			}
-		}
+	run, err := f.Open(sys, cfg, name, reg, logger)
+	if errors.Is(err, core.ErrRunComplete) {
+		return
 	}
+	if err != nil {
+		fatal(logger, err)
+	}
+	defer run.Close()
 
-	var elog *eventlog.Log
-	closeLog := func() {}
-	if *evlogF != "" {
-		if snapSt != nil {
-			// Truncate back to the snapshot's durability cursor; the resumed
-			// run re-executes (and re-appends) everything after it.
-			elog, err = eventlog.OpenAppend(*evlogF, snapSt.LogOffset, snapSt.LogEvents,
-				eventlog.Options{Timing: *evlogT})
-		} else {
-			elog, err = eventlog.Create(*evlogF, sys.BuildManifest(*scale, cfg),
-				eventlog.Options{Timing: *evlogT})
-		}
-		if err != nil {
-			fatal(logger, err)
-		}
-		elog.EnableMetrics(reg)
-		sys.SetEventLog(elog)
-		closeLog = func() {
-			events, bytes, drops := elog.Stats()
-			if err := elog.Close(); err != nil {
-				logger.Warn("closing event log", slog.Any("err", err))
-			}
-			logger.Info("event log written", slog.String("path", *evlogF),
-				slog.Int64("events", events), slog.Int64("bytes", bytes), slog.Int64("drops", drops))
-		}
-		defer closeLog()
-	}
-
-	if *loadPol != "" {
-		n, err := sys.LoadPolicy(*loadPol)
+	if f.LoadPolicy != "" {
+		n, err := sys.LoadPolicy(f.LoadPolicy)
 		if err != nil {
 			fatal(logger, err)
 		}
 		logger.Info("policy warm-started",
-			slog.String("path", *loadPol), slog.Uint64("episodes", n))
+			slog.String("path", f.LoadPolicy), slog.Uint64("episodes", n))
 	}
-	var res *sim.Result
-	if *snapDir != "" {
-		start := time.Now()
-		var returns []float64
-		res, returns, err = sys.RunMethodDurable(*method, *episodes, durable, snapSt)
-		switch {
-		case errors.Is(err, snapshot.ErrStopRequested):
-			logger.Info("graceful stop: final snapshot installed, event log flushed",
-				slog.String("dir", *snapDir), slog.Int("exit", snapshot.StopExitCode))
-			closeLog()
-			os.Exit(snapshot.StopExitCode)
-		case errors.Is(err, core.ErrRunComplete):
-			logger.Info("run already complete; nothing to resume", slog.String("dir", *snapDir))
-			return
-		case err != nil:
-			fatal(logger, err)
-		}
-		if len(returns) > 0 {
-			logger.Info("RL training complete",
-				slog.Int("episodes", len(returns)),
-				slog.Uint64("total_episodes", sys.TrainedEpisodes()),
-				slog.Duration("elapsed", time.Since(start).Round(time.Second)))
-		}
-	} else {
-		switch *method {
-		case "mr", "mobirescue", "MobiRescue":
-			if *episodes > 0 {
-				start := time.Now()
-				returns, err := sys.TrainRLParallel(*episodes)
-				if err != nil {
-					fatal(logger, err)
-				}
-				logger.Info("RL training complete",
-					slog.Int("episodes", len(returns)),
-					slog.Uint64("total_episodes", sys.TrainedEpisodes()),
-					slog.Duration("elapsed", time.Since(start).Round(time.Second)))
-			}
-		}
-		res, err = sys.RunMethod(*method, 0)
-		if err != nil {
-			fatal(logger, err)
-		}
+	res, err := sys.RunMethod(name, f.Episodes)
+	if err != nil {
+		run.Exit(err)
 	}
-	if *savePol != "" {
-		if err := sys.SavePolicy(*savePol); err != nil {
+	if f.SavePolicy != "" {
+		if err := sys.SavePolicy(f.SavePolicy); err != nil {
 			fatal(logger, err)
 		}
 		logger.Info("policy checkpoint written",
-			slog.String("path", *savePol), slog.Uint64("episodes", sys.TrainedEpisodes()))
+			slog.String("path", f.SavePolicy), slog.Uint64("episodes", sys.TrainedEpisodes()))
 	}
 	fmt.Printf("method:        %s\n", res.Method)
 	fmt.Printf("requests:      %d\n", len(res.Requests))
@@ -322,7 +179,7 @@ func main() {
 		fmt.Printf("resilience:    %s\n", res.Resilience)
 	}
 
-	if *report || *obsAddr != "" {
+	if *report || f.Obs != "" {
 		obs.WriteReport(os.Stderr, reg, tracer)
 	}
 	if server != nil {

@@ -28,12 +28,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
 
+	"mobirescue/internal/cli"
 	"mobirescue/internal/core"
 	"mobirescue/internal/obs"
 	"mobirescue/internal/obs/eventlog"
@@ -65,28 +67,15 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, level, slog.String("cmd", "mobiserve"))
 
-	cfg, err := core.ScenarioConfigForScale(*scale)
-	if err != nil {
-		fatal(logger, err)
-	}
-	cfg.Seed = *seed
-
 	reg := obs.NewRegistry()
 	reg.PublishExpvar("mobirescue")
 
-	logger.Info("building scenario", slog.String("scale", *scale), slog.Int64("seed", *seed))
-	sc, err := core.BuildScenario(cfg)
+	build := cli.Flags{Scale: *scale, Seed: *seed, Teams: *teams, Workers: *workers, TrainWorkers: *trainWk}
+	cfg, err := build.ScenarioConfig()
 	if err != nil {
 		fatal(logger, err)
 	}
-	sysCfg := core.DefaultSystemConfig()
-	sysCfg.Seed = *seed
-	sysCfg.Teams = *teams
-	sysCfg.Workers = *workers
-	sysCfg.TrainWorkers = *trainWk
-	sysCfg.Metrics = reg
-	sysCfg.Logger = logger
-	sys, err := core.NewSystem(sc, sysCfg)
+	_, sys, err := build.Build(context.Background(), cfg, reg, logger)
 	if err != nil {
 		fatal(logger, err)
 	}

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("training RL dispatcher (%d teams)...\n", sys.Teams)
-	if _, err := sys.TrainRL(4); err != nil {
+	if _, err := sys.TrainRLParallel(4); err != nil {
 		log.Fatal(err)
 	}
 

@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("training RL dispatcher (%d teams)...\n", sys.Teams)
-	if _, err := sys.TrainRL(8); err != nil {
+	if _, err := sys.TrainRLParallel(8); err != nil {
 		log.Fatal(err)
 	}
 

@@ -40,7 +40,7 @@ func main() {
 
 	// 3. Train the RL dispatcher by replaying the training disaster day.
 	fmt.Println("training RL dispatcher (4 episodes)...")
-	returns, err := sys.TrainRL(4)
+	returns, err := sys.TrainRLParallel(4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -203,7 +203,7 @@ func TestSystemTrainRLAndComparison(t *testing.T) {
 		t.Skip("full comparison is slow")
 	}
 	sys := testSystem(t)
-	returns, err := sys.TrainRL(2)
+	returns, err := sys.TrainRLParallel(2)
 	if err != nil {
 		t.Fatal(err)
 	}

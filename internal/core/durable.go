@@ -12,11 +12,11 @@ import (
 	"mobirescue/internal/train"
 )
 
-// Crash-safe orchestration: RunMethodDurable drives one method run —
-// optional RL training, then the evaluation day — installing a
-// window-boundary snapshot (internal/snapshot) after every training
-// round / dispatch window, so a killed process resumes from the latest
-// valid snapshot and finishes with a byte-identical event log.
+// Crash-safe runs: with SetDurability, TrainRLParallel and RunMethod
+// install a window-boundary snapshot (internal/snapshot) after every
+// training round / dispatch window, so a killed process resumes from
+// the latest valid snapshot and finishes with a byte-identical event
+// log. Without it the same code runs with every snapshot step off.
 //
 // The resume contract requires the resuming invocation to use the same
 // flags as the original: the snapshot validates config hash, seed, and
@@ -59,8 +59,22 @@ func (d Durability) stopRequested() bool { return d.Stop != nil && d.Stop.Load()
 // a snapshot point.
 func (d Durability) due(n int) bool { return n > 0 && n%d.every() == 0 }
 
+// SetDurability makes every later TrainRLParallel and RunMethod
+// crash-safe: d installs a snapshot at every d.Every-th training round
+// and dispatch window, and st, when non-nil, is a snapshot from a
+// previous invocation (snapshot.Latest) that the run continues from
+// instead of starting over. The zero Durability with a nil st restores
+// plain runs.
+//
+// On a graceful stop those methods return snapshot.ErrStopRequested; a
+// resume of an already-finished run makes RunMethod return
+// ErrRunComplete.
+func (s *System) SetDurability(d Durability, st *snapshot.RunState) {
+	s.durable, s.resume = d, st
+}
+
 // MethodName canonicalizes a method flag value ("mr", "rescue", ...)
-// to the paper's method name, mirroring RunMethod's accepted spellings.
+// to the paper's method name.
 func MethodName(method string) (string, error) {
 	switch method {
 	case "mr", "mobirescue", "MobiRescue":
@@ -73,232 +87,104 @@ func MethodName(method string) (string, error) {
 	return "", fmt.Errorf("core: unknown method %q (want mr, rescue, or schedule)", method)
 }
 
-// baseState stamps a RunState with the run's identity fields.
-func (s *System) baseState(d Durability, method string) snapshot.RunState {
-	return snapshot.RunState{
-		ConfigHash: d.ConfigHash,
-		Seed:       s.Config.Seed,
-		Method:     method,
-		Scale:      d.Scale,
-	}
-}
-
-// CaptureLearnerState serializes the RL learner's full state (policy,
-// optimizer, replay ring, RNG) with the cumulative episode count, for
-// embedding in a run snapshot.
-func (s *System) CaptureLearnerState() ([]byte, error) {
-	return s.MR.Agent().CaptureFullState(s.trainedEpisodes)
-}
-
-// RestoreLearnerState rebuilds the RL learner from a CaptureLearnerState
-// blob and records its episode count, returning that count.
-func (s *System) RestoreLearnerState(blob []byte) (uint64, error) {
-	eps, err := s.MR.Agent().RestoreFullState(blob)
-	if err != nil {
-		return 0, err
-	}
-	s.trainedEpisodes = eps
-	return eps, nil
-}
-
-// InstallTrained installs a PhaseTrained snapshot capturing the trained
-// learner and the event-log cursor, for callers that drive training and
-// evaluation as separate phases (cmd/experiments). It returns
-// snapshot.ErrStopRequested when a graceful stop is pending so the
-// caller can exit before starting the next phase. No-op when durability
-// is disabled.
-func (s *System) InstallTrained(d Durability, method string, rewards []float64) error {
-	if !d.enabled() {
-		return nil
-	}
-	ns := s.baseState(d, method)
-	ns.Phase = snapshot.PhaseTrained
-	ns.TrainEpisodes = s.trainedEpisodes
-	ns.TrainedEpisodes = s.trainedEpisodes
-	ns.TrainRewards = rewards
-	var err error
-	if ns.LearnerState, err = s.MR.Agent().CaptureFullState(s.trainedEpisodes); err != nil {
-		return err
-	}
+// install stamps ns with the run's identity fields and event-log
+// cursor and installs it.
+func (s *System) install(ns snapshot.RunState, method string) error {
+	ns.ConfigHash = s.durable.ConfigHash
+	ns.Seed = s.Config.Seed
+	ns.Method = method
+	ns.Scale = s.durable.Scale
 	ns.LogOffset = s.evlog.Offset()
 	ns.LogEvents = s.evlog.Events()
-	if _, err := d.Mgr.Install(&ns); err != nil {
+	_, err := s.durable.Mgr.Install(&ns)
+	return err
+}
+
+// installStop is install at a boundary the run may stop at: it returns
+// snapshot.ErrStopRequested when a graceful stop is pending.
+func (s *System) installStop(ns snapshot.RunState, method string) error {
+	if err := s.install(ns, method); err != nil {
 		return err
 	}
-	if d.stopRequested() {
+	if s.durable.stopRequested() {
 		return snapshot.ErrStopRequested
 	}
 	return nil
 }
 
+// installTrained installs the PhaseTrained snapshot capturing the
+// trained learner and the event-log cursor. No-op when durability is
+// off.
+func (s *System) installTrained() error {
+	if !s.durable.enabled() {
+		return nil
+	}
+	full, err := s.MR.Agent().CaptureFullState(s.trainedEpisodes)
+	if err != nil {
+		return err
+	}
+	return s.installStop(snapshot.RunState{
+		Phase:           snapshot.PhaseTrained,
+		TrainEpisodes:   s.trainedEpisodes,
+		TrainedEpisodes: s.trainedEpisodes,
+		TrainRewards:    s.trainRewards,
+		LearnerState:    full,
+	}, "MobiRescue")
+}
+
 // InstallDone syncs the event log and installs the terminal PhaseDone
-// snapshot: a later -resume of this directory reports the run complete
-// instead of re-executing it. No-op when durability is disabled.
-func (s *System) InstallDone(d Durability, method string, rewards []float64) error {
-	if !d.enabled() {
+// snapshot of a run of method: a later resume of the snapshot directory
+// reports the run complete instead of re-executing it. RunMethod calls
+// it itself; callers that drive training and evaluation as separate
+// phases (cmd/experiments) call it once they finish. No-op when
+// durability is off.
+func (s *System) InstallDone(method string) error {
+	if !s.durable.enabled() {
 		return nil
 	}
 	if err := s.evlog.Sync(); err != nil {
 		return err
 	}
-	ns := s.baseState(d, method)
-	ns.Phase = snapshot.PhaseDone
-	ns.TrainRewards = rewards
-	ns.TrainedEpisodes = s.trainedEpisodes
-	ns.LogOffset = s.evlog.Offset()
-	ns.LogEvents = s.evlog.Events()
-	_, err := d.Mgr.Install(&ns)
-	return err
+	return s.install(snapshot.RunState{
+		Phase:           snapshot.PhaseDone,
+		TrainRewards:    s.trainRewards,
+		TrainedEpisodes: s.trainedEpisodes,
+	}, method)
 }
 
-// RunMethodDurable is RunMethod with crash-safe snapshots: train the RL
-// dispatcher for episodes episodes when the method is MobiRescue (the
-// resumable parallel trainer, not TrainRL's serial loop), then run the
-// evaluation day, snapshotting at every d.Every-th boundary. st, when
-// non-nil, is a snapshot from a previous invocation (snapshot.Latest)
-// and the run continues from it instead of starting over. The returned
-// rewards are the full training history (restored + new).
-//
-// On a graceful stop the error is snapshot.ErrStopRequested; on a
-// resume of an already-finished run it is ErrRunComplete.
-func (s *System) RunMethodDurable(method string, episodes int, d Durability, st *snapshot.RunState) (*sim.Result, []float64, error) {
-	name, err := MethodName(method)
-	if err != nil {
-		return nil, nil, err
+// evalHook returns the window hook that snapshots the evaluation run of
+// method at every due window (and at a pending graceful stop), or nil
+// when durability is off.
+func (s *System) evalHook(method string, rec *eventlog.Recorder) sim.WindowHook {
+	if !s.durable.enabled() {
+		return nil
 	}
-	if st != nil {
-		if err := st.Validate(d.ConfigHash, s.Config.Seed, name); err != nil {
-			return nil, nil, err
-		}
-		if st.Phase == snapshot.PhaseDone {
-			return nil, st.TrainRewards, ErrRunComplete
-		}
-	}
-	day := s.Scenario.Eval.PeakRequestDay()
-	var rewards []float64
-	var disp sim.Dispatcher
-	switch name {
-	case "MobiRescue":
-		trainSt := st
-		if st != nil && st.Phase != snapshot.PhaseTrain {
-			// Training finished before the crash: restore its outcome and
-			// skip straight to evaluation. A PhaseEval snapshot carries the
-			// policy inside the simulator's dispatcher-chain blob instead.
-			rewards = st.TrainRewards
-			s.trainedEpisodes = st.TrainedEpisodes
-			if st.Phase == snapshot.PhaseTrained && len(st.LearnerState) > 0 {
-				if _, err := s.MR.Agent().RestoreFullState(st.LearnerState); err != nil {
-					return nil, nil, err
-				}
-			}
-			trainSt = nil
-		} else if episodes > 0 || trainSt != nil {
-			rewards, err = s.trainParallel(episodes, d, trainSt)
-			if err != nil {
-				return nil, rewards, err
-			}
-			if err := s.InstallTrained(d, name, rewards); err != nil {
-				return nil, rewards, err
-			}
-		}
-		s.MR.SetTraining(false)
-		disp = s.MR
-	case "Rescue":
-		rescue, err := s.NewRescueBaseline()
-		if err != nil {
-			return nil, nil, err
-		}
-		disp = rescue
-	case "Schedule":
-		disp = s.newSchedule()
-	}
-	var restore []byte
-	var recSt *eventlog.RecorderState
-	if st != nil && st.Phase == snapshot.PhaseEval {
-		restore = st.SimState
-		rs := st.EvalRecorder
-		recSt = &rs
-	}
-	res, err := s.runEvalDayDurable(day, disp, name, rewards, d, restore, recSt)
-	if err != nil {
-		return nil, rewards, err
-	}
-	if err := s.InstallDone(d, name, rewards); err != nil {
-		return res, rewards, err
-	}
-	return res, rewards, nil
-}
-
-// runEvalDayDurable runs one evaluation day with a snapshotting window
-// hook, optionally restored mid-run from a previous invocation's
-// simulator state and recorder buffer.
-func (s *System) runEvalDayDurable(day int, disp sim.Dispatcher, name string, rewards []float64, d Durability, restore []byte, recSt *eventlog.RecorderState) (*sim.Result, error) {
-	rec := s.evlog.Recorder(name)
-	if recSt != nil {
-		rec.RestoreState(*recSt)
-	}
-	var hook sim.WindowHook
-	if d.enabled() {
-		hook = func(simr *sim.Simulator, window int) error {
-			stop := d.stopRequested()
-			if !stop && !d.due(window) {
-				return nil
-			}
-			if window == 0 {
-				return nil // nothing has run yet; the fresh start is the snapshot
-			}
-			blob, err := simr.CaptureState()
-			if err != nil {
-				return err
-			}
-			ns := s.baseState(d, name)
-			ns.Phase = snapshot.PhaseEval
-			ns.TrainRewards = rewards
-			ns.TrainedEpisodes = s.trainedEpisodes
-			ns.Window = window
-			ns.SimState = blob
-			ns.EvalRecorder = rec.CaptureState()
-			ns.LogOffset = s.evlog.Offset()
-			ns.LogEvents = s.evlog.Events()
-			if _, err := d.Mgr.Install(&ns); err != nil {
-				return err
-			}
-			if stop {
-				return snapshot.ErrStopRequested
-			}
+	return func(simr *sim.Simulator, window int) error {
+		if !s.durable.stopRequested() && !s.durable.due(window) {
 			return nil
 		}
-	}
-	ctx, span := obs.StartSpan(s.ctx(), "eval.run."+disp.Name())
-	defer span.End()
-	s.evalDays.Inc()
-	res, err := s.runDayOpts(ctx, s.Scenario.Eval, day, disp, rec, dayOpts{
-		hook:         hook,
-		restore:      restore,
-		skipSchedule: restore != nil,
-	})
-	if err != nil {
-		if errors.Is(err, snapshot.ErrStopRequested) {
-			// Graceful stop: persist what the recorder holds so the partial
-			// log is inspectable. The final snapshot's cursor predates this
-			// append, so a resume truncates it away and re-executes.
-			s.evlog.Append(rec)
-			s.evlog.Sync()
+		if window == 0 {
+			return nil // nothing has run yet; the fresh start is the snapshot
 		}
-		return nil, err
+		blob, err := simr.CaptureState()
+		if err != nil {
+			return err
+		}
+		return s.installStop(snapshot.RunState{
+			Phase:           snapshot.PhaseEval,
+			TrainRewards:    s.trainRewards,
+			TrainedEpisodes: s.trainedEpisodes,
+			Window:          window,
+			SimState:        blob,
+			EvalRecorder:    rec.CaptureState(),
+		}, method)
 	}
-	s.recordPredCache(rec)
-	s.evlog.Append(rec)
-	if err := s.evlog.Sync(); err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
-// trainParallel is the shared actor–learner training driver behind
-// TrainRLParallel and RunMethodDurable: optionally resumed from a
-// PhaseTrain snapshot, optionally installing one per completed round.
-func (s *System) trainParallel(episodes int, d Durability, st *snapshot.RunState) ([]float64, error) {
+// trainParallel runs the actor–learner rounds behind TrainRLParallel:
+// resumed from a PhaseTrain snapshot when one is pending, and
+// installing one per due round when durability is on.
+func (s *System) trainParallel(episodes int) ([]float64, error) {
 	if episodes <= 0 {
 		episodes = s.Config.TrainEpisodes
 	}
@@ -308,8 +194,8 @@ func (s *System) trainParallel(episodes int, d Durability, st *snapshot.RunState
 	rollout := s.trainRollout(day)
 	trainRec := s.evlog.Recorder("train")
 	var prev []float64
-	startRound := 0
-	if st != nil && st.Phase == snapshot.PhaseTrain {
+	startRound, prevCkpt := 0, 0
+	if st := s.resume; st != nil { // PhaseTrain; TrainRLParallel handles the rest
 		if len(st.LearnerState) > 0 {
 			eps, err := s.MR.Agent().RestoreFullState(st.LearnerState)
 			if err != nil {
@@ -318,8 +204,8 @@ func (s *System) trainParallel(episodes int, d Durability, st *snapshot.RunState
 			s.trainedEpisodes = eps
 		}
 		trainRec.RestoreState(st.TrainRecorder)
-		prev = st.TrainRewards
-		startRound = st.TrainRounds
+		prev, startRound, prevCkpt = st.TrainRewards, st.TrainRounds, st.Checkpoints
+		s.resume = nil
 	}
 	remaining := episodes - len(prev)
 	if remaining <= 0 {
@@ -329,10 +215,6 @@ func (s *System) trainParallel(episodes int, d Durability, st *snapshot.RunState
 		return prev, nil
 	}
 	baseEp := s.trainedEpisodes
-	prevCkpt := 0
-	if st != nil {
-		prevCkpt = st.Checkpoints
-	}
 	cfgT := train.Config{
 		Actors:          s.trainActors(),
 		Episodes:        remaining,
@@ -345,33 +227,24 @@ func (s *System) trainParallel(episodes int, d Durability, st *snapshot.RunState
 		Events:          trainRec,
 		StartRound:      startRound,
 	}
-	if d.enabled() {
+	if s.durable.enabled() {
 		cfgT.RoundHook = func(round int, stats *train.Stats) error {
-			stop := d.stopRequested()
-			if !stop && !d.due(round+1) {
+			if !s.durable.stopRequested() && !s.durable.due(round+1) {
 				return nil
 			}
 			full, err := s.MR.Agent().CaptureFullState(baseEp + uint64(stats.Episodes))
 			if err != nil {
 				return err
 			}
-			ns := s.baseState(d, "MobiRescue")
-			ns.Phase = snapshot.PhaseTrain
-			ns.TrainRounds = round + 1
-			ns.TrainEpisodes = baseEp + uint64(stats.Episodes)
-			ns.TrainRewards = append(append([]float64(nil), prev...), stats.Rewards...)
-			ns.Checkpoints = prevCkpt + stats.Checkpoints
-			ns.LearnerState = full
-			ns.TrainRecorder = trainRec.CaptureState()
-			ns.LogOffset = s.evlog.Offset()
-			ns.LogEvents = s.evlog.Events()
-			if _, err := d.Mgr.Install(&ns); err != nil {
-				return err
-			}
-			if stop {
-				return snapshot.ErrStopRequested
-			}
-			return nil
+			return s.installStop(snapshot.RunState{
+				Phase:         snapshot.PhaseTrain,
+				TrainRounds:   round + 1,
+				TrainEpisodes: baseEp + uint64(stats.Episodes),
+				TrainRewards:  append(append([]float64(nil), prev...), stats.Rewards...),
+				Checkpoints:   prevCkpt + stats.Checkpoints,
+				LearnerState:  full,
+				TrainRecorder: trainRec.CaptureState(),
+			}, "MobiRescue")
 		}
 	}
 	trainer, err := train.New(s.MR.Agent(), rollout, baseEp, cfgT)

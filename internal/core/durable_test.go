@@ -14,7 +14,7 @@ import (
 
 // durableRun builds a fresh System over the shared scenario, attaches
 // an event log at evPath (appending past st's cursor when resuming),
-// and runs one durable MobiRescue invocation.
+// and runs one MobiRescue invocation under d, resuming from st.
 func durableRun(t *testing.T, evPath string, d Durability, st *snapshot.RunState) (*sim.Result, error) {
 	t.Helper()
 	sc := testScenario(t)
@@ -35,14 +35,15 @@ func durableRun(t *testing.T, evPath string, d Durability, st *snapshot.RunState
 		t.Fatalf("event log: %v", err)
 	}
 	sys.SetEventLog(elog)
-	res, _, runErr := sys.RunMethodDurable("mr", 2, d, st)
+	sys.SetDurability(d, st)
+	res, runErr := sys.RunMethod("mr", 2)
 	if err := elog.Close(); err != nil {
 		t.Fatalf("closing event log: %v", err)
 	}
 	return res, runErr
 }
 
-// TestRunMethodDurableStopResumeByteIdentical drives a durable run
+// TestRunMethodDurableStopResumeByteIdentical drives a crash-safe run
 // through repeated graceful stops — one boundary of progress per
 // invocation, crossing the train → trained → eval phase transitions —
 // and requires the finished event log to be byte-identical to an

@@ -10,11 +10,10 @@ import (
 
 // Flight-recorder wiring for the assembled system: the System owns one
 // optional eventlog.Log; every evaluation run records into a private
-// eventlog.Recorder that is appended to the log in logical order —
-// method order for RunComparison, day order for RunDispatcherDays —
-// never completion order. That reordering is what keeps the log
-// byte-identical for any Workers value (the same contract the results
-// themselves already carry).
+// eventlog.Recorder that is appended to the log in logical order (method
+// order for RunComparison), never completion order. That reordering is
+// what keeps the log byte-identical for any Workers value (the same
+// contract the results themselves already carry).
 
 // ConfigHash fingerprints a full scenario configuration as an FNV-64a
 // over its printed form — cheap, stable across runs of the same build,
@@ -47,9 +46,8 @@ func (s *System) BuildManifest(scale string, sc ScenarioConfig) eventlog.Manifes
 }
 
 // SetEventLog attaches a flight-recorder log to the system: every
-// subsequent evaluation run (RunMethod, RunComparison,
-// RunDispatcherDays) and parallel training session records typed events
-// into it. A nil log (the default) disables recording at zero cost.
+// subsequent evaluation run (RunMethod, RunComparison, RunDispatcher)
+// and training session records typed events into it. A nil log (the default) disables recording at zero cost.
 // The caller keeps ownership of the log and must Close it.
 func (s *System) SetEventLog(l *eventlog.Log) { s.evlog = l }
 

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobirescue/internal/chaos"
@@ -58,11 +58,11 @@ type SystemConfig struct {
 	// to the pre-selector behavior.
 	AssignmentSolver string
 	// Workers bounds the evaluation pipeline's parallelism: the routing
-	// layer's tree prefetching inside every simulation, the concurrent
-	// method runs of RunComparison, and the concurrent eval days of
-	// RunDispatcherDays. 0 means GOMAXPROCS; 1 forces fully serial
-	// execution. Results are byte-identical for any value — parallel
-	// units are independent deterministic runs merged in a fixed order.
+	// layer's tree prefetching inside every simulation and the concurrent
+	// method runs of RunComparison. 0 means GOMAXPROCS; 1 forces fully
+	// serial execution. Results are byte-identical for any value —
+	// parallel units are independent deterministic runs merged in a
+	// fixed order.
 	Workers int
 	// TrainActors is the logical actor count of the parallel actor–learner
 	// trainer (TrainRLParallel): it fixes per-actor RNG streams and the
@@ -140,9 +140,16 @@ type System struct {
 	episodeTimely *obs.Gauge
 	evalDays      *obs.Counter
 	// trainedEpisodes counts the RL episodes the learner has absorbed
-	// (serial and parallel training plus any loaded checkpoint), recorded
-	// in checkpoint headers so warm-started runs stay cumulative.
+	// (training plus any loaded checkpoint), recorded in checkpoint
+	// headers so warm-started runs stay cumulative.
 	trainedEpisodes uint64
+	// trainRewards is this run's training history (restored + new),
+	// carried in every snapshot.
+	trainRewards []float64
+	// durable and resume make runs crash-safe (see SetDurability); the
+	// zero Durability and a nil resume are plain runs.
+	durable Durability
+	resume  *snapshot.RunState
 	// evlog is the optional flight recorder (see eventlog.go); nil off.
 	evlog *eventlog.Log
 	// solver is the parsed Config.AssignmentSolver selection, applied to
@@ -151,7 +158,7 @@ type System struct {
 }
 
 // NewSystem trains the SVM on the training episode and wires up the RL
-// dispatcher (untrained until TrainRL runs).
+// dispatcher (untrained until TrainRLParallel runs).
 func NewSystem(sc *Scenario, cfg SystemConfig) (*System, error) {
 	return NewSystemContext(context.Background(), sc, cfg)
 }
@@ -364,20 +371,8 @@ func (s *System) SetChaos(p chaos.Profile, seed int64) error {
 	return nil
 }
 
-// runDay simulates one episode day under the given dispatcher. With a
-// chaos profile configured, the day's fault schedules are derived from
-// (profile, ChaosSeed, window) and the dispatcher is wrapped in the
-// fault injector plus dispatch.Resilient.
-// rec, when non-nil, receives the run's event stream: the simulator's
-// window/order/pickup events, the injector's fault events, and the
-// Resilient wrapper's fallback events all share the one per-run
-// recorder, which the caller appends to the shared log in logical
-// order.
-func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Dispatcher, rec *eventlog.Recorder) (*sim.Result, error) {
-	return s.runDayOpts(ctx, ep, day, disp, rec, dayOpts{})
-}
-
-// dayOpts extends runDay for crash-safe runs (see durable.go).
+// dayOpts carries runDay's crash-safety options (see durable.go); the
+// zero value is a plain run.
 type dayOpts struct {
 	// hook, when non-nil, runs at every dispatch-window boundary.
 	hook sim.WindowHook
@@ -401,8 +396,16 @@ func (s *System) resilientConfig() dispatch.ResilientConfig {
 	return cfg
 }
 
-// runDayOpts is runDay with durability options.
-func (s *System) runDayOpts(ctx context.Context, ep *Episode, day int, disp sim.Dispatcher, rec *eventlog.Recorder, opts dayOpts) (*sim.Result, error) {
+// runDay simulates one episode day under the given dispatcher. With a
+// chaos profile configured, the day's fault schedules are derived from
+// (profile, ChaosSeed, window) and the dispatcher is wrapped in the
+// fault injector plus dispatch.Resilient.
+// rec, when non-nil, receives the run's event stream: the simulator's
+// window/order/pickup events, the injector's fault events, and the
+// Resilient wrapper's fallback events all share the one per-run
+// recorder, which the caller appends to the shared log in logical
+// order.
+func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Dispatcher, rec *eventlog.Recorder, opts dayOpts) (*sim.Result, error) {
 	ctx, daySpan := obs.StartSpan(ctx, "sim.day")
 	defer daySpan.End()
 	cfg := s.simConfigForDay(ep, day)
@@ -465,36 +468,6 @@ func (s *System) ctx() context.Context {
 	return context.Background()
 }
 
-// TrainRL trains the MobiRescue dispatcher online by replaying the
-// training episode's peak day repeatedly (Section IV-C4), returning the
-// total timely served requests per episode.
-func (s *System) TrainRL(episodes int) ([]float64, error) {
-	if episodes <= 0 {
-		episodes = s.Config.TrainEpisodes
-	}
-	ctx, trainSpan := obs.StartSpan(s.ctx(), "rl.train")
-	defer trainSpan.End()
-	day := s.Scenario.Train.PeakRequestDay()
-	s.MR.SetTraining(true)
-	defer s.MR.SetTraining(false)
-	returns := make([]float64, 0, episodes)
-	for e := 0; e < episodes; e++ {
-		epCtx, epSpan := obs.StartSpan(ctx, "rl.episode")
-		res, err := s.runDay(epCtx, s.Scenario.Train, day, s.MR, nil)
-		epSpan.End()
-		if err != nil {
-			return returns, fmt.Errorf("core: training episode %d: %w", e, err)
-		}
-		s.MR.EndEpisode()
-		timely := float64(res.TotalTimelyServed())
-		s.trainEpisodes.Inc()
-		s.episodeTimely.Set(timely)
-		s.trainedEpisodes++
-		returns = append(returns, timely)
-	}
-	return returns, nil
-}
-
 // trainActors returns the logical actor count (>= 1, default 4). It must
 // not depend on the machine: the actor count fixes seeds and merge
 // order, so a hardware-derived default would make runs irreproducible
@@ -527,17 +500,32 @@ func (s *System) trainWorkers() int {
 //
 // episodes <= 0 trains for Config.TrainEpisodes. With CheckpointPath set
 // the learner state is checkpointed atomically after training (and every
-// CheckpointEvery rounds).
+// CheckpointEvery rounds). With SetDurability the rounds are snapshotted
+// and a pending resume continues from its snapshot; episodes is then the
+// total target including the resumed progress. A snapshot taken after
+// training finished restores the trained learner (or, mid-evaluation,
+// leaves it to the simulator's dispatcher-chain blob) and returns the
+// recorded rewards without training.
 func (s *System) TrainRLParallel(episodes int) ([]float64, error) {
-	return s.trainParallel(episodes, Durability{}, nil)
-}
-
-// TrainRLParallelDurable is TrainRLParallel with crash-safe snapshots:
-// d installs one after every completed round (or every d.Every-th), and
-// st, when non-nil and in PhaseTrain, resumes a previous invocation.
-// episodes is the total target including any resumed progress.
-func (s *System) TrainRLParallelDurable(episodes int, d Durability, st *snapshot.RunState) ([]float64, error) {
-	return s.trainParallel(episodes, d, st)
+	if st := s.resume; st != nil && st.Phase != snapshot.PhaseTrain {
+		s.trainRewards = st.TrainRewards
+		s.trainedEpisodes = st.TrainedEpisodes
+		if st.Phase == snapshot.PhaseTrained {
+			if len(st.LearnerState) > 0 {
+				if _, err := s.MR.Agent().RestoreFullState(st.LearnerState); err != nil {
+					return nil, err
+				}
+			}
+			s.resume = nil
+		}
+		return s.trainRewards, nil
+	}
+	rewards, err := s.trainParallel(episodes)
+	s.trainRewards = rewards
+	if err != nil {
+		return rewards, err
+	}
+	return rewards, s.installTrained()
 }
 
 // trainRollout builds the actor-rollout closure replaying the training
@@ -553,7 +541,7 @@ func (s *System) trainRollout(day int) train.Rollout {
 		// Rollouts record nothing per-window: concurrent training sims
 		// would interleave nondeterministically. The trainer's own
 		// train_round events carry the per-round telemetry instead.
-		res, err := s.runDay(epCtx, s.Scenario.Train, day, disp, nil)
+		res, err := s.runDay(epCtx, s.Scenario.Train, day, disp, nil, dayOpts{})
 		epSpan.End()
 		if err != nil {
 			return nil, 0, err
@@ -625,50 +613,92 @@ func (s *System) NewRescueBaseline() (*dispatch.Rescue, error) {
 // RunMethod runs a single dispatch method over the evaluation episode's
 // peak request day. method is one of "mr" (or "mobirescue"), "rescue",
 // or "schedule". For the MR case, episodes > 0 trains the RL dispatcher
-// first; episodes == 0 runs the policy as-is.
+// first with TrainRLParallel; episodes == 0 runs the policy as-is. With
+// SetDurability the run is crash-safe: training and evaluation snapshot
+// at their boundaries, a pending resume continues where its snapshot
+// left off, and the finished run installs a terminal snapshot.
 func (s *System) RunMethod(method string, episodes int) (*sim.Result, error) {
-	day := s.Scenario.Eval.PeakRequestDay()
-	switch method {
-	case "mr", "mobirescue", "MobiRescue":
-		if episodes > 0 {
-			if _, err := s.TrainRL(episodes); err != nil {
+	name, err := MethodName(method)
+	if err != nil {
+		return nil, err
+	}
+	if st := s.resume; st != nil {
+		if err := st.Validate(s.durable.ConfigHash, s.Config.Seed, name); err != nil {
+			return nil, err
+		}
+		if st.Phase == snapshot.PhaseDone {
+			return nil, ErrRunComplete
+		}
+	}
+	var disp sim.Dispatcher
+	switch name {
+	case "MobiRescue":
+		if episodes > 0 || s.resume != nil {
+			if _, err := s.TrainRLParallel(episodes); err != nil {
 				return nil, err
 			}
 		}
 		s.MR.SetTraining(false)
-		return s.runEvalDay(day, s.MR)
-	case "rescue", "Rescue":
-		rescue, err := s.NewRescueBaseline()
-		if err != nil {
+		disp = s.MR
+	case "Rescue":
+		if disp, err = s.NewRescueBaseline(); err != nil {
 			return nil, err
 		}
-		return s.runEvalDay(day, rescue)
-	case "schedule", "Schedule":
-		return s.runEvalDay(day, s.newSchedule())
-	default:
-		return nil, fmt.Errorf("core: unknown method %q (want mr, rescue, or schedule)", method)
+	case "Schedule":
+		disp = s.newSchedule()
 	}
+	res, err := s.runEvalDay(s.Scenario.Eval.PeakRequestDay(), disp)
+	if err != nil {
+		return nil, err
+	}
+	return res, s.InstallDone(name)
 }
 
 // runEvalDay runs one evaluation-day simulation under an eval.run span,
-// recording into (and appending) its own flight-recorder stream. Only
-// safe for serial callers — concurrent runs must use runEvalDayRec and
-// append recorders in logical order themselves.
+// recording into (and appending) its own flight-recorder stream. With
+// durability on it snapshots at every due window, and a pending
+// mid-evaluation resume continues from the snapshot's simulator state
+// and recorder buffer. Only safe for serial callers — concurrent runs
+// must use runEvalDayRec and append recorders in logical order
+// themselves.
 func (s *System) runEvalDay(day int, disp sim.Dispatcher) (*sim.Result, error) {
 	rec := s.evlog.Recorder(disp.Name())
-	res, err := s.runEvalDayRec(day, disp, rec)
-	s.recordPredCache(rec)
+	var opts dayOpts
+	if st := s.resume; st != nil && st.Phase == snapshot.PhaseEval {
+		rec.RestoreState(st.EvalRecorder)
+		opts.restore, opts.skipSchedule = st.SimState, true
+		s.resume = nil
+	}
+	opts.hook = s.evalHook(disp.Name(), rec)
+	res, err := s.runEvalDayRec(day, disp, rec, opts)
+	if err == nil {
+		s.recordPredCache(rec)
+	}
+	// On a graceful stop the append keeps the partial log inspectable;
+	// the final snapshot's cursor predates it, so a resume truncates it
+	// away and re-executes.
 	s.evlog.Append(rec)
-	return res, err
+	if err != nil {
+		if errors.Is(err, snapshot.ErrStopRequested) {
+			s.evlog.Sync()
+		}
+		return nil, err
+	}
+	if s.durable.enabled() {
+		if err := s.evlog.Sync(); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // runEvalDayRec is runEvalDay recording into a caller-owned recorder;
 // the caller appends it to the log in logical order.
-func (s *System) runEvalDayRec(day int, disp sim.Dispatcher, rec *eventlog.Recorder) (*sim.Result, error) {
+func (s *System) runEvalDayRec(day int, disp sim.Dispatcher, rec *eventlog.Recorder, opts dayOpts) (*sim.Result, error) {
 	ctx, span := obs.StartSpan(s.ctx(), "eval.run."+disp.Name())
 	defer span.End()
 	s.evalDays.Inc()
-	return s.runDay(ctx, s.Scenario.Eval, day, disp, rec)
+	return s.runDay(ctx, s.Scenario.Eval, day, disp, rec, opts)
 }
 
 // newSchedule builds the Schedule baseline with the system's worker
@@ -687,67 +717,6 @@ func (s *System) newSchedule() *dispatch.Schedule {
 // modified baselines.
 func (s *System) RunDispatcher(disp sim.Dispatcher) (*sim.Result, error) {
 	return s.runEvalDay(s.Scenario.Eval.PeakRequestDay(), disp)
-}
-
-// RunDispatcherDays evaluates a dispatch method over several evaluation
-// days, up to Workers of them concurrently. Dispatchers in this repo
-// are stateful (Rescue learns online, MR carries assignments), so the
-// caller supplies a factory that builds one fresh dispatcher per day.
-// Results are returned indexed like days and are byte-identical to
-// running the days serially: each day is an independent deterministic
-// simulation, and the merge order is fixed by the days slice, not by
-// completion order.
-func (s *System) RunDispatcherDays(days []int, factory func(day int) (sim.Dispatcher, error)) ([]*sim.Result, error) {
-	results := make([]*sim.Result, len(days))
-	errs := make([]error, len(days))
-	recs := make([]*eventlog.Recorder, len(days))
-	run := func(i int) {
-		disp, err := factory(days[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		recs[i] = s.evlog.Recorder(fmt.Sprintf("%s/day%d", disp.Name(), days[i]))
-		results[i], errs[i] = s.runEvalDayRec(days[i], disp, recs[i])
-	}
-	workers := s.workers()
-	if workers > len(days) {
-		workers = len(days)
-	}
-	if workers <= 1 {
-		for i := range days {
-			run(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(days) {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// Logical order: recorders append in days order, never completion
-	// order — this is what keeps the event log byte-identical for any
-	// worker count.
-	for _, rec := range recs {
-		s.evlog.Append(rec)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: eval day %d: %w", days[i], err)
-		}
-	}
-	return results, nil
 }
 
 // RunComparison evaluates MobiRescue and both baselines on the
@@ -780,7 +749,7 @@ func (s *System) RunComparison() (*Comparison, error) {
 	}
 	if s.workers() <= 1 {
 		for i := range runs {
-			results[i], errs[i] = s.runEvalDayRec(day, runs[i].disp, recs[i])
+			results[i], errs[i] = s.runEvalDayRec(day, runs[i].disp, recs[i], dayOpts{})
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -788,7 +757,7 @@ func (s *System) RunComparison() (*Comparison, error) {
 		for i := range runs {
 			go func(i int) {
 				defer wg.Done()
-				results[i], errs[i] = s.runEvalDayRec(day, runs[i].disp, recs[i])
+				results[i], errs[i] = s.runEvalDayRec(day, runs[i].disp, recs[i], dayOpts{})
 			}(i)
 		}
 		wg.Wait()

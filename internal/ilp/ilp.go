@@ -1,8 +1,7 @@
 // Package ilp implements the integer-programming substrate the paper's
-// comparison methods rely on: the Hungarian algorithm for min-cost
-// assignment (the core of both Schedule [5] and Rescue [8] dispatch
-// formulations) and an exact branch-and-bound solver for general 0/1
-// integer programs. A latency model reproduces the paper's observation
+// comparison methods rely on: min-cost assignment (the core of both
+// Schedule [5] and Rescue [8] dispatch formulations), solved by the
+// Hungarian algorithm or the warm-started auction. A latency model reproduces the paper's observation
 // that IP-based dispatching takes on the order of minutes (~300 s),
 // which is what destroys the baselines' rescue timeliness (Figure 13).
 package ilp
@@ -165,229 +164,6 @@ func Hungarian(cost [][]float64) (assign []int, total float64, err error) {
 		return assign, total, fmt.Errorf("%w: only %d of %d assignable", ErrInfeasible, matched, need)
 	}
 	return assign, total, nil
-}
-
-// Problem is a 0/1 integer program:
-//
-//	minimize    c.x
-//	subject to  A[i].x <= B[i]  for every row i
-//	            x[j] in {0, 1}
-type Problem struct {
-	C []float64   // objective coefficients
-	A [][]float64 // constraint rows (each of length len(C))
-	B []float64   // right-hand sides
-}
-
-// Validate reports structural errors.
-func (p *Problem) Validate() error {
-	if len(p.C) == 0 {
-		return errors.New("ilp: empty objective")
-	}
-	if len(p.A) != len(p.B) {
-		return fmt.Errorf("ilp: %d constraint rows vs %d bounds", len(p.A), len(p.B))
-	}
-	for i, row := range p.A {
-		if len(row) != len(p.C) {
-			return fmt.Errorf("ilp: constraint %d has %d coefficients, want %d", i, len(row), len(p.C))
-		}
-	}
-	return nil
-}
-
-// Solution is the result of Solve01.
-type Solution struct {
-	X          []bool
-	Objective  float64
-	Nodes      int     // branch-and-bound nodes explored
-	LowerBound float64 // certified root lower bound on the optimum
-}
-
-// Gap returns the certified optimality gap Objective - LowerBound. It
-// is zero (up to float noise) for an exact solve and quantifies how far
-// a budget-capped incumbent can be from optimal.
-func (s Solution) Gap() float64 {
-	g := s.Objective - s.LowerBound
-	if g < 0 {
-		return 0
-	}
-	return g
-}
-
-// Solve01 exactly solves the 0/1 program by depth-first branch and bound.
-// The lower bound at each node adds every remaining variable with a
-// negative cost; feasibility is pruned via optimistic per-constraint
-// slack. maxNodes caps the search (0 means a million nodes); exceeding it
-// returns the best incumbent found with an error.
-func Solve01(p Problem, maxNodes int) (Solution, error) {
-	return Solve01Bounded(p, maxNodes, nil)
-}
-
-// Solve01Bounded is Solve01 with an optional Lagrangian bounding hook:
-// lambda (typically LagrangianBound(p).Lambda, one multiplier per
-// constraint, all >= 0) adds a second pruning rule at every node — for
-// any feasible completion x,
-//
-//	c.x >= obj + lambda.(A.x_fixed) - lambda.b + sum_{free j, rc_j<0} rc_j
-//
-// with rc_j = c_j + lambda.A_j the Lagrangian reduced costs (weak
-// duality plus lambda.(A.x - b) <= 0). The hook never changes the
-// result, only how many nodes the search visits; nil lambda is plain
-// Solve01.
-func Solve01Bounded(p Problem, maxNodes int, lambda []float64) (Solution, error) {
-	if err := p.Validate(); err != nil {
-		return Solution{}, err
-	}
-	if lambda != nil && len(lambda) != len(p.B) {
-		return Solution{}, fmt.Errorf("ilp: %d multipliers vs %d constraints", len(lambda), len(p.B))
-	}
-	for i, l := range lambda {
-		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
-			return Solution{}, fmt.Errorf("ilp: multiplier %d is %v, want finite >= 0", i, l)
-		}
-	}
-	if maxNodes <= 0 {
-		maxNodes = 1_000_000
-	}
-	n := len(p.C)
-	// minAdd[i][j]: the minimum possible additional usage of constraint i
-	// from variables j..n-1 (choosing each only if its coefficient is
-	// negative). Used for optimistic feasibility pruning.
-	minAdd := make([][]float64, len(p.A))
-	for i, row := range p.A {
-		minAdd[i] = make([]float64, n+1)
-		for j := n - 1; j >= 0; j-- {
-			add := 0.0
-			if row[j] < 0 {
-				add = row[j]
-			}
-			minAdd[i][j] = minAdd[i][j+1] + add
-		}
-	}
-	// minCost[j]: sum of negative costs from j on (objective lower bound).
-	minCost := make([]float64, n+1)
-	for j := n - 1; j >= 0; j-- {
-		add := 0.0
-		if p.C[j] < 0 {
-			add = p.C[j]
-		}
-		minCost[j] = minCost[j+1] + add
-	}
-	// Lagrangian pruning scratch: lamA[j] = lambda.A_j, negRC[j] = the
-	// sum of negative reduced costs from j on, lamB = lambda.b. lamUse
-	// tracks lambda.(A.x_fixed) incrementally alongside usage.
-	var lamA, negRC []float64
-	var lamB float64
-	if lambda != nil {
-		lamA = make([]float64, n)
-		for i, l := range lambda {
-			lamB += l * p.B[i]
-			for j, a := range p.A[i] {
-				lamA[j] += l * a
-			}
-		}
-		negRC = make([]float64, n+1)
-		for j := n - 1; j >= 0; j-- {
-			add := 0.0
-			if rc := p.C[j] + lamA[j]; rc < 0 {
-				add = rc
-			}
-			negRC[j] = negRC[j+1] + add
-		}
-	}
-	rootBound := minCost[0]
-	if lambda != nil && negRC[0]-lamB > rootBound {
-		rootBound = negRC[0] - lamB
-	}
-
-	best := Solution{Objective: math.Inf(1)}
-	x := make([]bool, n)
-	usage := make([]float64, len(p.A))
-	lamUse := 0.0
-	nodes := 0
-	var capped bool
-
-	var dfs func(j int, obj float64)
-	dfs = func(j int, obj float64) {
-		if capped {
-			return
-		}
-		nodes++
-		if nodes > maxNodes {
-			capped = true
-			return
-		}
-		// Bound: even the best completion cannot beat the incumbent.
-		if obj+minCost[j] >= best.Objective {
-			return
-		}
-		if lambda != nil && obj+lamUse-lamB+negRC[j] >= best.Objective {
-			return
-		}
-		// Optimistic feasibility: with the most helpful remaining
-		// choices, can each constraint still be satisfied?
-		for i := range p.A {
-			if usage[i]+minAdd[i][j] > p.B[i]+1e-9 {
-				return
-			}
-		}
-		if j == n {
-			// All constraints already verified satisfiable with nothing
-			// left to add; check exactly.
-			for i := range p.A {
-				if usage[i] > p.B[i]+1e-9 {
-					return
-				}
-			}
-			best = Solution{X: append([]bool(nil), x...), Objective: obj}
-			return
-		}
-		// Branch: try including j first when its cost helps.
-		order := [2]bool{false, true}
-		if p.C[j] < 0 {
-			order = [2]bool{true, false}
-		}
-		for _, take := range order {
-			x[j] = take
-			if take {
-				for i := range p.A {
-					usage[i] += p.A[i][j]
-				}
-				if lambda != nil {
-					lamUse += lamA[j]
-				}
-				dfs(j+1, obj+p.C[j])
-				for i := range p.A {
-					usage[i] -= p.A[i][j]
-				}
-				if lambda != nil {
-					lamUse -= lamA[j]
-				}
-			} else {
-				dfs(j+1, obj)
-			}
-		}
-		x[j] = false
-	}
-	solveStart := time.Now()
-	dfs(0, 0)
-	best.Nodes = nodes
-	best.LowerBound = rootBound
-	observeSolve01(solveStart, nodes)
-	if math.IsInf(best.Objective, 1) {
-		if capped {
-			return best, fmt.Errorf("ilp: node budget %d exhausted with no incumbent", maxNodes)
-		}
-		return best, ErrInfeasible
-	}
-	if !capped {
-		// An uncapped search proves the incumbent optimal: the certified
-		// gap is zero regardless of how loose the root bound was.
-		best.LowerBound = best.Objective
-	}
-	if capped {
-		return best, fmt.Errorf("ilp: node budget %d exhausted; solution may be suboptimal", maxNodes)
-	}
-	return best, nil
 }
 
 // LatencyModel estimates how long an IP-based dispatcher computes before

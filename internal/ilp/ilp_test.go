@@ -191,138 +191,6 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSolve01Knapsack(t *testing.T) {
-	// Maximize 6x0 + 10x1 + 12x2 s.t. weights 1,2,3 <= 5 (minimize the
-	// negation).
-	p := Problem{
-		C: []float64{-6, -10, -12},
-		A: [][]float64{{1, 2, 3}},
-		B: []float64{5},
-	}
-	sol, err := Solve01(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol.Objective+22) > 1e-9 { // x1 + x2
-		t.Errorf("objective = %v, want -22", sol.Objective)
-	}
-	if sol.X[0] || !sol.X[1] || !sol.X[2] {
-		t.Errorf("X = %v", sol.X)
-	}
-}
-
-func TestSolve01Infeasible(t *testing.T) {
-	p := Problem{
-		C: []float64{-1, -1},
-		A: [][]float64{
-			{1, 0}, {-1, 0}, // x0 <= -1 and -x0 <= -... wait: force x0 <= -0.5 impossible
-		},
-		B: []float64{-0.5, 100},
-	}
-	_, err := Solve01(p, 0)
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestSolve01TrivialFeasible(t *testing.T) {
-	// All costs positive and no binding constraints: empty set optimal.
-	p := Problem{C: []float64{3, 5}, A: nil, B: nil}
-	sol, err := Solve01(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != 0 || sol.X[0] || sol.X[1] {
-		t.Errorf("sol = %+v", sol)
-	}
-}
-
-func TestSolve01Validation(t *testing.T) {
-	if _, err := Solve01(Problem{}, 0); err == nil {
-		t.Error("empty objective should error")
-	}
-	if _, err := Solve01(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}, 0); err == nil {
-		t.Error("mis-sized constraint should error")
-	}
-	if _, err := Solve01(Problem{C: []float64{1}, A: [][]float64{{1}}, B: nil}, 0); err == nil {
-		t.Error("A/B mismatch should error")
-	}
-}
-
-// TestSolve01MatchesHungarian frames a small assignment problem as a 0/1
-// ILP and cross-checks both solvers.
-func TestSolve01MatchesHungarian(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		n := 3
-		cost := make([][]float64, n)
-		for i := range cost {
-			cost[i] = make([]float64, n)
-			for j := range cost[i] {
-				cost[i][j] = math.Floor(rng.Float64() * 20)
-			}
-		}
-		// Variables x[i*n+j]; constraints: each row exactly one (<=1 and
-		// >=1 via negation), each column <= 1. To keep the ILP in <= form
-		// while forcing assignment, minimize cost - M*sum(x) with M large:
-		// picking n variables is then always better.
-		const M = 1000
-		p := Problem{C: make([]float64, n*n)}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				p.C[i*n+j] = cost[i][j] - M
-			}
-		}
-		for i := 0; i < n; i++ { // row sums <= 1
-			row := make([]float64, n*n)
-			for j := 0; j < n; j++ {
-				row[i*n+j] = 1
-			}
-			p.A = append(p.A, row)
-			p.B = append(p.B, 1)
-		}
-		for j := 0; j < n; j++ { // column sums <= 1
-			col := make([]float64, n*n)
-			for i := 0; i < n; i++ {
-				col[i*n+j] = 1
-			}
-			p.A = append(p.A, col)
-			p.B = append(p.B, 1)
-		}
-		sol, err := Solve01(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ilpTotal := sol.Objective + float64(n)*M
-		_, hTotal, err := Hungarian(cost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(ilpTotal-hTotal) > 1e-6 {
-			t.Fatalf("trial %d: ILP %v != Hungarian %v", trial, ilpTotal, hTotal)
-		}
-	}
-}
-
-func TestSolve01NodeBudget(t *testing.T) {
-	// A problem big enough to exceed a tiny node budget.
-	n := 20
-	p := Problem{C: make([]float64, n)}
-	for i := range p.C {
-		p.C[i] = -1 - float64(i%3)
-	}
-	row := make([]float64, n)
-	for i := range row {
-		row[i] = 1
-	}
-	p.A = [][]float64{row}
-	p.B = []float64{float64(n / 2)}
-	_, err := Solve01(p, 10)
-	if err == nil {
-		t.Error("tiny node budget should report exhaustion")
-	}
-}
-
 func TestLatencyModel(t *testing.T) {
 	lm := LatencyModel{Base: 10 * time.Second, PerVariable: time.Second, Max: 30 * time.Second}
 	if got := lm.Latency(5); got != 15*time.Second {

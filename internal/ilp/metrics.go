@@ -12,9 +12,6 @@ const (
 	MetricHungarianSolves  = "mobirescue_ilp_hungarian_solves_total"
 	MetricHungarianSeconds = "mobirescue_ilp_hungarian_seconds"
 	MetricHungarianSize    = "mobirescue_ilp_hungarian_matrix_size"
-	MetricSolve01Solves    = "mobirescue_ilp_solve01_solves_total"
-	MetricSolve01Nodes     = "mobirescue_ilp_solve01_nodes_total"
-	MetricSolve01Seconds   = "mobirescue_ilp_solve01_seconds"
 	MetricAuctionSolves    = "mobirescue_ilp_auction_solves_total"
 	MetricAuctionSeconds   = "mobirescue_ilp_auction_seconds"
 	MetricAuctionSize      = "mobirescue_ilp_auction_matrix_size"
@@ -26,23 +23,20 @@ type ilpMetrics struct {
 	hungSolves  *obs.Counter
 	hungSeconds *obs.Histogram
 	hungSize    *obs.Histogram
-	bbSolves    *obs.Counter
-	bbNodes     *obs.Counter
-	bbSeconds   *obs.Histogram
 	aucSolves   *obs.Counter
 	aucSeconds  *obs.Histogram
 	aucSize     *obs.Histogram
 	aucBids     *obs.Counter
 }
 
-// metricsPtr holds the active telemetry set. Hungarian and Solve01 are
-// pure functions called from several dispatchers, so the hook is
+// metricsPtr holds the active telemetry set. Hungarian and the auction
+// are pure functions called from several dispatchers, so the hook is
 // package-level; a nil pointer (the default) keeps the solvers untouched
 // apart from one atomic load.
 var metricsPtr atomic.Pointer[ilpMetrics]
 
 // EnableMetrics registers solver telemetry (solve counts, solve-time
-// histograms, branch-and-bound nodes explored) with reg. Nil reg
+// and matrix-size histograms, auction bids) with reg. Nil reg
 // disables telemetry again.
 func EnableMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -54,9 +48,6 @@ func EnableMetrics(reg *obs.Registry) {
 		hungSolves:  reg.Counter(MetricHungarianSolves, "Hungarian assignment solves."),
 		hungSeconds: reg.Histogram(MetricHungarianSeconds, "Wall-clock Hungarian solve time.", obs.DefSecondsBuckets),
 		hungSize:    reg.Histogram(MetricHungarianSize, "Hungarian matrix dimension max(rows, cols).", sizeBuckets),
-		bbSolves:    reg.Counter(MetricSolve01Solves, "0/1 branch-and-bound solves."),
-		bbNodes:     reg.Counter(MetricSolve01Nodes, "Branch-and-bound nodes explored."),
-		bbSeconds:   reg.Histogram(MetricSolve01Seconds, "Wall-clock 0/1 solve time.", obs.DefSecondsBuckets),
 		aucSolves:   reg.Counter(MetricAuctionSolves, "Auction assignment solves."),
 		aucSeconds:  reg.Histogram(MetricAuctionSeconds, "Wall-clock auction solve time.", obs.DefSecondsBuckets),
 		aucSize:     reg.Histogram(MetricAuctionSize, "Auction matrix dimension max(rows, cols).", sizeBuckets),
@@ -85,16 +76,4 @@ func observeAuction(start time.Time, size, bids int) {
 	m.aucSeconds.ObserveSince(start)
 	m.aucSize.Observe(float64(size))
 	m.aucBids.Add(int64(bids))
-}
-
-// observeSolve01 records one branch-and-bound solve (no-op when
-// disabled).
-func observeSolve01(start time.Time, nodes int) {
-	m := metricsPtr.Load()
-	if m == nil {
-		return
-	}
-	m.bbSolves.Inc()
-	m.bbNodes.Add(int64(nodes))
-	m.bbSeconds.ObserveSince(start)
 }

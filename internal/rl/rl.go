@@ -1,7 +1,7 @@
 // Package rl provides the reinforcement-learning machinery behind
 // MobiRescue's dispatcher (Section IV-C): an episodic MDP interface, a
-// uniform replay buffer, a DQN agent (epsilon-greedy exploration, target
-// network, Adam), and a REINFORCE-with-baseline policy-gradient agent.
+// uniform replay buffer, and a DQN agent (epsilon-greedy exploration,
+// target network, Adam).
 // The DNN function approximators come from internal/nn, mirroring the
 // paper's use of a Pensieve-style deep network [24].
 package rl

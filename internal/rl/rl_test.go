@@ -106,42 +106,6 @@ func TestRandValidRespectsMask(t *testing.T) {
 	}
 }
 
-func TestSoftmaxMasked(t *testing.T) {
-	logits := []float64{1, 2, 3}
-	p := softmaxMasked(logits, nil)
-	sum := 0.0
-	for i := 1; i < len(p); i++ {
-		if p[i] <= p[i-1] {
-			t.Error("softmax should be increasing with logits")
-		}
-	}
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-	// Masked entries get zero probability.
-	pm := softmaxMasked(logits, []bool{true, false, true})
-	if pm[1] != 0 {
-		t.Errorf("masked prob = %v", pm[1])
-	}
-	if math.Abs(pm[0]+pm[2]-1) > 1e-12 {
-		t.Errorf("masked probs sum to %v", pm[0]+pm[2])
-	}
-	// All masked: all zeros.
-	for _, v := range softmaxMasked(logits, []bool{false, false, false}) {
-		if v != 0 {
-			t.Error("fully masked softmax should be zeros")
-		}
-	}
-	// Large logits must not overflow.
-	big := softmaxMasked([]float64{1000, 1001}, nil)
-	if math.IsNaN(big[0]) || math.IsNaN(big[1]) {
-		t.Error("softmax overflowed")
-	}
-}
-
 // chainEnv is a 1-D corridor: start at cell 0, reward 1 for reaching the
 // right end, -0.01 per step, episode capped by the caller. Action 0 =
 // left, 1 = right.
@@ -305,82 +269,6 @@ func TestDQNSaveLoadPolicy(t *testing.T) {
 	}
 }
 
-func TestReinforceConfigValidation(t *testing.T) {
-	cfg := DefaultReinforceConfig()
-	if _, err := NewReinforce(0, 2, cfg); err == nil {
-		t.Error("zero state size should error")
-	}
-	bad := cfg
-	bad.Gamma = 1
-	if _, err := NewReinforce(2, 2, bad); err == nil {
-		t.Error("gamma=1 should error")
-	}
-}
-
-// banditEnv: single state, 3 arms with different rewards, one-step
-// episodes. The policy should concentrate on the best arm.
-type banditEnv struct{ rewards []float64 }
-
-func (e *banditEnv) Reset() []float64 { return []float64{1} }
-func (e *banditEnv) Step(a int) ([]float64, float64, bool) {
-	return []float64{1}, e.rewards[a], true
-}
-func (e *banditEnv) StateSize() int  { return 1 }
-func (e *banditEnv) NumActions() int { return len(e.rewards) }
-
-func TestReinforceSolvesBandit(t *testing.T) {
-	env := &banditEnv{rewards: []float64{0.1, 1.0, 0.3}}
-	cfg := DefaultReinforceConfig()
-	cfg.Seed = 11
-	r, err := NewReinforce(env.StateSize(), env.NumActions(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.TrainEpisodes(env, 800, 10)
-	if a := r.Greedy([]float64{1}, nil); a != 1 {
-		t.Errorf("greedy arm = %d, want 1", a)
-	}
-	// The best arm should dominate the sampled distribution too.
-	counts := make([]int, 3)
-	for i := 0; i < 300; i++ {
-		counts[r.SelectAction([]float64{1}, nil)]++
-	}
-	if counts[1] < 200 {
-		t.Errorf("arm distribution %v should favor arm 1", counts)
-	}
-}
-
-func TestReinforceSolvesChain(t *testing.T) {
-	env := &chainEnv{n: 5}
-	cfg := DefaultReinforceConfig()
-	cfg.Seed = 13
-	r, err := NewReinforce(env.StateSize(), env.NumActions(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	returns := r.TrainEpisodes(env, 400, 60)
-	early := mean(returns[:40])
-	late := mean(returns[len(returns)-40:])
-	if late <= early {
-		t.Errorf("no learning: early=%v late=%v", early, late)
-	}
-}
-
-func TestReinforceRespectsMask(t *testing.T) {
-	env := &maskedEnv{chainEnv{n: 4}}
-	cfg := DefaultReinforceConfig()
-	r, err := NewReinforce(env.StateSize(), env.NumActions(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := env.Reset()
-	for i := 0; i < 200; i++ {
-		if a := r.SelectAction(state, env.ValidActions()); a != 1 {
-			t.Fatalf("masked action %d sampled", a)
-		}
-	}
-}
-
 func BenchmarkDQNInference(b *testing.B) {
 	cfg := DefaultDQNConfig()
 	d, err := NewDQN(128, 16, cfg)
@@ -413,27 +301,4 @@ func BenchmarkDQNLearnStep(b *testing.B) {
 			state = env.Reset()
 		}
 	}
-}
-
-func TestReinforceUpdateTrajectoryExternal(t *testing.T) {
-	// Drive the bandit with an externally collected trajectory, the way
-	// the dispatch simulator feeds the policy-gradient learner.
-	env := &banditEnv{rewards: []float64{0.0, 1.0}}
-	cfg := DefaultReinforceConfig()
-	cfg.Seed = 21
-	r, err := NewReinforce(env.StateSize(), env.NumActions(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := []float64{1}
-	for ep := 0; ep < 500; ep++ {
-		a := r.SelectAction(state, nil)
-		_, reward, _ := env.Step(a)
-		r.UpdateTrajectory([]Step{{State: state, Action: a, Reward: reward}})
-	}
-	if got := r.Greedy(state, nil); got != 1 {
-		t.Errorf("externally trained greedy arm = %d, want 1", got)
-	}
-	// Empty trajectories are a no-op.
-	r.UpdateTrajectory(nil)
 }

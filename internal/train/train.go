@@ -8,7 +8,7 @@
 // # Determinism contract
 //
 // The trained policy is byte-identical for any Workers value. Three rules
-// make that hold, mirroring PR 3's RunDispatcherDays contract:
+// make that hold, mirroring core.RunComparison's parallel-runs contract:
 //
 //  1. Rollouts are independent: every actor decides against the same
 //     immutable policy snapshot with a private RNG seeded by

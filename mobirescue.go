@@ -25,7 +25,7 @@
 // a Charlotte-like seven-region road network, parametric hurricanes, a
 // physical flood model, a disaster-aware population simulator, and a
 // rescue-operations simulator, plus the paper's two comparison methods
-// (Schedule [5] and Rescue [8]) on an integer-programming substrate.
+// (Schedule [5] and Rescue [8]) on an assignment-solver substrate.
 // See DESIGN.md for the full inventory and EXPERIMENTS.md for the
 // paper-versus-measured results.
 //
@@ -35,7 +35,7 @@
 //	if err != nil { ... }
 //	sys, err := mobirescue.NewSystem(sc, mobirescue.DefaultSystemConfig())
 //	if err != nil { ... }
-//	if _, err := sys.TrainRL(8); err != nil { ... }
+//	if _, err := sys.TrainRLParallel(8); err != nil { ... }
 //	cmp, err := sys.RunComparison()
 //	if err != nil { ... }
 //	fmt.Println(cmp.Results["MobiRescue"].TotalTimelyServed())
@@ -92,7 +92,7 @@ func DefaultSystemConfig() SystemConfig { return core.DefaultSystemConfig() }
 func BuildScenario(cfg ScenarioConfig) (*Scenario, error) { return core.BuildScenario(cfg) }
 
 // NewSystem trains the SVM request predictor on the training episode and
-// wires up the RL dispatcher (train it with System.TrainRL).
+// wires up the RL dispatcher (train it with System.TrainRLParallel).
 func NewSystem(sc *Scenario, cfg SystemConfig) (*System, error) { return core.NewSystem(sc, cfg) }
 
 // NewMeasurement derives the measurement-section statistics (Table I,
