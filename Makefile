@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race bench bench-smoke bench-scale-smoke bench-ilp-smoke eventlog-smoke crash-smoke serve-smoke fuzz cover verify ci clean
+.PHONY: all build vet test bench-test race bench bench-smoke bench-scale-smoke eventlog-smoke crash-smoke serve-smoke fuzz cover verify ci clean
 
 all: ci race
 
@@ -42,7 +42,6 @@ bench:
 	$(GO) run ./cmd/benchroute -out BENCH_routing.json
 	$(GO) run ./cmd/benchpredict -out BENCH_predict.json
 	$(GO) run ./cmd/benchscale -out BENCH_scale.json
-	$(GO) run ./cmd/benchilp -out BENCH_ilp.json
 
 # One-iteration smoke pass over every benchmark plus the benchpredict
 # contract run (identity witnesses and the 0 allocs/op assertions for
@@ -61,15 +60,6 @@ bench-smoke:
 bench-scale-smoke:
 	$(GO) run ./cmd/benchscale -smoke
 
-# Assignment-solver contract smoke: the full benchilp sweep grid with a
-# reduced equivalence battery (the gate booleans and the deterministic
-# bid-count speedups are identical to the full run), checked against
-# the committed BENCH_ilp.json baseline in portable mode. The full
-# artifact regenerates with `go run ./cmd/benchilp -out BENCH_ilp.json`.
-bench-ilp-smoke:
-	$(GO) run ./cmd/benchilp -smoke -out fresh_ilp.json
-	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_ilp.json -fresh fresh_ilp.json
-
 # Short fuzz pass over the city loader, the checkpoint loader, and the
 # session API handlers (the corpus seeds always run as part of `make
 # test`; this explores further).
@@ -78,7 +68,6 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/rl
 	$(GO) test -fuzz FuzzSessionAPI -fuzztime 30s ./internal/serve
 	$(GO) test -fuzz FuzzHungarian -fuzztime 30s ./internal/ilp
-	$(GO) test -fuzz FuzzAuction -fuzztime 30s ./internal/ilp
 
 # Full-suite coverage profile (cover.out; CI uploads it as an artifact)
 # plus soft per-package floors for the training stack — the packages the
@@ -146,9 +135,9 @@ crash-smoke:
 verify: vet build test
 
 # The default CI gate: tier-1 verify plus the benchmark module's tests,
-# the event-log smoke, the metro-scale contract smoke, the serving-layer
-# smoke, and the assignment-solver contract smoke.
-ci: verify bench-test eventlog-smoke bench-scale-smoke serve-smoke bench-ilp-smoke
+# the event-log smoke, the metro-scale contract smoke, and the
+# serving-layer smoke.
+ci: verify bench-test eventlog-smoke bench-scale-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

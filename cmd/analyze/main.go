@@ -22,9 +22,8 @@
 // comparable, so CI can assert determinism with a single command.
 //
 // bench-check compares a fresh benchmark artifact against a checked-in
-// baseline (BENCH_routing, BENCH_predict, BENCH_scale, BENCH_ilp or
-// BENCH_serve .json) with tolerance
-// bands — see internal/benchgate for the rules. -portable restricts
+// baseline (BENCH_routing, BENCH_predict, BENCH_scale or BENCH_serve
+// .json) with tolerance bands — see internal/benchgate for the rules. -portable restricts
 // the gate to machine-independent checks (allocation counts, speedup
 // ratios, boolean invariants) for CI hardware that differs from the
 // baseline machine. Exit status 1 on any violation.

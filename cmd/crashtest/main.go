@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	crashtest -bin ./mobirescue [-runs N] [-min-kills N] [-scale small] [-episodes 8] [-workers 2] [-seed 7] [-kill-seed 1] [-min-delay 500ms] [-max-delay 7s] [-dir d] [-keep]
+//	crashtest -bin ./mobirescue [-runs N] [-min-kills N] [-scale small] [-episodes 8] [-workers 2] [-seed 7] [-kill-seed 1] [-min-delay 500ms] [-max-delay d] [-dir d] [-keep]
 //
 // Procedure:
 //
@@ -18,7 +18,10 @@
 //     fresh directory, SIGKILL it after a random delay drawn from
 //     [-min-delay, -max-delay], then re-launch with -resume (killing
 //     again at a new random delay) until an attempt exits 0. The final
-//     event log must equal the reference byte for byte.
+//     event log must equal the reference byte for byte. -max-delay
+//     defaults to the reference run's wall time, which always covers
+//     start-up plus the longest stretch between two snapshots, so some
+//     resume outlives its kill on any machine.
 //  3. Corruption drills: take a killed run with at least two snapshot
 //     generations, damage the newest snapshot file (truncate it, then
 //     in a second drill flip one byte), resume, and require both that
@@ -56,7 +59,7 @@ func main() {
 		seed     = flag.Int64("seed", 7, "run seed passed to the binary")
 		killSeed = flag.Int64("kill-seed", 1, "seed for the kill-delay schedule")
 		minDelay = flag.Duration("min-delay", 500*time.Millisecond, "earliest kill after launch")
-		maxDelay = flag.Duration("max-delay", 7*time.Second, "latest kill after launch")
+		maxDelay = flag.Duration("max-delay", 0, "latest kill after launch (0 = the reference run's wall time)")
 		dirFlag  = flag.String("dir", "", "work directory (default: a fresh temp dir)")
 		keep     = flag.Bool("keep", false, "keep the work directory on success")
 	)
@@ -99,6 +102,10 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("crashtest: reference run %v, event log %d bytes\n", refDur.Round(time.Millisecond), len(ref))
+	if h.maxDelay <= 0 {
+		h.maxDelay = refDur
+	}
+	fmt.Printf("crashtest: kill delays drawn from [%v, %v]\n", h.minDelay, h.maxDelay.Round(time.Millisecond))
 
 	failures := 0
 	for cycle := 1; cycle <= *runs || h.kills < *minKills; cycle++ {

@@ -17,7 +17,6 @@ import (
 
 	"mobirescue/internal/chaos"
 	"mobirescue/internal/core"
-	"mobirescue/internal/ilp"
 	"mobirescue/internal/obs"
 	"mobirescue/internal/obs/eventlog"
 	"mobirescue/internal/snapshot"
@@ -51,7 +50,6 @@ type Flags struct {
 	Episodes       int
 	Teams          int
 	Seed           int64
-	Solver         string
 	Chaos          string
 	ChaosSeed      int64
 	Obs            string
@@ -78,7 +76,6 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.IntVar(&f.Episodes, "episodes", d.Episodes, d.EpisodesUsage)
 	fs.IntVar(&f.Teams, "teams", 0, "fleet size (0 = max daily requests, like the paper)")
 	fs.Int64Var(&f.Seed, "seed", 1, "random seed")
-	fs.StringVar(&f.Solver, "assign-solver", "exact", "assignment solver for dispatcher cost matrices: "+ilp.SolverNames)
 	fs.StringVar(&f.Chaos, "chaos", "off", "chaos profile: "+chaos.ProfileNames)
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "chaos fault-schedule seed")
 	fs.StringVar(&f.Obs, "obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
@@ -162,7 +159,6 @@ func (f *Flags) systemConfig(reg *obs.Registry, logger *slog.Logger) core.System
 	cfg.TrainActors = f.TrainActors
 	cfg.CheckpointPath = f.SavePolicy
 	cfg.DecideTimeout = f.DecideDeadline
-	cfg.AssignmentSolver = f.Solver
 	cfg.Metrics = reg
 	cfg.Logger = logger
 	return cfg

@@ -16,9 +16,9 @@ import (
 // sharedFlags are the flag names both commands accept; crashtest and
 // the Makefile drive the commands by these names.
 var sharedFlags = []string{
-	"assign-solver", "chaos", "chaos-seed", "cpuprofile", "decide-deadline",
-	"episodes", "eventlog", "eventlog-timing", "load-policy", "memprofile",
-	"obs", "resume", "save-policy", "scale", "seed", "snapshot-dir",
+	"chaos", "chaos-seed", "cpuprofile", "decide-deadline", "episodes",
+	"eventlog", "eventlog-timing", "load-policy", "memprofile", "obs",
+	"resume", "save-policy", "scale", "seed", "snapshot-dir",
 	"snapshot-every", "snapshot-keep", "teams", "train-actors",
 	"train-workers", "workers",
 }
@@ -56,13 +56,12 @@ func TestFlagsBind(t *testing.T) {
 	}
 	system := func(edit func(*core.SystemConfig)) core.SystemConfig {
 		cfg := core.DefaultSystemConfig()
-		cfg.AssignmentSolver = "exact"
 		edit(&cfg)
 		return cfg
 	}
 	defaults := func(scale string, episodes int) Flags {
 		return Flags{
-			Scale: scale, Episodes: episodes, Seed: 1, Solver: "exact",
+			Scale: scale, Episodes: episodes, Seed: 1,
 			Chaos: "off", ChaosSeed: 1, SnapshotEvery: 1, SnapshotKeep: snapshot.DefaultKeep,
 		}
 	}
@@ -103,7 +102,7 @@ func TestFlagsBind(t *testing.T) {
 			defaults: MobiRescue,
 			args: []string{
 				"-scale", "full", "-episodes", "3", "-teams", "9", "-seed", "42",
-				"-assign-solver", "auction", "-chaos", "heavy", "-chaos-seed", "5",
+				"-chaos", "heavy", "-chaos-seed", "5",
 				"-obs", ":9090", "-workers", "2", "-train-workers", "3",
 				"-train-actors", "5", "-save-policy", "save.ckpt",
 				"-load-policy", "load.ckpt", "-eventlog", "run.jsonl",
@@ -113,7 +112,7 @@ func TestFlagsBind(t *testing.T) {
 				"-memprofile", "mem.out",
 			},
 			flags: Flags{
-				Scale: "full", Episodes: 3, Teams: 9, Seed: 42, Solver: "auction",
+				Scale: "full", Episodes: 3, Teams: 9, Seed: 42,
 				Chaos: "heavy", ChaosSeed: 5, Obs: ":9090", Workers: 2,
 				TrainWorkers: 3, TrainActors: 5, SavePolicy: "save.ckpt",
 				LoadPolicy: "load.ckpt", EventLog: "run.jsonl", EventLogTiming: true,
@@ -127,7 +126,6 @@ func TestFlagsBind(t *testing.T) {
 				c.TrainWorkers, c.TrainActors = 3, 5
 				c.CheckpointPath = "save.ckpt"
 				c.DecideTimeout = 2 * time.Second
-				c.AssignmentSolver = "auction"
 			}),
 			every: 4,
 			keep:  2,

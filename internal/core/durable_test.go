@@ -14,8 +14,8 @@ import (
 
 // durableRun builds a fresh System over the shared scenario, attaches
 // an event log at evPath (appending past st's cursor when resuming),
-// and runs one MobiRescue invocation under d, resuming from st.
-func durableRun(t *testing.T, evPath string, d Durability, st *snapshot.RunState) (*sim.Result, error) {
+// and runs one invocation of method under d, resuming from st.
+func durableRun(t *testing.T, method, evPath string, d Durability, st *snapshot.RunState) (*sim.Result, error) {
 	t.Helper()
 	sc := testScenario(t)
 	cfg := DefaultSystemConfig()
@@ -36,7 +36,7 @@ func durableRun(t *testing.T, evPath string, d Durability, st *snapshot.RunState
 	}
 	sys.SetEventLog(elog)
 	sys.SetDurability(d, st)
-	res, runErr := sys.RunMethod("mr", 2)
+	res, runErr := sys.RunMethod(method, 2)
 	if err := elog.Close(); err != nil {
 		t.Fatalf("closing event log: %v", err)
 	}
@@ -44,19 +44,25 @@ func durableRun(t *testing.T, evPath string, d Durability, st *snapshot.RunState
 }
 
 // TestRunMethodDurableStopResumeByteIdentical drives a crash-safe run
-// through repeated graceful stops — one boundary of progress per
-// invocation, crossing the train → trained → eval phase transitions —
-// and requires the finished event log to be byte-identical to an
-// uninterrupted run's.
+// of each method through repeated graceful stops — one boundary of
+// progress per invocation; MobiRescue's run also crosses the train →
+// trained → eval phase transitions — and requires the finished event
+// log to be byte-identical to an uninterrupted run's.
 func TestRunMethodDurableStopResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-invocation eval runs")
 	}
+	for _, method := range []string{"mr", "rescue", "schedule"} {
+		t.Run(method, func(t *testing.T) { testDurableStopResume(t, method) })
+	}
+}
+
+func testDurableStopResume(t *testing.T, method string) {
 	sc := testScenario(t)
 	dir := t.TempDir()
 
 	refPath := filepath.Join(dir, "ref.jsonl")
-	if _, err := durableRun(t, refPath, Durability{}, nil); err != nil {
+	if _, err := durableRun(t, method, refPath, Durability{}, nil); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 	ref, err := os.ReadFile(refPath)
@@ -98,7 +104,7 @@ func TestRunMethodDurableStopResumeByteIdentical(t *testing.T) {
 		} else {
 			phases = append(phases, st.Phase)
 		}
-		res, runErr := durableRun(t, runPath, d, st)
+		res, runErr := durableRun(t, method, runPath, d, st)
 		if errors.Is(runErr, snapshot.ErrStopRequested) {
 			continue
 		}
@@ -116,8 +122,8 @@ func TestRunMethodDurableStopResumeByteIdentical(t *testing.T) {
 	for _, p := range phases {
 		seen[p] = true
 	}
-	if !seen[snapshot.PhaseTrain] || !seen[snapshot.PhaseEval] {
-		t.Errorf("resume phases %v never crossed train and eval", phases)
+	if !seen[snapshot.PhaseEval] || (method == "mr" && !seen[snapshot.PhaseTrain]) {
+		t.Errorf("resume phases %v never crossed the run's phases", phases)
 	}
 
 	got, err := os.ReadFile(runPath)
@@ -141,7 +147,7 @@ func TestRunMethodDurableStopResumeByteIdentical(t *testing.T) {
 		t.Fatalf("final snapshot phase = %q, want done", st.Phase)
 	}
 	d := Durability{Mgr: mgr, ConfigHash: ConfigHash(sc.Config), Scale: "small"}
-	if _, runErr := durableRun(t, runPath, d, st); !errors.Is(runErr, ErrRunComplete) {
+	if _, runErr := durableRun(t, method, runPath, d, st); !errors.Is(runErr, ErrRunComplete) {
 		t.Fatalf("resume of finished run: %v, want ErrRunComplete", runErr)
 	}
 }

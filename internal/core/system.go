@@ -50,13 +50,6 @@ type SystemConfig struct {
 	Sim sim.Config
 	// IPLatency models the baselines' integer-programming solve time.
 	IPLatency ilp.LatencyModel
-	// AssignmentSolver selects the assignment solver every dispatcher's
-	// cost-matrix solves run through: "exact" (or empty — the default)
-	// is the Hungarian reference; "auction" is the ε-scaling auction
-	// solver with cross-window warm starts (exactly optimal on integer
-	// costs, see internal/ilp). The default keeps every run byte-identical
-	// to the pre-selector behavior.
-	AssignmentSolver string
 	// Workers bounds the evaluation pipeline's parallelism: the routing
 	// layer's tree prefetching inside every simulation and the concurrent
 	// method runs of RunComparison. 0 means GOMAXPROCS; 1 forces fully
@@ -152,9 +145,6 @@ type System struct {
 	resume  *snapshot.RunState
 	// evlog is the optional flight recorder (see eventlog.go); nil off.
 	evlog *eventlog.Log
-	// solver is the parsed Config.AssignmentSolver selection, applied to
-	// every dispatcher the system builds.
-	solver ilp.SolverKind
 }
 
 // NewSystem trains the SVM on the training episode and wires up the RL
@@ -172,10 +162,6 @@ func NewSystemContext(ctx context.Context, sc *Scenario, cfg SystemConfig) (*Sys
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	solverKind, err := ilp.ParseSolver(cfg.AssignmentSolver)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	svmStart := time.Now()
 	_, svmSpan := obs.StartSpan(ctx, "svm.train")
@@ -234,7 +220,6 @@ func NewSystemContext(ctx context.Context, sc *Scenario, cfg SystemConfig) (*Sys
 		EvalProvider:  evalProv,
 		Teams:         teams,
 		baseCtx:       ctx,
-		solver:        solverKind,
 	}
 	if cfg.Metrics != nil {
 		sys.trainEpisodes = cfg.Metrics.Counter(MetricTrainEpisodes, "RL training episodes completed.")
@@ -252,9 +237,6 @@ func NewSystemContext(ctx context.Context, sc *Scenario, cfg SystemConfig) (*Sys
 		return nil, err
 	}
 	mr.EnableMetrics(cfg.Metrics)
-	if solverKind != ilp.SolverExact {
-		mr.SetAssigner(ilp.NewAssigner(solverKind))
-	}
 	sys.MR = mr
 	sys.installDemandSource()
 	return sys, nil
@@ -411,12 +393,6 @@ func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Disp
 	cfg := s.simConfigForDay(ep, day)
 	cfg.Events = rec
 	cfg.Hook = opts.hook
-	// Hand the run's recorder to solver-aware dispatchers before any
-	// chaos wrapping, so fast-path solver events land in the run's
-	// stream; a nil rec clears a recorder left from a previous run.
-	if ev, ok := disp.(interface{ SetEvents(*eventlog.Recorder) }); ok {
-		ev.SetEvents(rec)
-	}
 	requests := RequestsForDay(ep, day)
 	starts, err := VehicleStarts(s.Scenario.City, s.Teams, s.Config.Seed)
 	if err != nil {
@@ -603,11 +579,7 @@ func (s *System) NewRescueBaseline() (*dispatch.Rescue, error) {
 		hour := int(r.RequestTime.Sub(cfg.Start) / time.Hour)
 		pred.Observe(int(r.Seg), hour, 1)
 	}
-	rescue := dispatch.NewRescue(pred, cfg.Start, s.Config.IPLatency)
-	if s.solver != ilp.SolverExact {
-		rescue.SetAssigner(ilp.NewAssigner(s.solver))
-	}
-	return rescue, nil
+	return dispatch.NewRescue(pred, cfg.Start, s.Config.IPLatency), nil
 }
 
 // RunMethod runs a single dispatch method over the evaluation episode's
@@ -706,9 +678,6 @@ func (s *System) runEvalDayRec(day int, disp sim.Dispatcher, rec *eventlog.Recor
 func (s *System) newSchedule() *dispatch.Schedule {
 	sched := dispatch.NewSchedule(s.Scenario.City.Graph, s.Config.IPLatency)
 	sched.SetWorkers(s.Config.Workers)
-	if s.solver != ilp.SolverExact {
-		sched.SetAssigner(ilp.NewAssigner(s.solver))
-	}
 	return sched
 }
 

@@ -331,3 +331,43 @@ func TestRescueObserveFeedsPredictor(t *testing.T) {
 		t.Errorf("Predict after Observe = %v, want > 0", got)
 	}
 }
+
+// TestRescueStateCodec: Rescue's snapshot blob is the bare time-series
+// predictor blob, so it restores into a plain tsa.Predictor with the
+// same forecasts (gob map encoding is not byte-deterministic, so the
+// forecasts are the check).
+func TestRescueStateCodec(t *testing.T) {
+	city := testCity(t)
+	pred, err := tsa.New(3, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := city.Graph.SegmentIDsByRegion()[1]
+	for _, seg := range segs {
+		pred.Observe(int(seg), 10, 2)
+	}
+	r := NewRescue(pred, dispStart, ilp.LatencyModel{})
+	r.Decide(testSnapshot(t, city, city.Hospitals[:4], segs[:2]))
+	blob, err := r.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := tsa.New(3, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.RestoreState(blob); err != nil {
+		t.Fatalf("Rescue blob is not a bare predictor blob: %v", err)
+	}
+	// Hour 34 forecasts from hour 10: the seeded history plus, on the
+	// first two segments, Decide's own observation.
+	for _, seg := range segs[:3] {
+		want := pred.Predict(int(seg), 34)
+		if want <= 0 {
+			t.Fatalf("segment %d: no forecast to compare", seg)
+		}
+		if got := bare.Predict(int(seg), 34); got != want {
+			t.Errorf("segment %d: restored predicts %v, want %v", seg, got, want)
+		}
+	}
+}

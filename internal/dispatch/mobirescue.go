@@ -92,7 +92,6 @@ type decision struct {
 //
 // MobiRescue is not safe for concurrent use.
 type MobiRescue struct {
-	solverHook
 	cfg     MRConfig
 	predict PredictFn
 	// demand, when set, supplies pre-aggregated per-region totals of the
@@ -158,7 +157,7 @@ func NewMobiRescue(numRegions int, predict PredictFn, cfg MRConfig) (*MobiRescue
 // learner-only methods (Agent, SavePolicy, LoadPolicy, EnableMetrics)
 // must not be called on it.
 func (m *MobiRescue) ActorView(p rl.Policy) *MobiRescue {
-	v := &MobiRescue{
+	return &MobiRescue{
 		cfg:        m.cfg,
 		predict:    m.predict,
 		demand:     m.demand,
@@ -168,12 +167,6 @@ func (m *MobiRescue) ActorView(p rl.Policy) *MobiRescue {
 		last:       make(map[sim.VehicleID]*decision),
 		assigned:   make(map[sim.VehicleID]roadnet.SegmentID),
 	}
-	// Views run concurrently, so each needs its own assigner (workspace
-	// and warm duals are not concurrency-safe); only the kind is shared.
-	if k := m.solverKind(); k != ilp.SolverExact {
-		v.SetAssigner(ilp.NewAssigner(k))
-	}
-	return v
 }
 
 // SetDemandSource installs (or, with nil, removes) a pre-aggregated
@@ -240,19 +233,11 @@ type mrWire struct {
 	Agent    []byte // rl checkpoint envelope; nil on actor views
 	Last     []mrDecisionWire
 	Assigned map[sim.VehicleID]roadnet.SegmentID
-	Solver   []byte // auction warm duals; nil on the exact path
 }
 
 // CaptureState implements sim.StateCodec.
 func (m *MobiRescue) CaptureState() ([]byte, error) {
 	w := mrWire{Assigned: m.assigned}
-	if m.solverKind() != ilp.SolverExact {
-		solver, err := m.captureSolverState()
-		if err != nil {
-			return nil, err
-		}
-		w.Solver = solver
-	}
 	if m.agent != nil {
 		var buf bytes.Buffer
 		if err := m.agent.SaveCheckpoint(&buf, 0); err != nil {
@@ -301,7 +286,7 @@ func (m *MobiRescue) RestoreState(blob []byte) error {
 	if m.assigned == nil {
 		m.assigned = make(map[sim.VehicleID]roadnet.SegmentID)
 	}
-	return m.restoreSolverState(w.Solver)
+	return nil
 }
 
 // buildState assembles one vehicle's state vector: per-region normalized
@@ -682,18 +667,7 @@ func (m *MobiRescue) coverWaitingRequests(snap *sim.Snapshot, orders []sim.Order
 			cost[ci][di] = t
 		}
 	}
-	var rowKeys, colKeys []int64
-	if m.solverKind() != ilp.SolverExact {
-		rowKeys = make([]int64, len(cands))
-		for ci, c := range cands {
-			rowKeys[ci] = int64(c.vehicle)
-		}
-		colKeys = make([]int64, len(deficits))
-		for di, seg := range deficits {
-			colKeys[di] = int64(seg)
-		}
-	}
-	assignment, _, err := m.solveAssignment(m.Name(), cost, rowKeys, colKeys)
+	assignment, _, err := ilp.Hungarian(cost)
 	if assignment == nil && err != nil {
 		return orders
 	}

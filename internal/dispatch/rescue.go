@@ -1,9 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -22,7 +19,6 @@ import (
 // disaster-related factors — the inaccuracy Figures 15–16 quantify — and
 // every solve pays the IP latency.
 type Rescue struct {
-	solverHook
 	predictor *tsa.Predictor
 	start     time.Time // hour origin for the predictor
 	latency   ilp.LatencyModel
@@ -40,48 +36,12 @@ func NewRescue(predictor *tsa.Predictor, start time.Time, latency ilp.LatencyMod
 // Name implements sim.Dispatcher.
 func (r *Rescue) Name() string { return "Rescue" }
 
-// rescueWire wraps the predictor blob with the auction solver's warm
-// duals. It is used only on the non-exact solver path, so exact runs
-// keep the original bare-predictor blob format.
-type rescueWire struct {
-	Pred   []byte
-	Solver []byte
-}
-
 // CaptureState implements sim.StateCodec: the time-series predictor's
-// accumulated history plus, under a non-exact solver, the warm-start
-// duals (they break ties among optimal assignments, so exact resume
-// needs them).
-func (r *Rescue) CaptureState() ([]byte, error) {
-	pred, err := r.predictor.CaptureState()
-	if err != nil || r.solverKind() == ilp.SolverExact {
-		return pred, err
-	}
-	solver, err := r.captureSolverState()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rescueWire{Pred: pred, Solver: solver}); err != nil {
-		return nil, fmt.Errorf("dispatch: encoding Rescue state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// accumulated history.
+func (r *Rescue) CaptureState() ([]byte, error) { return r.predictor.CaptureState() }
 
 // RestoreState implements sim.StateCodec.
-func (r *Rescue) RestoreState(blob []byte) error {
-	if r.solverKind() == ilp.SolverExact {
-		return r.predictor.RestoreState(blob)
-	}
-	var w rescueWire
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
-		return fmt.Errorf("dispatch: decoding Rescue state: %w", err)
-	}
-	if err := r.predictor.RestoreState(w.Pred); err != nil {
-		return err
-	}
-	return r.restoreSolverState(w.Solver)
-}
+func (r *Rescue) RestoreState(blob []byte) error { return r.predictor.RestoreState(blob) }
 
 // hourIndex converts a wall-clock instant to the predictor's hour slot.
 func (r *Rescue) hourIndex(t time.Time) int {
@@ -204,18 +164,7 @@ func (r *Rescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 				}
 			}
 		}
-		var rowKeys, colKeys []int64
-		if r.solverKind() != ilp.SolverExact {
-			rowKeys = make([]int64, len(avail))
-			for i, v := range avail {
-				rowKeys[i] = int64(v.ID)
-			}
-			colKeys = make([]int64, len(targets))
-			for j, seg := range targets {
-				colKeys[j] = int64(seg)
-			}
-		}
-		if assignment, _, err := r.solveAssignment(r.Name(), cost, rowKeys, colKeys); err == nil || assignment != nil {
+		if assignment, _, err := ilp.Hungarian(cost); err == nil || assignment != nil {
 			for i, j := range assignment {
 				if j < 0 {
 					continue

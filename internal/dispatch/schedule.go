@@ -24,13 +24,11 @@ import (
 // Teams without a request assignment are spread across static standby
 // positions, so its serving-team count stays constant (Figure 14).
 type Schedule struct {
-	solverHook
 	latency    ilp.LatencyModel
 	freeRouter *roadnet.Router // stale, flood-unaware view
 }
 
 var _ sim.Dispatcher = (*Schedule)(nil)
-var _ sim.StateCodec = (*Schedule)(nil)
 
 // NewSchedule builds the baseline over the city graph. latency models the
 // IP solve time; pass ilp.PaperLatency() for the paper's setting.
@@ -43,14 +41,6 @@ func NewSchedule(g *roadnet.Graph, latency ilp.LatencyModel) *Schedule {
 
 // Name implements sim.Dispatcher.
 func (s *Schedule) Name() string { return "Schedule" }
-
-// CaptureState implements sim.StateCodec: the baseline itself is
-// stateless, but the auction solver's cross-window warm duals affect
-// tie-breaking and so must survive a crash-safe resume.
-func (s *Schedule) CaptureState() ([]byte, error) { return s.captureSolverState() }
-
-// RestoreState implements sim.StateCodec.
-func (s *Schedule) RestoreState(blob []byte) error { return s.restoreSolverState(blob) }
 
 // SetWorkers bounds the parallel tree prefetching of the baseline's
 // private free-flow router (0 = GOMAXPROCS, 1 = serial). Worker count
@@ -139,18 +129,7 @@ func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 				cost[i][j] = t
 			}
 		}
-		var rowKeys, colKeys []int64
-		if s.solverKind() != ilp.SolverExact {
-			rowKeys = make([]int64, len(avail))
-			for i, v := range avail {
-				rowKeys[i] = int64(v.ID)
-			}
-			colKeys = make([]int64, len(snap.ActiveRequests))
-			for j, rq := range snap.ActiveRequests {
-				colKeys[j] = int64(rq.Seg)
-			}
-		}
-		if assignment, _, err := s.solveAssignment(s.Name(), cost, rowKeys, colKeys); err == nil || assignment != nil {
+		if assignment, _, err := ilp.Hungarian(cost); err == nil || assignment != nil {
 			for i, j := range assignment {
 				if j < 0 {
 					continue

@@ -1,9 +1,10 @@
 // Package ilp implements the integer-programming substrate the paper's
 // comparison methods rely on: min-cost assignment (the core of both
 // Schedule [5] and Rescue [8] dispatch formulations), solved by the
-// Hungarian algorithm or the warm-started auction. A latency model reproduces the paper's observation
-// that IP-based dispatching takes on the order of minutes (~300 s),
-// which is what destroys the baselines' rescue timeliness (Figure 13).
+// Hungarian algorithm. A latency model reproduces the paper's
+// observation that IP-based dispatching takes on the order of minutes
+// (~300 s), which is what destroys the baselines' rescue timeliness
+// (Figure 13).
 package ilp
 
 import (

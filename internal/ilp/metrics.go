@@ -12,10 +12,12 @@ const (
 	MetricHungarianSolves  = "mobirescue_ilp_hungarian_solves_total"
 	MetricHungarianSeconds = "mobirescue_ilp_hungarian_seconds"
 	MetricHungarianSize    = "mobirescue_ilp_hungarian_matrix_size"
-	MetricAuctionSolves    = "mobirescue_ilp_auction_solves_total"
-	MetricAuctionSeconds   = "mobirescue_ilp_auction_seconds"
-	MetricAuctionSize      = "mobirescue_ilp_auction_matrix_size"
-	MetricAuctionBids      = "mobirescue_ilp_auction_bids_total"
+	// MetricAuctionSeconds and MetricAuctionSize are observed by no
+	// solver, so they read 0 on every run. The names stay because the
+	// end-to-end benchmark's layer trace (bench/trace.go) registers and
+	// reads them next to the Hungarian pair.
+	MetricAuctionSeconds = "mobirescue_ilp_auction_seconds"
+	MetricAuctionSize    = "mobirescue_ilp_auction_matrix_size"
 )
 
 // ilpMetrics bundles the solver telemetry handles.
@@ -23,21 +25,16 @@ type ilpMetrics struct {
 	hungSolves  *obs.Counter
 	hungSeconds *obs.Histogram
 	hungSize    *obs.Histogram
-	aucSolves   *obs.Counter
-	aucSeconds  *obs.Histogram
-	aucSize     *obs.Histogram
-	aucBids     *obs.Counter
 }
 
-// metricsPtr holds the active telemetry set. Hungarian and the auction
-// are pure functions called from several dispatchers, so the hook is
-// package-level; a nil pointer (the default) keeps the solvers untouched
+// metricsPtr holds the active telemetry set. Hungarian is a pure
+// function called from several dispatchers, so the hook is
+// package-level; a nil pointer (the default) keeps the solver untouched
 // apart from one atomic load.
 var metricsPtr atomic.Pointer[ilpMetrics]
 
-// EnableMetrics registers solver telemetry (solve counts, solve-time
-// and matrix-size histograms, auction bids) with reg. Nil reg
-// disables telemetry again.
+// EnableMetrics registers solver telemetry (solve count, solve-time and
+// matrix-size histograms) with reg. Nil reg disables telemetry again.
 func EnableMetrics(reg *obs.Registry) {
 	if reg == nil {
 		metricsPtr.Store(nil)
@@ -48,10 +45,6 @@ func EnableMetrics(reg *obs.Registry) {
 		hungSolves:  reg.Counter(MetricHungarianSolves, "Hungarian assignment solves."),
 		hungSeconds: reg.Histogram(MetricHungarianSeconds, "Wall-clock Hungarian solve time.", obs.DefSecondsBuckets),
 		hungSize:    reg.Histogram(MetricHungarianSize, "Hungarian matrix dimension max(rows, cols).", sizeBuckets),
-		aucSolves:   reg.Counter(MetricAuctionSolves, "Auction assignment solves."),
-		aucSeconds:  reg.Histogram(MetricAuctionSeconds, "Wall-clock auction solve time.", obs.DefSecondsBuckets),
-		aucSize:     reg.Histogram(MetricAuctionSize, "Auction matrix dimension max(rows, cols).", sizeBuckets),
-		aucBids:     reg.Counter(MetricAuctionBids, "Auction bidding iterations."),
 	})
 }
 
@@ -64,16 +57,4 @@ func observeHungarian(start time.Time, size int) {
 	m.hungSolves.Inc()
 	m.hungSeconds.ObserveSince(start)
 	m.hungSize.Observe(float64(size))
-}
-
-// observeAuction records one auction solve (no-op when disabled).
-func observeAuction(start time.Time, size, bids int) {
-	m := metricsPtr.Load()
-	if m == nil {
-		return
-	}
-	m.aucSolves.Inc()
-	m.aucSeconds.ObserveSince(start)
-	m.aucSize.Observe(float64(size))
-	m.aucBids.Add(int64(bids))
 }

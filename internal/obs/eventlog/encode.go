@@ -90,17 +90,6 @@ func appendEvent(b []byte, e *Event) []byte {
 			b = appendInt64(b, "latency_ns", e.LatencyNS)
 		}
 
-	case TypeSolver:
-		b = appendStr(b, "method", e.Method)
-		b = appendStr(b, "kind", e.Kind)
-		b = appendInt(b, "rows", e.Rows)
-		b = appendInt(b, "cols", e.Cols)
-		b = appendInt(b, "bids", e.Bids)
-		b = appendInt(b, "warm", e.Warm)
-		if e.Restart {
-			b = append(b, `,"restart":true`...)
-		}
-
 	case TypeOrder:
 		b = appendInt(b, "vehicle", e.Vehicle)
 		if e.ToDepot {

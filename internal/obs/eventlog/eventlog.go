@@ -79,7 +79,6 @@ const (
 	TypeWindowOpen  Type = "window_open"  // dispatch window opens
 	TypeWindowClose Type = "window_close" // dispatch window closes (stats)
 	TypeDecide      Type = "decide"       // one Dispatcher.Decide call
-	TypeSolver      Type = "solver"       // one fast-path assignment solve (auction)
 	TypeOrder       Type = "order"        // order accepted into the radio channel
 	TypeOrderReject Type = "order_reject" // order rejected, with reason
 	TypePickup      Type = "pickup"       // request picked up by a vehicle
@@ -200,12 +199,6 @@ type Event struct {
 
 	Hits   int64 `json:"hits,omitempty"`   // tree-cache hits this window / pred-cache hits
 	Misses int64 `json:"misses,omitempty"` // tree-cache misses this window / pred-cache misses
-
-	Rows    int  `json:"rows,omitempty"`    // solver: assignment matrix rows
-	Cols    int  `json:"cols,omitempty"`    // solver: assignment matrix cols
-	Bids    int  `json:"bids,omitempty"`    // solver: auction bidding iterations
-	Warm    int  `json:"warm,omitempty"`    // solver: warm-seeded columns
-	Restart bool `json:"restart,omitempty"` // solver: warm phase fell back to cold
 
 	Round       int     `json:"round,omitempty"`
 	Episodes    int     `json:"episodes,omitempty"`
