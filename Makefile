@@ -1,14 +1,16 @@
 # MobiRescue build/test entry points. `make ci` is the default gate:
 # tier-1 verify (vet + build + test), the benchmark module's own vet +
-# tests, and the event-log determinism/bench-gate smoke. CI runs the same pieces as separate
-# jobs (`verify`, `eventlog-smoke`, `crash-smoke`) alongside
+# tests, the event-log determinism smoke and the serving-layer load
+# smoke. The repository's one benchmark is `bash bench/run.sh` (see
+# bench/README.md). CI runs the same pieces as separate jobs (`verify`,
+# `eventlog-smoke`, `serve-smoke`, `crash-smoke`) alongside
 # `make race`, which runs the full suite — including the chaos and
 # resilience tests, whose goroutine-per-Decide wrapper is exactly where
 # races would hide — under the race detector.
 
 GO ?= go
 
-.PHONY: all build vet test bench-test race bench bench-smoke bench-scale-smoke eventlog-smoke crash-smoke serve-smoke fuzz cover verify ci clean
+.PHONY: all build vet test bench-test race bench bench-smoke eventlog-smoke crash-smoke serve-smoke fuzz cover verify ci clean
 
 all: ci race
 
@@ -30,35 +32,21 @@ race:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Decide-latency micro-benchmarks, the routing fast-path benchmarks
-# (BenchmarkTree must report 0 allocs/op; BenchmarkTreeCached must be
-# >=10x BenchmarkTreeCold), the prediction fast-path benchmarks
-# (svm.DecisionInto / nn.ForwardInto must report 0 allocs/op), and the
-# BENCH_routing.json / BENCH_predict.json artifacts.
+# Go micro-benchmarks for working on one layer: Decide latency, the
+# routing fast path, and the prediction kernels (SVM, network forward
+# pass, storm series). They print numbers and gate nothing; tests pin
+# the 0 allocs/op they report. End-to-end numbers come from
+# `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDecide -benchtime 100x ./internal/dispatch
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/roadnet
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/svm ./internal/nn ./internal/weather
-	$(GO) run ./cmd/benchroute -out BENCH_routing.json
-	$(GO) run ./cmd/benchpredict -out BENCH_predict.json
-	$(GO) run ./cmd/benchscale -out BENCH_scale.json
 
-# One-iteration smoke pass over every benchmark plus the benchpredict
-# contract run (identity witnesses and the 0 allocs/op assertions for
-# svm.DecisionInto / nn.ForwardInto, no trustworthy timings, artifact
-# untouched) — CI runs this so benchmark code cannot rot between
-# commits.
+# One-iteration pass over the same micro-benchmarks — the only run of
+# the benchmark bodies, which `make test` skips — so their code cannot
+# rot between commits.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/weather
-	$(GO) run ./cmd/benchpredict -smoke
-
-# Metro-scale contract smoke: the 10K and 100K streaming tiers through
-# cmd/benchscale (identity witnesses, sublinear peak heap, per-window
-# decision budget — no artifact timings to trust). The checked-in
-# BENCH_scale.json's 1M tier is generated manually with
-# `go run ./cmd/benchscale -full`.
-bench-scale-smoke:
-	$(GO) run ./cmd/benchscale -smoke
 
 # Short fuzz pass over the city loader, the checkpoint loader, and the
 # session API handlers (the corpus seeds always run as part of `make
@@ -90,16 +78,12 @@ cover:
 		fi; \
 	done
 
-# Flight-recorder determinism + bench-gate smoke: record the small
-# scenario three times — workers 1 vs 8 (telemetry, like results, must
-# not depend on physical parallelism) and once more with crash-safe
-# snapshots on (durability is the same run path, so the same bytes) —
-# assert `analyze diff` reports zero divergence for both pairs, render a timeline from the structured log, and run the
-# bench-regression gate over the checked-in BENCH_*.json artifacts in
-# portable mode (allocs/bytes strict, speedup ratios within tolerance;
-# raw ns/op skipped — they do not transfer across machines). The
-# self-check pins the artifacts' own invariants and the gate tool; a
-# real regression check diffs a fresh `make bench` artifact instead.
+# Flight-recorder determinism smoke: record the small scenario three
+# times — workers 1 vs 8 (telemetry, like results, must not depend on
+# physical parallelism) and once more with crash-safe snapshots on
+# (durability is the same run path, so the same bytes) — assert
+# `analyze diff` reports zero divergence for both pairs, and render a
+# timeline from the structured log.
 eventlog-smoke:
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -eventlog eventlog_a.jsonl
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -workers 8 -train-workers 8 -eventlog eventlog_b.jsonl
@@ -108,18 +92,12 @@ eventlog-smoke:
 	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_b.jsonl
 	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_c.jsonl
 	$(GO) run ./cmd/analyze timeline eventlog_a.jsonl >/dev/null
-	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_routing.json -fresh BENCH_routing.json
-	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_predict.json -fresh BENCH_predict.json
-	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_scale.json -fresh BENCH_scale.json
 
-# Serving-layer smoke: a short cmd/loadgen run (1000 concurrent
-# sessions sustained through ramp/burst/churn phases, zero errors) and
-# the bench-regression gate over the fresh artifact against the
-# checked-in BENCH_serve.json baseline in portable mode. A full-length
-# artifact regenerates with `go run ./cmd/loadgen -out BENCH_serve.json`.
+# Serving-layer smoke: a short cmd/loadgen run, which exits 1 unless
+# 1000 concurrent sessions were sustained through the ramp/burst/churn
+# phases with zero errors. Its JSON report goes to stdout.
 serve-smoke:
-	$(GO) run ./cmd/loadgen -smoke -out fresh_serve.json
-	$(GO) run ./cmd/analyze bench-check -portable -base BENCH_serve.json -fresh fresh_serve.json
+	$(GO) run ./cmd/loadgen -smoke
 
 # Kill -9 fuzz over the crash-safe run machinery (internal/snapshot):
 # one uninterrupted reference run, then kill/resume cycles until at
@@ -135,9 +113,8 @@ crash-smoke:
 verify: vet build test
 
 # The default CI gate: tier-1 verify plus the benchmark module's tests,
-# the event-log smoke, the metro-scale contract smoke, and the
-# serving-layer smoke.
-ci: verify bench-test eventlog-smoke bench-scale-smoke serve-smoke
+# the event-log smoke, and the serving-layer smoke.
+ci: verify bench-test eventlog-smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

@@ -7,10 +7,10 @@
 //	analyze [-scale small|mid|full] [-seed S] [-out table1|fig2|...|fig6|all]
 //	analyze timeline <run.jsonl>
 //	analyze diff <a.jsonl> <b.jsonl>
-//	analyze bench-check [-tol 0.05] [-portable] -base BENCH_x.json -fresh fresh.json
 //
 // With no subcommand it reproduces Table I and Figures 2–6 over the
 // synthetic Hurricane-Florence mobility dataset (the original mode).
+// Any other first word is a usage error.
 //
 // timeline reconstructs per-window served/active/reward curves — and,
 // when the log contains faults, the perturbation-and-recovery
@@ -20,13 +20,6 @@
 // diff compares two event logs window by window and pinpoints the
 // first divergence. Exit status 1 when the logs diverge or are not
 // comparable, so CI can assert determinism with a single command.
-//
-// bench-check compares a fresh benchmark artifact against a checked-in
-// baseline (BENCH_routing, BENCH_predict, BENCH_scale or BENCH_serve
-// .json) with tolerance bands — see internal/benchgate for the rules. -portable restricts
-// the gate to machine-independent checks (allocation counts, speedup
-// ratios, boolean invariants) for CI hardware that differs from the
-// baseline machine. Exit status 1 on any violation.
 package main
 
 import (
@@ -35,7 +28,6 @@ import (
 	"log"
 	"os"
 
-	"mobirescue/internal/benchgate"
 	"mobirescue/internal/core"
 	"mobirescue/internal/obs/eventlog"
 )
@@ -50,9 +42,6 @@ func main() {
 			return
 		case "diff":
 			runDiff(os.Args[2:])
-			return
-		case "bench-check":
-			runBenchCheck(os.Args[2:])
 			return
 		}
 	}
@@ -97,46 +86,6 @@ func runDiff(args []string) {
 	}
 }
 
-// runBenchCheck gates a fresh benchmark artifact against a baseline
-// and exits 1 on any violation.
-func runBenchCheck(args []string) {
-	fs := flag.NewFlagSet("analyze bench-check", flag.ExitOnError)
-	basePath := fs.String("base", "", "checked-in baseline artifact (e.g. BENCH_routing.json)")
-	freshPath := fs.String("fresh", "", "freshly generated artifact to gate")
-	tol := fs.Float64("tol", benchgate.DefaultTolerance, "fractional tolerance band for timing/speedup fields")
-	portable := fs.Bool("portable", false, "machine-independent checks only (allocs, speedups, invariants) — for CI hardware that differs from the baseline machine")
-	fs.Parse(args)
-	if *basePath == "" || *freshPath == "" {
-		log.Fatal("bench-check: -base and -fresh are both required")
-	}
-	base, err := os.ReadFile(*basePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fresh, err := os.ReadFile(*freshPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vs, err := benchgate.Check(base, fresh, benchgate.Options{Tolerance: *tol, Portable: *portable})
-	if err != nil {
-		log.Fatal(err)
-	}
-	mode := "full"
-	if *portable {
-		mode = "portable"
-	}
-	if len(vs) == 0 {
-		fmt.Printf("PASS: %s within %s tolerance bands of %s (tol %.0f%%)\n",
-			*freshPath, mode, *basePath, *tol*100)
-		return
-	}
-	fmt.Printf("FAIL: %s regresses %s (%d violation(s), %s mode):\n", *freshPath, *basePath, len(vs), mode)
-	for _, v := range vs {
-		fmt.Printf("  %s\n", v)
-	}
-	os.Exit(1)
-}
-
 // runFigures is the original mode: Table I and Figures 2–6 (Section
 // III dataset measurement) over the synthetic scenario.
 func runFigures(args []string) {
@@ -145,6 +94,9 @@ func runFigures(args []string) {
 	seed := fs.Int64("seed", 1, "random seed")
 	out := fs.String("out", "all", "which output: table1, fig2..fig6, all")
 	fs.Parse(args)
+	if fs.NArg() > 0 {
+		log.Fatalf("unknown command %q: want timeline, diff, or figure flags (-scale, -seed, -out)", fs.Arg(0))
+	}
 
 	cfg, err := core.ScenarioConfigForScale(*scale)
 	if err != nil {

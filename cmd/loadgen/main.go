@@ -1,6 +1,6 @@
 // Command loadgen drives mixed session traffic against a self-hosted
-// serving stack and writes BENCH_serve.json — the serving layer's
-// perf-regression artifact, gated by `analyze bench-check`.
+// serving stack — the load test of internal/serve — and writes a JSON
+// report of what it measured to standard output, or to the -out file.
 //
 // The run has three phases, all through the HTTP session API (the same
 // handlers cmd/mobiserve mounts, minus the network):
@@ -13,23 +13,22 @@
 //     -windows with a mid-life inject, close) run through the pool
 //     while the ramped sessions stay live.
 //
-// The artifact reports sessions/sec (churn lifecycles), p99 create and
-// advance latency (*_ns_per_op: gated on the baseline machine,
-// informational elsewhere), peak heap, and backpressure retry counts,
-// plus the two portable gate booleans:
+// The report gives sessions/sec (churn lifecycles), p99 create and
+// advance latency (*_ns_per_op), peak heap, and backpressure retry
+// counts, plus the two gate booleans:
 //
 //   - sustained_target_sessions: the service held -target concurrent
 //     live sessions (default 1000);
 //   - zero_errors: no request failed — backpressure 429s are retried,
 //     anything else is an error.
 //
-// With -smoke the churn shrinks for CI; `make serve-smoke` runs that
-// and gates the fresh artifact against the checked-in baseline with
-// `analyze bench-check -portable`.
+// loadgen exits 1, without writing the report, when either gate
+// boolean is false. With -smoke the churn shrinks for CI; `make
+// serve-smoke` runs that and relies on the exit status.
 //
 // Usage:
 //
-//	go run ./cmd/loadgen -out BENCH_serve.json [-scale small] [-seed 1] [-sessions 1000] [-target 1000] [-churn 2000] [-clients 16] [-windows 2] [-method greedy] [-smoke]
+//	go run ./cmd/loadgen [-out report.json] [-scale small] [-seed 1] [-sessions 1000] [-target 1000] [-churn 2000] [-clients 16] [-windows 2] [-method greedy] [-smoke]
 package main
 
 import (
@@ -52,7 +51,7 @@ import (
 	"mobirescue/internal/serve"
 )
 
-// report is the BENCH_serve.json document.
+// report is the JSON document loadgen writes.
 type report struct {
 	GeneratedAt time.Time `json:"generated_at"`
 	GoVersion   string    `json:"go_version"`
@@ -76,8 +75,7 @@ type report struct {
 	BackpressureRetries    int64   `json:"backpressure_retries"`
 	Errors                 int64   `json:"errors"`
 
-	// Gate booleans: portable claims `analyze bench-check -portable`
-	// holds on any hardware.
+	// Gate booleans: loadgen exits 1 when either is false.
 	SustainedTargetSessions bool `json:"sustained_target_sessions"`
 	ZeroErrors              bool `json:"zero_errors"`
 }
@@ -170,7 +168,7 @@ func forEach(n, clients int, fn func(i int)) {
 
 func main() {
 	var (
-		out      = flag.String("out", "BENCH_serve.json", "output JSON path (- for stdout)")
+		out      = flag.String("out", "-", "output JSON path (- for stdout)")
 		scale    = flag.String("scale", "small", "scenario scale ("+core.ScaleNames+")")
 		seed     = flag.Int64("seed", 1, "scenario/model seed")
 		method   = flag.String("method", "greedy", "dispatch method sessions run")

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"mobirescue/internal/mobility"
+	"mobirescue/internal/obs"
 	"mobirescue/internal/obs/eventlog"
 	"mobirescue/internal/pop"
 	"mobirescue/internal/roadnet"
@@ -18,43 +21,69 @@ import (
 // aggregating the Predict map under dispatch's regionDemand filters
 // (drop non-positive counts, out-of-range segments, and segments whose
 // region falls outside 1..NumRegions), in any summation order — the
-// counts are small integers, so float64 addition is exact.
+// counts are small integers, so float64 addition is exact. Real windows
+// predict demand in only a few regions, so a last window serves a
+// synthetic distribution with demand on every segment, plus entries the
+// filters must drop.
 func TestRegionTotalsMatchesPredictAggregation(t *testing.T) {
 	sys := testSystem(t)
 	p := sys.EvalProvider
-	g := sys.Scenario.City.Graph
-	numRegions := sys.Scenario.City.NumRegions()
 
 	for _, at := range predictWindows(sys) {
 		totals := p.RegionTotals(at)
-		if len(totals) != numRegions+1 {
-			t.Fatalf("window %v: totals length %d, want %d", at, len(totals), numRegions+1)
-		}
-		pred := p.Predict(at)
-		keys := make([]roadnet.SegmentID, 0, len(pred))
-		for seg := range pred {
-			keys = append(keys, seg)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		want := make([]float64, numRegions+1)
-		for _, seg := range keys {
-			n := pred[seg]
-			if n <= 0 || int(seg) < 0 || int(seg) >= g.NumSegments() {
-				continue
-			}
-			if r := g.Segment(seg).Region; r >= 1 && r <= numRegions {
-				want[r] += n
-			}
-		}
-		for r := range want {
-			if totals[r] != want[r] {
-				t.Fatalf("window %v region %d: RegionTotals %v != map aggregation %v", at, r, totals[r], want[r])
-			}
-		}
+		checkRegionTotals(t, sys, at, totals, p.Predict(at))
 		// Repeated queries for the same instant hit the one-entry cache
 		// and share the backing array.
 		if again := p.RegionTotals(at); len(again) > 0 && &again[0] != &totals[0] {
 			t.Fatalf("window %v: repeated RegionTotals did not reuse the cached slice", at)
+		}
+	}
+
+	sc := sys.Scenario
+	fresh, err := NewPredictProvider(sc.City, sc.Eval, sys.SVM, sc.Elev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sc.City.Graph.NumSegments()
+	synth := map[roadnet.SegmentID]float64{-1: 4, roadnet.SegmentID(n): 3}
+	for seg := 0; seg < n; seg++ {
+		synth[roadnet.SegmentID(seg)] = float64(seg%4 - 1) // -1, 0, 1, 2
+	}
+	ready := make(chan struct{})
+	close(ready)
+	at := sc.Eval.Data.Config.DisasterStart
+	fresh.cache[at.Unix()] = &predictEntry{ready: ready, val: synth}
+	checkRegionTotals(t, sys, at, fresh.RegionTotals(at), synth)
+}
+
+// checkRegionTotals fails t unless totals — RegionTotals at window at —
+// equal pred aggregated per region under dispatch's regionDemand
+// filters, summed in segment order.
+func checkRegionTotals(t *testing.T, sys *System, at time.Time, totals []float64, pred map[roadnet.SegmentID]float64) {
+	t.Helper()
+	g := sys.Scenario.City.Graph
+	numRegions := sys.Scenario.City.NumRegions()
+	if len(totals) != numRegions+1 {
+		t.Fatalf("window %v: totals length %d, want %d", at, len(totals), numRegions+1)
+	}
+	keys := make([]roadnet.SegmentID, 0, len(pred))
+	for seg := range pred {
+		keys = append(keys, seg)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	want := make([]float64, numRegions+1)
+	for _, seg := range keys {
+		n := pred[seg]
+		if n <= 0 || int(seg) < 0 || int(seg) >= g.NumSegments() {
+			continue
+		}
+		if r := g.Segment(seg).Region; r >= 1 && r <= numRegions {
+			want[r] += n
+		}
+	}
+	for r := range want {
+		if totals[r] != want[r] {
+			t.Fatalf("window %v region %d: RegionTotals %v != map aggregation %v", at, r, totals[r], want[r])
 		}
 	}
 }
@@ -107,39 +136,105 @@ func TestPredictProviderFromSourceSparseIDs(t *testing.T) {
 	}
 }
 
-// TestPredictProviderOverStreamer runs the provider over a streaming
-// synthetic population (the metro-scale source): the sharded fast path
-// must match both the serial path and the reference implementation,
-// and the region shard plan must pick up the streamer's home anchors.
-func TestPredictProviderOverStreamer(t *testing.T) {
-	sys := testSystem(t)
+// streamerProvider builds a prediction provider over a streamed
+// synthetic population of the given size on the test scenario's city,
+// the metro-scale source.
+func streamerProvider(tb testing.TB, sys *System, people int) *PredictProvider {
+	tb.Helper()
 	sc := sys.Scenario
 	mcfg := sc.Eval.Data.Config
-	mcfg.NumPeople = 400
+	mcfg.NumPeople = people
 	st, err := mobility.NewStreamer(sc.City, mcfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := NewPredictProviderFromSource(sc.City, st, sys.SVM, sc.Eval.Storm, sc.Elev, 0)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if got := p.ShardPlan().Shards(4); len(got) < 2 {
-		t.Fatalf("streamer shard plan produced %d shards, want region-aligned parallelism", len(got))
+	return p
+}
+
+// TestPredictProviderOverStreamer runs the provider over streamed
+// populations of 400, 10,000 and 100,000 people. At every tier and
+// window the sharded fast path must match the serial path, RegionTotals
+// must match the aggregated map, and the region shard plan must pick up
+// the streamer's home anchors. The 400-person tier is also checked
+// against the reference loop, which takes seconds per window at 100K.
+// From 10K to 100K people the live heap must grow less than the
+// population does: the city, the spatial index and the per-segment
+// outputs are shared, and only O(people) columns grow.
+func TestPredictProviderOverStreamer(t *testing.T) {
+	sys := testSystem(t)
+	heap := make(map[int]uint64)
+	for _, people := range []int{400, 10_000, 100_000} {
+		t.Run(fmt.Sprintf("people=%d", people), func(t *testing.T) {
+			if people > 400 && testing.Short() {
+				t.Skip("skipping metro-scale tier in -short mode")
+			}
+			p := streamerProvider(t, sys, people)
+			if got := p.ShardPlan().Shards(4); len(got) < 2 {
+				t.Fatalf("streamer shard plan produced %d shards, want region-aligned parallelism", len(got))
+			}
+			for _, at := range predictWindows(sys) {
+				p.SetWorkers(1)
+				p.ResetCache()
+				serial := p.Predict(at)
+				p.SetWorkers(8)
+				p.ResetCache()
+				if parallel := p.Predict(at); !reflect.DeepEqual(serial, parallel) {
+					t.Fatalf("window %v: streamer-backed prediction differs across workers", at)
+				}
+				checkRegionTotals(t, sys, at, p.RegionTotals(at), serial)
+				if people > 400 {
+					continue
+				}
+				if want := p.PredictReference(at); !reflect.DeepEqual(serial, want) {
+					t.Fatalf("window %v: streamer-backed fast path differs from reference", at)
+				}
+			}
+			runtime.GC()
+			heap[people] = obs.ReadMem().HeapInuseBytes
+			runtime.KeepAlive(p)
+		})
 	}
-	for _, at := range predictWindows(sys) {
-		p.SetWorkers(1)
-		p.ResetCache()
-		serial := p.Predict(at)
-		p.SetWorkers(8)
-		p.ResetCache()
-		parallel := p.Predict(at)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("window %v: streamer-backed prediction differs across workers", at)
+	if h10k, h100k := heap[10_000], heap[100_000]; h10k > 0 && h100k > 0 {
+		ratio := float64(h100k) / float64(h10k)
+		t.Logf("live heap %.1f -> %.1f MB (%.2fx) from 10K to 100K people", float64(h10k)/1e6, float64(h100k)/1e6, ratio)
+		if ratio >= 10 {
+			t.Fatalf("live heap grew %.2fx from 10K to 100K people, want less than the 10x population growth", ratio)
 		}
-		if want := p.PredictReference(at); !reflect.DeepEqual(serial, want) {
-			t.Fatalf("window %v: streamer-backed fast path differs from reference", at)
-		}
+	}
+}
+
+// BenchmarkPredictStreamer times one cold prediction window (Predict
+// plus RegionTotals, window cache reset) over streamed populations of
+// 10K, 100K and 1M people. Run it with -cpu 1,2 to time the serial and
+// the sharded loop:
+//
+//	go test -run '^$' -bench PredictStreamer -cpu 1,2 ./internal/core
+func BenchmarkPredictStreamer(b *testing.B) {
+	sys := testSystem(b)
+	at := sys.Scenario.Eval.Data.Config.DisasterStart.Add(36 * time.Hour)
+	// Two alternating windows, so RegionTotals' one-entry cache misses
+	// too.
+	windows := [2]time.Time{at, at.Add(5 * time.Minute)}
+	for _, tier := range []struct {
+		name   string
+		people int
+	}{{"10k", 10_000}, {"100k", 100_000}, {"1m", 1_000_000}} {
+		b.Run(tier.name, func(b *testing.B) {
+			p := streamerProvider(b, sys, tier.people)
+			p.Predict(windows[1]) // fill the per-person memos
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := windows[i%2]
+				p.ResetCache()
+				p.Predict(w)
+				p.RegionTotals(w)
+			}
+		})
 	}
 }
 

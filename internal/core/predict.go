@@ -529,30 +529,6 @@ func (p *PredictProvider) segmentOf(i int, m *segMemo) roadnet.SegmentID {
 	return seg
 }
 
-// PredictReference is the pre-fast-path Predict implementation — an
-// uncached serial loop over the naive trailing-scan factors and the
-// reference SVM kernel sum, with a fresh spatial-index lookup per
-// person. It is retained as the equivalence oracle for the fast path
-// (TestPredictMatchesReference) and as the baseline cmd/benchpredict
-// measures the >=5x single-thread speedup against.
-func (p *PredictProvider) PredictReference(t time.Time) map[roadnet.SegmentID]float64 {
-	out := make(map[roadnet.SegmentID]float64)
-	unixNano := t.UnixNano()
-	for i := 0; i < p.src.NumPeople(); i++ {
-		pos := p.src.PosAt(i, unixNano)
-		factors := weather.WindowFactors(p.storm, p.elev, pos, t, factorLookback)
-		if p.model.DecisionReference(factors.Vector()) < 0 {
-			continue
-		}
-		seg := p.index.NearestSegment(pos)
-		if seg == roadnet.NoSegment {
-			continue
-		}
-		out[seg]++
-	}
-	return out
-}
-
 // ResetCache drops every cached window (benchmarks use this to measure
 // the cold path).
 func (p *PredictProvider) ResetCache() {

@@ -29,9 +29,32 @@ func predictWindows(sys *System) []time.Time {
 	}
 }
 
+// PredictReference is the pre-fast-path Predict implementation — an
+// uncached serial loop over the naive trailing-scan factors and the
+// reference SVM kernel sum, with a fresh spatial-index lookup per
+// person. It is retained as the equivalence oracle for the fast path
+// (TestPredictMatchesReference and the tests after it).
+func (p *PredictProvider) PredictReference(t time.Time) map[roadnet.SegmentID]float64 {
+	out := make(map[roadnet.SegmentID]float64)
+	unixNano := t.UnixNano()
+	for i := 0; i < p.src.NumPeople(); i++ {
+		pos := p.src.PosAt(i, unixNano)
+		factors := weather.WindowFactors(p.storm, p.elev, pos, t, factorLookback)
+		if p.model.DecisionReference(factors.Vector()) < 0 {
+			continue
+		}
+		seg := p.index.NearestSegment(pos)
+		if seg == roadnet.NoSegment {
+			continue
+		}
+		out[seg]++
+	}
+	return out
+}
+
 // TestPredictParallelMatchesSerial is the determinism contract of the
 // sharded person loop: the predicted distribution must be byte-identical
-// for workers 1, 4, and 8 at every window (run under -race in CI).
+// for workers 1, 2, 4, and 8 at every window (run under -race in CI).
 func TestPredictParallelMatchesSerial(t *testing.T) {
 	sys := testSystem(t)
 	p := sys.EvalProvider
@@ -44,7 +67,7 @@ func TestPredictParallelMatchesSerial(t *testing.T) {
 		baseline[i] = p.Predict(at)
 	}
 	defer p.SetWorkers(sys.Config.Workers)
-	for _, workers := range []int{4, 8} {
+	for _, workers := range []int{2, 4, 8} {
 		p.SetWorkers(workers)
 		p.ResetCache()
 		for i, at := range windows {

@@ -13,8 +13,7 @@ func benchCity(b *testing.B) *City {
 
 // BenchmarkTree is the steady-state single-source Dijkstra: a reused
 // Workspace, so the generation-stamped arrays and the typed heap are
-// warm. The acceptance bar is 0 allocs/op after warm-up — any
-// regression here shows up as allocs/op in `make bench`.
+// warm. TestTreeIntoZeroAlloc pins its 0 allocs/op.
 func BenchmarkTree(b *testing.B) {
 	city := benchCity(b)
 	r := NewRouter(city.Graph, nil)
@@ -42,7 +41,8 @@ func BenchmarkTreeCold(b *testing.B) {
 
 // BenchmarkTreeCached is the epoch-cache hit path every dispatcher and
 // the engine ride within a decision window: one mutex-guarded map
-// lookup. The acceptance bar is ≥10x faster than BenchmarkTreeCold.
+// lookup, no Dijkstra (TestRouterMetricsCounts pins that a hit never
+// recomputes the tree).
 func BenchmarkTreeCached(b *testing.B) {
 	city := benchCity(b)
 	r := NewRouter(city.Graph, nil)

@@ -204,8 +204,8 @@ func (m *Model) DecisionBatch(ws *Workspace, xs [][]float64, out []float64) []fl
 // DecisionReference is the pre-fast-path implementation — a generic
 // kernel sum over the [][]float64 support vectors after an allocating
 // scaler transform. It is retained as the equivalence oracle for the
-// fast path (see TestFastDecisionMatchesReference) and as the baseline
-// cmd/benchpredict measures speedups against.
+// fast path: TestFastDecisionMatchesReference here, and core's
+// reference prediction loop in its tests.
 func (m *Model) DecisionReference(x []float64) float64 {
 	m.predictions.Inc()
 	return m.decisionReference(x)

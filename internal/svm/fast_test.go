@@ -168,8 +168,8 @@ func BenchmarkDecisionInto(b *testing.B) {
 	}
 }
 
-// BenchmarkDecisionReference is the pre-PR baseline the fast path is
-// compared against in BENCH_predict.json.
+// BenchmarkDecisionReference times the retained reference
+// implementation, the baseline for BenchmarkDecisionInto.
 func BenchmarkDecisionReference(b *testing.B) {
 	for _, kernel := range []Kernel{Linear{}, RBF{Gamma: 0.3}} {
 		kernel := kernel
