@@ -17,8 +17,10 @@ all: ci race
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt: any file gofmt would change fails the gate.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -42,11 +44,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/roadnet
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/svm ./internal/nn ./internal/weather
 
-# One-iteration pass over the same micro-benchmarks — the only run of
+# One-iteration pass over the same micro-benchmarks plus core's
+# (BenchmarkPredictStreamer, BenchmarkTrainEpisodes) — the only run of
 # the benchmark bodies, which `make test` skips — so their code cannot
 # rot between commits.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/weather
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/weather ./internal/core
 
 # Short fuzz pass over the city loader, the checkpoint loader, and the
 # session API handlers (the corpus seeds always run as part of `make
@@ -86,7 +89,7 @@ cover:
 # timeline from the structured log.
 eventlog-smoke:
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -eventlog eventlog_a.jsonl
-	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -workers 8 -train-workers 8 -eventlog eventlog_b.jsonl
+	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -workers 8 -eventlog eventlog_b.jsonl
 	rm -rf eventlog_snaps
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -snapshot-dir eventlog_snaps -eventlog eventlog_c.jsonl
 	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_b.jsonl

@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	experiments [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-fig all|9|...|16] [-chaos profile] [-chaos-seed S] [-eventlog f] [-eventlog-timing] [-decide-deadline d] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep K] [-resume] [-obs addr] [-cpuprofile f] [-memprofile f]
+//	experiments [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-fig all|9|...|16] [-chaos profile] [-chaos-seed S] [-eventlog f] [-eventlog-timing] [-decide-deadline d] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep K] [-resume] [-obs addr] [-cpuprofile f] [-memprofile f]
 //
 // RL training uses the parallel actor–learner pipeline: -train-actors
-// logical actors (default 4) roll out under the -train-workers
-// concurrency bound; the trained policy is byte-identical for any
-// -train-workers value. -load-policy warm-starts from a checkpoint
+// logical actors (default 4) roll out under the -workers concurrency
+// bound; the trained policy is byte-identical for any -workers value.
+// -load-policy warm-starts from a checkpoint
 // (train on top with -episodes, or pass -episodes -1 to skip training);
 // -save-policy writes the trained state for later runs.
 //
@@ -102,7 +102,7 @@ func main() {
 
 	// Snapshots cover the training phase, keyed to the MobiRescue method;
 	// the comparison re-executes deterministically on resume.
-	run, err := f.Open(sys, sc.Config, "MobiRescue", reg, logger)
+	run, err := f.Open(sys, "MobiRescue", reg, logger)
 	if errors.Is(err, core.ErrRunComplete) {
 		return
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mobirescue [-method mr|rescue|schedule] [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-checkpoint-every N] [-chaos profile] [-chaos-seed S] [-decide-deadline d] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep N] [-resume] [-obs addr] [-report] [-cpuprofile f] [-memprofile f]
+//	mobirescue [-method mr|rescue|schedule] [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-checkpoint-every N] [-chaos profile] [-chaos-seed S] [-decide-deadline d] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep N] [-resume] [-obs addr] [-report] [-cpuprofile f] [-memprofile f]
 //
 // With -obs the process serves /metrics (Prometheus text format),
 // /healthz, /debug/vars, and /debug/pprof/* on the given address for the
@@ -38,8 +38,8 @@
 // RL training (method mr) runs the parallel actor–learner pipeline:
 // -train-actors logical actors (default 4; fixes seeds and merge order,
 // so change it only to change the experiment) roll out concurrently
-// under the -train-workers bound. The trained policy is byte-identical
-// for any -train-workers value. -save-policy writes a versioned,
+// under the -workers bound. The trained policy is byte-identical for
+// any -workers value. -save-policy writes a versioned,
 // checksummed checkpoint after training (and every -checkpoint-every
 // rounds during it); -load-policy warm-starts from one, skipping
 // training when -episodes is 0.
@@ -130,7 +130,7 @@ func main() {
 		logger.Info("chaos enabled",
 			slog.String("profile", profile.Name), slog.Int64("chaos-seed", f.ChaosSeed))
 	}
-	run, err := f.Open(sys, cfg, name, reg, logger)
+	run, err := f.Open(sys, name, reg, logger)
 	if errors.Is(err, core.ErrRunComplete) {
 		return
 	}

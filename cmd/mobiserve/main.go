@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	mobiserve [-addr :8080] [-scale small] [-seed 1] [-teams N] [-episodes N] [-load-policy f] [-max-sessions N] [-queue-depth N] [-eventlog f] [-checkpoint f] [-resume] [-workers N] [-train-workers N] [-v]
+//	mobiserve [-addr :8080] [-scale small] [-seed 1] [-teams N] [-episodes N] [-load-policy f] [-max-sessions N] [-queue-depth N] [-eventlog f] [-checkpoint f] [-resume] [-workers N] [-v]
 //
 // Startup builds the scenario, trains the SVM, optionally trains the
 // RL policy for -episodes (or warm-starts it from -load-policy), then
@@ -57,7 +57,6 @@ func main() {
 		ckptF    = flag.String("checkpoint", "mobiserve.ckpt", "drain checkpoint path written on SIGINT/SIGTERM")
 		resume   = flag.Bool("resume", false, "restore live sessions from -checkpoint before serving (fresh start when it does not exist)")
 		workers  = flag.Int("workers", 0, "parallelism bound for scenario building and SVM/RL training (0 = GOMAXPROCS)")
-		trainWk  = flag.Int("train-workers", 0, "parallel rollout bound for RL training (0 = -workers)")
 		verbose  = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
@@ -70,12 +69,12 @@ func main() {
 	reg := obs.NewRegistry()
 	reg.PublishExpvar("mobirescue")
 
-	build := cli.Flags{Scale: *scale, Seed: *seed, Teams: *teams, Workers: *workers, TrainWorkers: *trainWk}
+	build := cli.Flags{Scale: *scale, Seed: *seed, Teams: *teams, Workers: *workers}
 	cfg, err := build.ScenarioConfig()
 	if err != nil {
 		fatal(logger, err)
 	}
-	_, sys, err := build.Build(context.Background(), cfg, reg, logger)
+	sc, sys, err := build.Build(context.Background(), cfg, reg, logger)
 	if err != nil {
 		fatal(logger, err)
 	}
@@ -100,7 +99,7 @@ func main() {
 
 	var elog *eventlog.Log
 	if *evlogF != "" {
-		elog, err = eventlog.Create(*evlogF, sys.BuildManifest(*scale, cfg), eventlog.Options{})
+		elog, err = eventlog.Create(*evlogF, sys.BuildManifest(*scale, sc.Config), eventlog.Options{})
 		if err != nil {
 			fatal(logger, err)
 		}

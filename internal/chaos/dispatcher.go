@@ -52,9 +52,6 @@ func (in *Injector) WrapDispatcher(inner sim.Dispatcher) sim.Dispatcher {
 // method's name.
 func (d *FaultyDispatcher) Name() string { return d.inner.Name() }
 
-// Inner returns the wrapped dispatcher.
-func (d *FaultyDispatcher) Inner() sim.Dispatcher { return d.inner }
-
 // Decide implements sim.Dispatcher.
 func (d *FaultyDispatcher) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	d.round++

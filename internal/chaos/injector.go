@@ -80,12 +80,6 @@ func NewInjector(p Profile, seed int64, g *roadnet.Graph, start time.Time, durat
 	return in, nil
 }
 
-// Profile returns the injector's profile.
-func (in *Injector) Profile() Profile { return in.profile }
-
-// Seed returns the schedule seed.
-func (in *Injector) Seed() int64 { return in.seed }
-
 // NumSurges returns how many flash-flood surges the schedule contains.
 func (in *Injector) NumSurges() int { return len(in.surges) }
 

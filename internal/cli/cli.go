@@ -54,7 +54,6 @@ type Flags struct {
 	ChaosSeed      int64
 	Obs            string
 	Workers        int
-	TrainWorkers   int
 	TrainActors    int
 	SavePolicy     string
 	LoadPolicy     string
@@ -79,8 +78,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.StringVar(&f.Chaos, "chaos", "off", "chaos profile: "+chaos.ProfileNames)
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "chaos fault-schedule seed")
 	fs.StringVar(&f.Obs, "obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
-	fs.IntVar(&f.Workers, "workers", 0, "parallelism bound for routing prefetch and evaluation runs (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
-	fs.IntVar(&f.TrainWorkers, "train-workers", 0, "parallel rollout bound for RL training (0 = -workers, then GOMAXPROCS; the trained policy is identical for any value)")
+	fs.IntVar(&f.Workers, "workers", 0, "parallelism bound for routing prefetch, evaluation runs and RL training rollouts (0 = GOMAXPROCS, 1 = serial; results and the trained policy are identical for any value)")
 	fs.IntVar(&f.TrainActors, "train-actors", 0, "logical actor count for RL training (0 = default 4; changes the training experiment, not just its speed)")
 	fs.StringVar(&f.SavePolicy, "save-policy", "", "write the trained policy checkpoint to this file (also checkpointed during training)")
 	fs.StringVar(&f.LoadPolicy, "load-policy", "", "warm-start the policy from this checkpoint before training/evaluation")
@@ -155,7 +153,6 @@ func (f *Flags) systemConfig(reg *obs.Registry, logger *slog.Logger) core.System
 	cfg.Seed = f.Seed
 	cfg.Teams = f.Teams
 	cfg.Workers = f.Workers
-	cfg.TrainWorkers = f.TrainWorkers
 	cfg.TrainActors = f.TrainActors
 	cfg.CheckpointPath = f.SavePolicy
 	cfg.DecideTimeout = f.DecideDeadline
@@ -192,15 +189,16 @@ type Run struct {
 }
 
 // Open arms -snapshot-dir/-resume and -eventlog on sys for a run of
-// method (the paper's method name, which keys the snapshots).
-// identity is the scenario configuration the snapshots and the log
-// manifest fingerprint. A resumed snapshot must belong to the same
+// method (the paper's method name, which keys the snapshots). The
+// snapshots and the log manifest fingerprint the built scenario's
+// configuration, sys.Scenario.Config, so every command stamps one
+// scenario with one hash. A resumed snapshot must belong to the same
 // configuration, seed and method; one that says the run already
 // finished is logged and reported as core.ErrRunComplete before the
 // event log is touched.
-func (f *Flags) Open(sys *core.System, identity core.ScenarioConfig, method string, reg *obs.Registry, logger *slog.Logger) (*Run, error) {
+func (f *Flags) Open(sys *core.System, method string, reg *obs.Registry, logger *slog.Logger) (*Run, error) {
 	r := &Run{logger: logger, dir: f.SnapshotDir, path: f.EventLog}
-	d, err := f.durability(identity)
+	d, err := f.durability(sys.Scenario.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +217,7 @@ func (f *Flags) Open(sys *core.System, identity core.ScenarioConfig, method stri
 		// run re-executes (and re-appends) everything after it.
 		r.elog, err = eventlog.OpenAppend(f.EventLog, st.LogOffset, st.LogEvents, opts)
 	} else {
-		r.elog, err = eventlog.Create(f.EventLog, sys.BuildManifest(f.Scale, identity), opts)
+		r.elog, err = eventlog.Create(f.EventLog, sys.BuildManifest(f.Scale, sys.Scenario.Config), opts)
 	}
 	if err != nil {
 		return nil, err

@@ -1,7 +1,10 @@
 package cli
 
 import (
+	"context"
 	"flag"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +13,8 @@ import (
 	"time"
 
 	"mobirescue/internal/core"
+	"mobirescue/internal/obs"
+	"mobirescue/internal/obs/eventlog"
 	"mobirescue/internal/snapshot"
 )
 
@@ -20,7 +25,7 @@ var sharedFlags = []string{
 	"eventlog", "eventlog-timing", "load-policy", "memprofile", "obs",
 	"resume", "save-policy", "scale", "seed", "snapshot-dir",
 	"snapshot-every", "snapshot-keep", "teams", "train-actors",
-	"train-workers", "workers",
+	"workers",
 }
 
 func parse(t *testing.T, d Defaults, args ...string) *Flags {
@@ -103,7 +108,7 @@ func TestFlagsBind(t *testing.T) {
 			args: []string{
 				"-scale", "full", "-episodes", "3", "-teams", "9", "-seed", "42",
 				"-chaos", "heavy", "-chaos-seed", "5",
-				"-obs", ":9090", "-workers", "2", "-train-workers", "3",
+				"-obs", ":9090", "-workers", "2",
 				"-train-actors", "5", "-save-policy", "save.ckpt",
 				"-load-policy", "load.ckpt", "-eventlog", "run.jsonl",
 				"-eventlog-timing", "-decide-deadline", "2s",
@@ -114,7 +119,7 @@ func TestFlagsBind(t *testing.T) {
 			flags: Flags{
 				Scale: "full", Episodes: 3, Teams: 9, Seed: 42,
 				Chaos: "heavy", ChaosSeed: 5, Obs: ":9090", Workers: 2,
-				TrainWorkers: 3, TrainActors: 5, SavePolicy: "save.ckpt",
+				TrainActors: 5, SavePolicy: "save.ckpt",
 				LoadPolicy: "load.ckpt", EventLog: "run.jsonl", EventLogTiming: true,
 				DecideDeadline: 2 * time.Second, SnapshotDir: snapDir,
 				SnapshotEvery: 4, SnapshotKeep: 2, Resume: true,
@@ -123,7 +128,7 @@ func TestFlagsBind(t *testing.T) {
 			scenario: scenario("full", 42),
 			system: system(func(c *core.SystemConfig) {
 				c.Seed, c.Teams, c.Workers = 42, 9, 2
-				c.TrainWorkers, c.TrainActors = 3, 5
+				c.TrainActors = 5
 				c.CheckpointPath = "save.ckpt"
 				c.DecideTimeout = 2 * time.Second
 			}),
@@ -160,7 +165,7 @@ func TestFlagsBind(t *testing.T) {
 				}
 				return
 			}
-			if d.Mgr == nil || d.Mgr.Dir() != snapDir || d.Stop == nil {
+			if d.Mgr == nil || d.Stop == nil {
 				t.Fatalf("durability = %+v, want a manager on %s and a stop flag", d, snapDir)
 			}
 			if d.Every != tc.every || d.Scale != tc.flags.Scale || d.ConfigHash != core.ConfigHash(sc) {
@@ -193,5 +198,60 @@ func TestResumeNeedsSnapshotDir(t *testing.T) {
 		if err := parse(t, d, "-resume", "-snapshot-dir", t.TempDir()).validate(); err != nil {
 			t.Errorf("%s: -resume with -snapshot-dir rejected: %v", d.Scale, err)
 		}
+	}
+}
+
+// TestOpenFingerprintsBuiltScenario pins one scenario identity for every
+// command: the event-log manifest and the snapshots carry the hash of
+// the built scenario's configuration, whose City.Seed BuildScenario sets
+// from -seed, not the hash of the configuration the flags describe.
+func TestOpenFingerprintsBuiltScenario(t *testing.T) {
+	dir := t.TempDir()
+	snapDir := filepath.Join(dir, "snaps")
+	logPath := filepath.Join(dir, "run.jsonl")
+	args := []string{"-scale", "small", "-seed", "2", "-snapshot-dir", snapDir}
+	f := parse(t, MobiRescue, append(args, "-eventlog", logPath)...)
+	cfg, err := f.ScenarioConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logger := obs.NewLogger(io.Discard, slog.LevelError)
+	_, sys, err := f.Build(context.Background(), cfg, nil, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.ConfigHash(sys.Scenario.Config)
+	if want == core.ConfigHash(cfg) {
+		t.Fatal("at seed 2 the built configuration should hash differently from the flags' configuration")
+	}
+
+	run, err := f.Open(sys, "MobiRescue", nil, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Close()
+	rl, err := eventlog.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rl.Manifest.ConfigHash != want {
+		t.Errorf("manifest config_hash = %s, want %s", rl.Manifest.ConfigHash, want)
+	}
+
+	// The durability hash: -resume accepts a snapshot stamped with it.
+	mgr, err := snapshot.NewManager(snapDir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &snapshot.RunState{ConfigHash: want, Seed: 2, Method: "MobiRescue", Phase: snapshot.PhaseTrain}
+	if _, err := mgr.Install(st); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := parse(t, MobiRescue, append(args, "-resume")...).Open(sys, "MobiRescue", nil, logger)
+	if err != nil {
+		t.Fatalf("durability hash differs from the built configuration's: %v", err)
+	}
+	if resumed.Resume == nil {
+		t.Fatal("-resume found no snapshot")
 	}
 }

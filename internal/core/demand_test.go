@@ -110,9 +110,6 @@ func TestPredictProviderFromSourceSparseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Dense() {
-		t.Fatal("store with IDs 5/40/1007 reported dense")
-	}
 
 	horizon := time.Duration(cfg.Days)*24*time.Hour + factorLookback
 	p, err := NewPredictProviderFromSource(sc.City, store, sys.SVM, sc.Eval.Storm, sc.Elev, horizon)
@@ -173,8 +170,24 @@ func TestPredictProviderOverStreamer(t *testing.T) {
 				t.Skip("skipping metro-scale tier in -short mode")
 			}
 			p := streamerProvider(t, sys, people)
-			if got := p.ShardPlan().Shards(4); len(got) < 2 {
+			if got := p.plan.Shards(4); len(got) < 2 {
 				t.Fatalf("streamer shard plan produced %d shards, want region-aligned parallelism", len(got))
+			}
+			// The plan must group people by the district of their home
+			// anchor: along its order the anchor districts never
+			// decrease, and more than one district appears.
+			last, districts := -1, 0
+			for k := 0; k < p.NumPeople(); k++ {
+				reg := sys.Scenario.City.RegionAt(p.src.FirstPos(p.plan.At(k)))
+				if reg < last {
+					t.Fatalf("plan position %d: district %d after %d", k, reg, last)
+				}
+				if reg != last {
+					last, districts = reg, districts+1
+				}
+			}
+			if districts < 2 {
+				t.Fatalf("shard plan spans %d district(s), want the streamer's home anchors spread over several", districts)
 			}
 			for _, at := range predictWindows(sys) {
 				p.SetWorkers(1)

@@ -218,7 +218,7 @@ func (s *System) trainParallel(episodes int) ([]float64, error) {
 	cfgT := train.Config{
 		Actors:          s.trainActors(),
 		Episodes:        remaining,
-		Workers:         s.trainWorkers(),
+		Workers:         s.Config.Workers,
 		Seed:            s.Config.Seed,
 		CheckpointPath:  s.Config.CheckpointPath,
 		CheckpointEvery: s.Config.CheckpointEvery,

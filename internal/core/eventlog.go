@@ -30,13 +30,12 @@ func ConfigHash(cfg ScenarioConfig) string {
 // "mid", "full", or "" for a custom config).
 func (s *System) BuildManifest(scale string, sc ScenarioConfig) eventlog.Manifest {
 	m := eventlog.Manifest{
-		Scale:        scale,
-		ConfigHash:   ConfigHash(sc),
-		Seed:         s.Config.Seed,
-		TrainActors:  s.trainActors(),
-		Workers:      s.Config.Workers,
-		TrainWorkers: s.Config.TrainWorkers,
-		GoVersion:    runtime.Version(),
+		Scale:       scale,
+		ConfigHash:  ConfigHash(sc),
+		Seed:        s.Config.Seed,
+		TrainActors: s.trainActors(),
+		Workers:     s.Config.Workers,
+		GoVersion:   runtime.Version(),
 	}
 	if s.Config.Chaos.Enabled() {
 		m.Chaos = s.Config.Chaos.Name
@@ -50,9 +49,6 @@ func (s *System) BuildManifest(scale string, sc ScenarioConfig) eventlog.Manifes
 // and training session records typed events into it. A nil log (the default) disables recording at zero cost.
 // The caller keeps ownership of the log and must Close it.
 func (s *System) SetEventLog(l *eventlog.Log) { s.evlog = l }
-
-// EventLog returns the attached flight-recorder log (nil when off).
-func (s *System) EventLog() *eventlog.Log { return s.evlog }
 
 // recordPredCache emits the evaluation provider's cumulative
 // window-cache totals. The provider is shared across concurrent runs,

@@ -9,7 +9,7 @@ import (
 
 // The flight recorder extends the repo's determinism witness from
 // results to telemetry: everything after the manifest header must be
-// byte-identical for any Workers/TrainWorkers value. This test runs
+// byte-identical for any Workers value. This test runs
 // training plus the full three-method comparison at workers 1, 4 and 8
 // and compares the raw streams (run with -race: the recorder append
 // path is exactly where a reorder bug would hide).
@@ -23,7 +23,6 @@ func TestEventLogByteIdenticalAcrossWorkers(t *testing.T) {
 		cfg := DefaultSystemConfig()
 		cfg.TrainEpisodes = 2
 		cfg.Workers = workers
-		cfg.TrainWorkers = workers
 		sys, err := NewSystem(sc, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: NewSystem: %v", workers, err)

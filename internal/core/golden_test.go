@@ -99,7 +99,7 @@ func TestGoldenReplay(t *testing.T) {
 	cfg := DefaultSystemConfig()
 	cfg.TrainEpisodes = 2
 	cfg.TrainActors = 2
-	cfg.TrainWorkers = 2
+	cfg.Workers = 2
 	sys, err := NewSystem(testScenario(t), cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)

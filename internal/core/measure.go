@@ -26,9 +26,6 @@ func NewMeasurement(sc *Scenario) *Measurement {
 	return &Measurement{sc: sc, flow: flow}
 }
 
-// Flow exposes the derived vehicle-flow statistics.
-func (m *Measurement) Flow() *mobility.Flow { return m.flow }
-
 // Table1 computes the Pearson correlation between each region's mean
 // vehicle flow rate during the disaster and its disaster-related factors
 // (precipitation, wind speed, altitude). Paper values: -0.897, -0.781,
@@ -219,13 +216,4 @@ func (m *Measurement) Fig6() []int {
 		out[day]++
 	}
 	return out
-}
-
-// DisasterWindowHours returns the [from, to) hour bounds of the disaster
-// within the evaluation window, for callers formatting figure output.
-func (m *Measurement) DisasterWindowHours() (int, int) {
-	cfg := m.sc.Eval.Data.Config
-	from := int(cfg.DisasterStart.Sub(cfg.Start) / time.Hour)
-	to := int(cfg.DisasterEnd.Sub(cfg.Start) / time.Hour)
-	return from, to
 }

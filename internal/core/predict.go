@@ -203,9 +203,7 @@ type PredictProvider struct {
 	factors *weather.FactorIndex
 	elev    func(geo.Point) float64
 
-	src    pop.Source
-	serial bool       // src implements pop.SerialWindows
-	winMu  sync.Mutex // serializes computeWindow for serial sources
+	src pop.Source
 	// segs[i] memoizes person i's last nearest-segment resolution.
 	segs       []atomic.Pointer[segMemo]
 	plan       *pop.Regions
@@ -282,14 +280,7 @@ func NewPredictProviderFromSource(city *roadnet.City, src pop.Source, model *svm
 	// The shard plan groups people by council district so shards share
 	// flood cells and spatial-index neighborhoods. Any deterministic
 	// assignment works — shard boundaries never change results.
-	regionOf := func(int) int { return 0 }
-	if fp, ok := src.(pop.FirstPositions); ok && numRegions > 0 {
-		regionOf = func(i int) int { return city.RegionAt(fp.FirstPos(i)) }
-	}
-	serial := false
-	if sw, ok := src.(pop.SerialWindows); ok && sw.SerialWindows() {
-		serial = true
-	}
+	regionOf := func(i int) int { return city.RegionAt(src.FirstPos(i)) }
 	segRegion := make([]int32, g.NumSegments())
 	g.Segments(func(s roadnet.Segment) { segRegion[s.ID] = int32(s.Region) })
 	p := &PredictProvider{
@@ -298,7 +289,6 @@ func NewPredictProviderFromSource(city *roadnet.City, src pop.Source, model *svm
 		factors:    weather.NewFactorIndex(storm, elev, factorLookback),
 		elev:       elev,
 		src:        src,
-		serial:     serial,
 		segs:       make([]atomic.Pointer[segMemo], n),
 		plan:       pop.NewRegions(n, numRegions, regionOf),
 		segRegion:  segRegion,
@@ -423,10 +413,6 @@ func (p *PredictProvider) evictLocked(newKey int64) {
 // byte-identical for any worker count (and for the pre-columnar
 // ID-ordered partition).
 func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float64 {
-	if p.serial {
-		p.winMu.Lock()
-		defer p.winMu.Unlock()
-	}
 	workers := p.effectiveWorkers()
 	if n := p.src.NumPeople(); workers > n {
 		workers = n
@@ -561,11 +547,6 @@ func (p *PredictProvider) NumPeople() int { return p.src.NumPeople() }
 
 // Source returns the population source the provider predicts over.
 func (p *PredictProvider) Source() pop.Source { return p.src }
-
-// ShardPlan returns the region-ordered shard plan (people grouped by
-// council district; the pop.Regions tree generalizes the paper's flat
-// 7-district split).
-func (p *PredictProvider) ShardPlan() *pop.Regions { return p.plan }
 
 // RegionTotals returns the per-region sums of the predicted
 // distribution at t: totals[r] for regions 1..NumRegions, index 0

@@ -50,22 +50,18 @@ type SystemConfig struct {
 	Sim sim.Config
 	// IPLatency models the baselines' integer-programming solve time.
 	IPLatency ilp.LatencyModel
-	// Workers bounds the evaluation pipeline's parallelism: the routing
-	// layer's tree prefetching inside every simulation and the concurrent
-	// method runs of RunComparison. 0 means GOMAXPROCS; 1 forces fully
-	// serial execution. Results are byte-identical for any value —
-	// parallel units are independent deterministic runs merged in a
-	// fixed order.
+	// Workers bounds the pipeline's parallelism: the routing layer's
+	// tree prefetching inside every simulation, the concurrent method
+	// runs of RunComparison and the trainer's rollouts. 0 means
+	// GOMAXPROCS; 1 forces fully serial execution. Results and the
+	// trained policy are byte-identical for any value — parallel units
+	// are independent deterministic runs merged in a fixed order.
 	Workers int
 	// TrainActors is the logical actor count of the parallel actor–learner
 	// trainer (TrainRLParallel): it fixes per-actor RNG streams and the
 	// learner's merge order, so changing it changes the training run.
 	// 0 means the default of 4.
 	TrainActors int
-	// TrainWorkers bounds the trainer's physical rollout concurrency;
-	// 0 falls back to Workers (and then GOMAXPROCS), 1 forces serial
-	// rollouts. The trained policy is byte-identical for any value.
-	TrainWorkers int
 	// CheckpointPath, when set, receives an atomically written, versioned
 	// policy checkpoint after training (and every CheckpointEvery rounds
 	// when positive) — see SavePolicy/LoadPolicy for manual control.
@@ -455,24 +451,14 @@ func (s *System) trainActors() int {
 	return 4
 }
 
-// trainWorkers returns the trainer's physical concurrency bound:
-// TrainWorkers, falling back to Workers (and, inside the trainer, to
-// GOMAXPROCS when both are 0).
-func (s *System) trainWorkers() int {
-	if s.Config.TrainWorkers > 0 {
-		return s.Config.TrainWorkers
-	}
-	return s.Config.Workers
-}
-
 // TrainRLParallel trains the MobiRescue dispatcher with the
 // internal/train actor–learner pipeline: TrainActors logical actors
 // replay the training episode's peak day against frozen policy snapshots
-// (at most TrainWorkers simulations at once) while the central DQN
-// absorbs their trajectories in fixed actor-index order. The returned
+// (at most Workers simulations at once) while the central DQN absorbs
+// their trajectories in fixed actor-index order. The returned
 // per-episode rewards (timely served requests, ordered by round then
 // actor) and the learner's final state are byte-identical for any
-// TrainWorkers value; see internal/train for the determinism contract.
+// Workers value; see internal/train for the determinism contract.
 //
 // episodes <= 0 trains for Config.TrainEpisodes. With CheckpointPath set
 // the learner state is checkpointed atomically after training (and every

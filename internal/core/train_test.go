@@ -17,7 +17,7 @@ func freshTrainSystem(t testing.TB, workers int) *System {
 	cfg := DefaultSystemConfig()
 	cfg.TrainEpisodes = 5
 	cfg.TrainActors = 3 // logical layout: fixed across worker counts
-	cfg.TrainWorkers = workers
+	cfg.Workers = workers
 	sys, err := NewSystem(testScenario(t), cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -137,7 +137,7 @@ func TestTrainRLParallelCheckpointCadence(t *testing.T) {
 	cfg := DefaultSystemConfig()
 	cfg.TrainEpisodes = 4
 	cfg.TrainActors = 2
-	cfg.TrainWorkers = 2
+	cfg.Workers = 2
 	cfg.CheckpointPath = path
 	cfg.CheckpointEvery = 1
 	cfg.Metrics = obs.NewRegistry()

@@ -168,16 +168,3 @@ func bestOpenSegmentInRegion(snap *sim.Snapshot, baseCost roadnet.CostModel, reg
 	})
 	return best
 }
-
-// standbySegments returns one open segment per region (nearest the region
-// center) for spreading idle teams out, as static-deployment baselines
-// do. Regions with no open segment are skipped.
-func standbySegments(snap *sim.Snapshot) []roadnet.SegmentID {
-	var out []roadnet.SegmentID
-	for r := 1; r <= snap.City.NumRegions(); r++ {
-		if seg := bestSegmentInRegion(snap, r, nil); seg != roadnet.NoSegment {
-			out = append(out, seg)
-		}
-	}
-	return out
-}

@@ -201,9 +201,6 @@ func (m *MobiRescue) EnableMetrics(reg *obs.Registry) {
 // SetTraining toggles online learning and exploration.
 func (m *MobiRescue) SetTraining(on bool) { m.training = on }
 
-// Training reports whether online learning is active.
-func (m *MobiRescue) Training() bool { return m.training }
-
 // Agent exposes the underlying DQN (e.g. for inspection in tests).
 func (m *MobiRescue) Agent() *rl.DQN { return m.agent }
 

@@ -64,19 +64,6 @@ func (r *Rescue) Observe(snap *sim.Snapshot) {
 	}
 }
 
-// PredictAll evaluates the time-series prediction for every segment of
-// g at time t, in the same shape as the SVM stage's output — the input
-// to the Figure 15–16 prediction-quality comparison.
-func (r *Rescue) PredictAll(g *roadnet.Graph, t time.Time) map[roadnet.SegmentID]float64 {
-	out := make(map[roadnet.SegmentID]float64)
-	g.Segments(func(s roadnet.Segment) {
-		if n := r.Predict(s.ID, t); n > 0 {
-			out[s.ID] = n
-		}
-	})
-	return out
-}
-
 // Predict returns the predicted demand for one segment at time t.
 func (r *Rescue) Predict(seg roadnet.SegmentID, t time.Time) float64 {
 	return r.predictor.Predict(int(seg), r.hourIndex(t))

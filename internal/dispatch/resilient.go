@@ -132,9 +132,6 @@ func NewResilient(primary sim.Dispatcher, cfg ResilientConfig) *Resilient {
 // method's name even while degraded.
 func (r *Resilient) Name() string { return r.primary.Name() }
 
-// Primary returns the wrapped dispatcher.
-func (r *Resilient) Primary() sim.Dispatcher { return r.primary }
-
 // LastError returns the most recent primary failure (nil when the
 // primary has never failed or has recovered).
 func (r *Resilient) LastError() error { return r.lastErr }

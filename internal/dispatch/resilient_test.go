@@ -56,9 +56,6 @@ func TestResilientRecoversPanics(t *testing.T) {
 	if r.Name() != "flaky" {
 		t.Errorf("Name = %q, want primary's name", r.Name())
 	}
-	if r.Primary() != sim.Dispatcher(primary) {
-		t.Error("Primary() should return the wrapped dispatcher")
-	}
 	snap := resilientSnapshot(t, city)
 	// Round 1: primary panics; the fallback must still produce orders
 	// for the idle vehicles and the panic must not escape.
@@ -162,10 +159,10 @@ func TestResilientSanitize(t *testing.T) {
 	openSeg := g.Out(city.Hospitals[5])[0]
 	snap.Cost = sim.RescueCost{Base: oneClosed{closedSeg}}
 	in := []sim.Order{
-		{Vehicle: 99, Target: openSeg},                    // unknown vehicle
-		{Vehicle: 0, Target: roadnet.SegmentID(1 << 28)},  // out-of-range
-		{Vehicle: 0, Target: openSeg},                     // good
-		{Vehicle: 0, Target: openSeg},                     // duplicate
+		{Vehicle: 99, Target: openSeg},                                         // unknown vehicle
+		{Vehicle: 0, Target: roadnet.SegmentID(1 << 28)},                       // out-of-range
+		{Vehicle: 0, Target: openSeg},                                          // good
+		{Vehicle: 0, Target: openSeg},                                          // duplicate
 		{Vehicle: 1, Target: closedSeg, Route: []roadnet.SegmentID{closedSeg}}, // closed: remap
 	}
 	out := r.Sanitize(snap, in)

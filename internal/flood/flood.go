@@ -226,33 +226,12 @@ type RoadState struct {
 
 var _ roadnet.CostModel = (*RoadState)(nil)
 
-// RoadState computes the operability snapshot for every segment of g at
-// the model's current time.
-func (m *Model) RoadState(g *roadnet.Graph) *RoadState {
-	rs := &RoadState{
-		At:     m.now,
-		depth:  make([]float64, g.NumSegments()),
-		closeD: m.params.CloseDepth,
-		minFac: m.params.MinSpeedFactor,
-	}
-	g.Segments(func(s roadnet.Segment) {
-		mid := g.SegmentMidpoint(s.ID)
-		rs.depth[s.ID] = m.DepthAt(mid)
-	})
-	return rs
-}
-
 // Depth returns the water depth on segment id.
 func (rs *RoadState) Depth(id roadnet.SegmentID) float64 {
 	if int(id) < 0 || int(id) >= len(rs.depth) {
 		return 0
 	}
 	return rs.depth[id]
-}
-
-// Open reports whether segment id is drivable.
-func (rs *RoadState) Open(id roadnet.SegmentID) bool {
-	return rs.Depth(id) < rs.closeD
 }
 
 // SpeedFactor returns the 0..1 speed multiplier for segment id; closed
@@ -277,26 +256,4 @@ func (rs *RoadState) SegmentTime(s roadnet.Segment) (float64, bool) {
 		return math.Inf(1), false
 	}
 	return s.FreeFlowTime() / f, true
-}
-
-// ClosedCount returns how many segments are closed.
-func (rs *RoadState) ClosedCount() int {
-	n := 0
-	for id := range rs.depth {
-		if !rs.Open(roadnet.SegmentID(id)) {
-			n++
-		}
-	}
-	return n
-}
-
-// OperableIDs returns the IDs of all open segments (the edge set Ẽ).
-func (rs *RoadState) OperableIDs() []roadnet.SegmentID {
-	out := make([]roadnet.SegmentID, 0, len(rs.depth))
-	for id := range rs.depth {
-		if rs.Open(roadnet.SegmentID(id)) {
-			out = append(out, roadnet.SegmentID(id))
-		}
-	}
-	return out
 }

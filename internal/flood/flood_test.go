@@ -175,14 +175,22 @@ func buildTestGraph(t *testing.T, alt float64) (*roadnet.Graph, roadnet.SegmentI
 	return g, ab
 }
 
+// newTestRoadHistory records hours of m's flood timeline from t0, the
+// source of the road operability snapshots under test.
+func newTestRoadHistory(t *testing.T, m *Model, hours int) *History {
+	t.Helper()
+	h, err := NewHistory(m, hours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestRoadStateClosesFloodedRoads(t *testing.T) {
 	g, seg := buildTestGraph(t, 190)
-	m := newTestModel(t, constRain{100}, flatElev(190))
+	h := newTestRoadHistory(t, newTestModel(t, constRain{100}, flatElev(190)), 48)
 	// Dry state: open at full speed.
-	rs := m.RoadState(g)
-	if !rs.Open(seg) {
-		t.Fatal("dry road closed")
-	}
+	rs := h.RoadStateAt(g, t0)
 	if f := rs.SpeedFactor(seg); f != 1 {
 		t.Errorf("dry speed factor = %v", f)
 	}
@@ -192,32 +200,24 @@ func TestRoadStateClosesFloodedRoads(t *testing.T) {
 	}
 
 	// Flood it hard.
-	m.AdvanceTo(t0.Add(48 * time.Hour))
-	rs = m.RoadState(g)
-	if rs.Open(seg) {
+	rs = h.RoadStateAt(g, t0.Add(48*time.Hour))
+	if _, open := rs.SegmentTime(g.Segment(seg)); open {
 		t.Fatalf("deeply flooded road still open (depth=%v)", rs.Depth(seg))
 	}
-	if _, open := rs.SegmentTime(g.Segment(seg)); open {
-		t.Error("closed segment should report not-open")
-	}
-	if rs.ClosedCount() == 0 {
-		t.Error("ClosedCount = 0 after flooding")
-	}
-	if len(rs.OperableIDs()) == g.NumSegments() {
-		t.Error("OperableIDs should shrink after flooding")
+	if f := rs.SpeedFactor(seg); f != 0 {
+		t.Errorf("closed road speed factor = %v, want 0", f)
 	}
 }
 
 func TestRoadStatePartialSlowdown(t *testing.T) {
 	g, seg := buildTestGraph(t, 200)
 	m := newTestModel(t, constRain{20}, flatElev(200))
+	hist := newTestRoadHistory(t, m, 72)
 	// Advance until the road is wet but not closed.
-	var rs *RoadState
 	for h := 1; h <= 72; h++ {
-		m.AdvanceTo(t0.Add(time.Duration(h) * time.Hour))
-		rs = m.RoadState(g)
+		rs := hist.RoadStateAt(g, t0.Add(time.Duration(h)*time.Hour))
 		d := rs.Depth(seg)
-		if d > 0 && rs.Open(seg) {
+		if d > 0 && rs.SpeedFactor(seg) > 0 {
 			f := rs.SpeedFactor(seg)
 			if f >= 1 || f < m.Params().MinSpeedFactor {
 				t.Errorf("wet-road speed factor out of range: %v", f)
@@ -228,7 +228,7 @@ func TestRoadStatePartialSlowdown(t *testing.T) {
 			}
 			return
 		}
-		if !rs.Open(seg) {
+		if rs.SpeedFactor(seg) == 0 {
 			t.Skipf("road closed before a partial state was observed")
 		}
 	}
@@ -237,13 +237,13 @@ func TestRoadStatePartialSlowdown(t *testing.T) {
 
 func TestRoadStateOutOfRange(t *testing.T) {
 	g, _ := buildTestGraph(t, 200)
-	m := newTestModel(t, weather.Calm{}, flatElev(200))
-	rs := m.RoadState(g)
+	h := newTestRoadHistory(t, newTestModel(t, weather.Calm{}, flatElev(200)), 1)
+	rs := h.RoadStateAt(g, t0)
 	if d := rs.Depth(roadnet.SegmentID(999)); d != 0 {
 		t.Errorf("out-of-range depth = %v", d)
 	}
-	if !rs.Open(roadnet.SegmentID(999)) {
-		t.Error("out-of-range segments default to open")
+	if f := rs.SpeedFactor(roadnet.SegmentID(999)); f != 1 {
+		t.Errorf("out-of-range segments default to open at full speed, got factor %v", f)
 	}
 }
 

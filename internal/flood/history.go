@@ -47,12 +47,6 @@ func NewHistory(m *Model, hours int) (*History, error) {
 	return h, nil
 }
 
-// Start returns the first instant covered.
-func (h *History) Start() time.Time { return h.start }
-
-// End returns the last instant covered.
-func (h *History) End() time.Time { return h.start.Add(time.Duration(h.hours) * time.Hour) }
-
 // hourIndex clamps t into the covered window and returns the hour slot.
 func (h *History) hourIndex(t time.Time) int {
 	i := int(t.Sub(h.start) / time.Hour)

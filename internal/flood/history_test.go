@@ -35,12 +35,14 @@ func TestNewHistoryValidation(t *testing.T) {
 }
 
 func TestHistoryWindow(t *testing.T) {
+	g, _ := buildTestGraph(t, 192)
 	h := newTestHistory(t, 96)
-	if !h.Start().Equal(t0) {
-		t.Errorf("Start = %v", h.Start())
+	// Snapshots clamp to the covered window [t0, t0+96h].
+	if at := h.RoadStateAt(g, t0.Add(-10*time.Hour)).At; !at.Equal(t0) {
+		t.Errorf("window start = %v", at)
 	}
-	if !h.End().Equal(t0.Add(96 * time.Hour)) {
-		t.Errorf("End = %v", h.End())
+	if at := h.RoadStateAt(g, t0.Add(200*time.Hour)).At; !at.Equal(t0.Add(96 * time.Hour)) {
+		t.Errorf("window end = %v", at)
 	}
 }
 
@@ -58,8 +60,8 @@ func TestHistoryDepthEvolves(t *testing.T) {
 	if got := h.DepthAt(downtown, t0.Add(-10*time.Hour)); got != before {
 		t.Errorf("pre-window query = %v, want %v", got, before)
 	}
-	end := h.DepthAt(downtown, h.End())
-	if got := h.DepthAt(downtown, h.End().Add(100*time.Hour)); got != end {
+	end := h.DepthAt(downtown, t0.Add(96*time.Hour))
+	if got := h.DepthAt(downtown, t0.Add(196*time.Hour)); got != end {
 		t.Errorf("post-window query = %v, want %v", got, end)
 	}
 }
@@ -100,11 +102,11 @@ func TestHistoryRoadStateAt(t *testing.T) {
 	g, seg := buildTestGraph(t, 192)
 	h := newTestHistory(t, 96)
 	dry := h.RoadStateAt(g, t0)
-	if !dry.Open(seg) {
+	if dry.SpeedFactor(seg) == 0 {
 		t.Error("road closed before the storm")
 	}
 	wet := h.RoadStateAt(g, t0.Add(60*time.Hour))
-	if wet.Open(seg) && wet.SpeedFactor(seg) >= 1 {
+	if wet.SpeedFactor(seg) >= 1 {
 		t.Errorf("peak-storm road unaffected (depth=%v)", wet.Depth(seg))
 	}
 }

@@ -1,7 +1,7 @@
 // Package geo provides geographic primitives used throughout MobiRescue:
 // latitude/longitude points, great-circle and fast planar distances,
-// bounding boxes, bearings, and a local equirectangular projection for
-// converting between geographic and metric coordinates.
+// bounding boxes, and a local equirectangular projection that maps
+// metric coordinates to geographic ones.
 //
 // All distances are in meters, all angles in degrees unless stated
 // otherwise.
@@ -58,20 +58,6 @@ func FastDistance(a, b Point) float64 {
 	x := deg2rad(b.Lon-a.Lon) * math.Cos(deg2rad((a.Lat+b.Lat)/2))
 	y := deg2rad(b.Lat - a.Lat)
 	return EarthRadiusMeters * math.Sqrt(x*x+y*y)
-}
-
-// Bearing returns the initial great-circle bearing in degrees (0..360,
-// clockwise from north) when traveling from a to b.
-func Bearing(a, b Point) float64 {
-	lat1, lat2 := deg2rad(a.Lat), deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	br := rad2deg(math.Atan2(y, x))
-	if br < 0 {
-		br += 360
-	}
-	return br
 }
 
 // Destination returns the point reached by traveling dist meters from p
@@ -178,28 +164,10 @@ func (b BBox) Pad(meters float64) BBox {
 	}
 }
 
-// WidthMeters returns the east-west extent of the box at its central
-// latitude.
-func (b BBox) WidthMeters() float64 {
-	midLat := (b.MinLat + b.MaxLat) / 2
-	return Haversine(Point{midLat, b.MinLon}, Point{midLat, b.MaxLon})
-}
-
-// HeightMeters returns the north-south extent of the box.
-func (b BBox) HeightMeters() float64 {
-	return Haversine(Point{b.MinLat, b.MinLon}, Point{b.MaxLat, b.MinLon})
-}
-
 // XY is a planar metric coordinate produced by a Projection.
 type XY struct {
 	X float64 // meters east of the projection origin
 	Y float64 // meters north of the projection origin
-}
-
-// Dist returns the Euclidean distance in meters to o.
-func (p XY) Dist(o XY) float64 {
-	dx, dy := p.X-o.X, p.Y-o.Y
-	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // Projection converts between geographic and local planar coordinates
@@ -215,15 +183,7 @@ func NewProjection(origin Point) *Projection {
 	return &Projection{Origin: origin, cosLat: math.Cos(deg2rad(origin.Lat))}
 }
 
-// ToXY projects p into local planar meters.
-func (pr *Projection) ToXY(p Point) XY {
-	return XY{
-		X: deg2rad(p.Lon-pr.Origin.Lon) * pr.cosLat * EarthRadiusMeters,
-		Y: deg2rad(p.Lat-pr.Origin.Lat) * EarthRadiusMeters,
-	}
-}
-
-// ToPoint inverts ToXY.
+// ToPoint maps local planar meters back to a geographic point.
 func (pr *Projection) ToPoint(xy XY) Point {
 	return Point{
 		Lat: pr.Origin.Lat + rad2deg(xy.Y/EarthRadiusMeters),

@@ -78,31 +78,6 @@ func TestFastDistanceMatchesHaversineAtCityScale(t *testing.T) {
 	}
 }
 
-func TestBearingCardinalDirections(t *testing.T) {
-	tests := []struct {
-		name string
-		b    Point
-		want float64
-	}{
-		{"north", Point{charlotte.Lat + 0.1, charlotte.Lon}, 0},
-		{"east", Point{charlotte.Lat, charlotte.Lon + 0.1}, 90},
-		{"south", Point{charlotte.Lat - 0.1, charlotte.Lon}, 180},
-		{"west", Point{charlotte.Lat, charlotte.Lon - 0.1}, 270},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := Bearing(charlotte, tt.b)
-			diff := math.Abs(got - tt.want)
-			if diff > 180 {
-				diff = 360 - diff
-			}
-			if diff > 0.2 {
-				t.Errorf("Bearing = %v, want ~%v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestDestinationRoundTrip(t *testing.T) {
 	f := func(bearing, dist float64) bool {
 		bearing = math.Mod(math.Abs(bearing), 360)
@@ -172,15 +147,11 @@ func TestBBoxPad(t *testing.T) {
 	}
 }
 
-func TestBBoxExtentMeters(t *testing.T) {
-	b := BBox{MinLat: 35.0, MaxLat: 36.0, MinLon: -81.0, MaxLon: -80.0}
-	if h := b.HeightMeters(); math.Abs(h-111195) > 200 {
-		t.Errorf("HeightMeters = %v, want ~111195", h)
-	}
-	w := b.WidthMeters()
-	wantW := 111195 * math.Cos(35.5*math.Pi/180)
-	if math.Abs(w-wantW) > 500 {
-		t.Errorf("WidthMeters = %v, want ~%v", w, wantW)
+// toXY is the forward equirectangular projection that ToPoint inverts.
+func toXY(pr *Projection, p Point) XY {
+	return XY{
+		X: deg2rad(p.Lon-pr.Origin.Lon) * math.Cos(deg2rad(pr.Origin.Lat)) * EarthRadiusMeters,
+		Y: deg2rad(p.Lat-pr.Origin.Lat) * EarthRadiusMeters,
 	}
 }
 
@@ -191,7 +162,7 @@ func TestProjectionRoundTrip(t *testing.T) {
 			Lat: charlotte.Lat + math.Mod(dLat, 0.3),
 			Lon: charlotte.Lon + math.Mod(dLon, 0.3),
 		}
-		back := pr.ToPoint(pr.ToXY(p))
+		back := pr.ToPoint(toXY(pr, p))
 		return math.Abs(back.Lat-p.Lat) < 1e-9 && math.Abs(back.Lon-p.Lon) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -201,10 +172,10 @@ func TestProjectionRoundTrip(t *testing.T) {
 
 func TestProjectionDistancePreserved(t *testing.T) {
 	pr := NewProjection(charlotte)
-	a := Point{35.25, -80.90}
-	b := Point{35.30, -80.80}
-	planar := pr.ToXY(a).Dist(pr.ToXY(b))
-	sphere := Haversine(a, b)
+	a := XY{X: -3000, Y: 2500}
+	b := XY{X: 6000, Y: 8000}
+	planar := math.Hypot(a.X-b.X, a.Y-b.Y)
+	sphere := Haversine(pr.ToPoint(a), pr.ToPoint(b))
 	if rel := math.Abs(planar-sphere) / sphere; rel > 0.005 {
 		t.Errorf("projected distance off by %.3f%%", rel*100)
 	}

@@ -44,32 +44,6 @@ func Clean(points []GPSPoint, bbox geo.BBox, dedup time.Duration) []GPSPoint {
 	return out
 }
 
-// TrajPoint is one landmark visit in a map-matched trajectory
-// (Definition 1: a time-ordered sequence of landmarks).
-type TrajPoint struct {
-	Time time.Time
-	LM   roadnet.LandmarkID
-}
-
-// Trajectories map-matches cleaned points onto the road network, giving
-// each person's landmark trajectory with consecutive duplicates merged.
-func Trajectories(g *roadnet.Graph, points []GPSPoint) map[int][]TrajPoint {
-	idx := roadnet.NewSpatialIndex(g)
-	out := make(map[int][]TrajPoint)
-	for _, p := range points {
-		lm := idx.NearestLandmark(p.Pos)
-		if lm == roadnet.NoLandmark {
-			continue
-		}
-		traj := out[p.PersonID]
-		if len(traj) > 0 && traj[len(traj)-1].LM == lm {
-			continue
-		}
-		out[p.PersonID] = append(traj, TrajPoint{Time: p.Time, LM: lm})
-	}
-	return out
-}
-
 // Delivery is a detected hospital delivery: a person appearing at a
 // hospital and staying at least the configured threshold (2 h in the
 // paper), along with where they were immediately before.

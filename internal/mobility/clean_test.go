@@ -44,27 +44,6 @@ func TestCleanEmpty(t *testing.T) {
 	}
 }
 
-func TestTrajectories(t *testing.T) {
-	city := smallCity(t)
-	g := city.Graph
-	lmA := roadnet.LandmarkID(0)
-	lmB := roadnet.LandmarkID(5)
-	base := time.Date(2018, 9, 10, 8, 0, 0, 0, time.UTC)
-	pts := []GPSPoint{
-		{PersonID: 7, Time: base, Pos: g.Landmark(lmA).Pos},
-		{PersonID: 7, Time: base.Add(time.Hour), Pos: geo.Destination(g.Landmark(lmA).Pos, 45, 20)}, // same landmark
-		{PersonID: 7, Time: base.Add(2 * time.Hour), Pos: g.Landmark(lmB).Pos},
-	}
-	trajs := Trajectories(g, pts)
-	traj := trajs[7]
-	if len(traj) != 2 {
-		t.Fatalf("trajectory length = %d, want 2 (consecutive duplicates merged): %+v", len(traj), traj)
-	}
-	if traj[0].LM != lmA || traj[1].LM != lmB {
-		t.Errorf("trajectory landmarks = %v -> %v, want %v -> %v", traj[0].LM, traj[1].LM, lmA, lmB)
-	}
-}
-
 func TestLandmarkIndexMatchesLinearScan(t *testing.T) {
 	city := smallCity(t)
 	g := city.Graph

@@ -42,24 +42,12 @@ func CountFlows(g *roadnet.Graph, trips []Trip, start time.Time, hours int) *Flo
 	return f
 }
 
-// Hours returns the number of hourly slots.
-func (f *Flow) Hours() int { return f.hours }
-
 // At returns the vehicle count on seg during hour slot h.
 func (f *Flow) At(seg roadnet.SegmentID, h int) float64 {
 	if h < 0 || h >= f.hours || int(seg) < 0 || int(seg) >= f.numSegs {
 		return 0
 	}
 	return float64(f.counts[h*f.numSegs+int(seg)])
-}
-
-// SegmentHourly returns the hourly series for one segment.
-func (f *Flow) SegmentHourly(seg roadnet.SegmentID) []float64 {
-	out := make([]float64, f.hours)
-	for h := 0; h < f.hours; h++ {
-		out[h] = f.At(seg, h)
-	}
-	return out
 }
 
 // RegionHourly returns the hourly region flow rate: for each hour, the

@@ -61,17 +61,6 @@ func trapHazardAt(dis Disaster, base float64, h geo.Point, t time.Time) float64 
 	return base * factor
 }
 
-// NoDisaster is a Disaster with no flooding: all roads open, no zones.
-type NoDisaster struct{}
-
-var _ Disaster = NoDisaster{}
-
-// InFloodZone implements Disaster.
-func (NoDisaster) InFloodZone(geo.Point, time.Time) bool { return false }
-
-// CostAt implements Disaster.
-func (NoDisaster) CostAt(time.Time) roadnet.CostModel { return roadnet.FreeFlow{} }
-
 // episode is one piece of a person's timeline: a movement from FromPos to
 // ToPos over [Start, End). Between episodes the person holds the previous
 // episode's ToPos.
@@ -169,7 +158,7 @@ func Generate(city *roadnet.City, dis Disaster, elev func(geo.Point) float64, cf
 		return nil, fmt.Errorf("mobility: city with landmarks required")
 	}
 	if dis == nil {
-		return nil, fmt.Errorf("mobility: disaster oracle required (use NoDisaster{})")
+		return nil, fmt.Errorf("mobility: disaster oracle required")
 	}
 	if elev == nil {
 		return nil, fmt.Errorf("mobility: elevation function required")

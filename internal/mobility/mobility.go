@@ -8,9 +8,8 @@
 // paper's 0.5–2 h cadence.
 //
 // The package also implements the paper's derivation pipeline over such
-// traces: data cleaning, map matching, trajectory construction, vehicle
-// flow rates (Definition 2), and hospital-stay detection used to label
-// rescued people (Section III-B2).
+// traces: data cleaning, vehicle flow rates (Definition 2), and
+// hospital-stay detection used to label rescued people (Section III-B2).
 package mobility
 
 import (

@@ -144,16 +144,6 @@ func TestDayIndex(t *testing.T) {
 	}
 }
 
-func TestNoDisaster(t *testing.T) {
-	var nd NoDisaster
-	if nd.InFloodZone(geo.Point{Lat: 35, Lon: -80}, time.Now()) {
-		t.Error("NoDisaster has a flood zone")
-	}
-	if _, ok := nd.CostAt(time.Now()).(roadnet.FreeFlow); !ok {
-		t.Error("NoDisaster cost should be FreeFlow")
-	}
-}
-
 func TestTimelinePositionAt(t *testing.T) {
 	home := geo.Point{Lat: 35.2, Lon: -80.8}
 	work := geo.Destination(home, 90, 2000)

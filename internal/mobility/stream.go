@@ -18,8 +18,7 @@ import (
 // RAM (the trace-backed pop.Store would need people x windows samples).
 //
 // PosAt is a pure function of (person, instant), so it is safe for
-// fully concurrent use across both people and instants; the Streamer
-// deliberately does not implement pop.SerialWindows.
+// fully concurrent use across both people and instants.
 //
 // The schedule model mirrors the shape of the offline generator
 // (Generate) without its routing machinery: commute round trips before
@@ -34,10 +33,7 @@ type Streamer struct {
 	seed    []uint64  // per-person jitter stream base
 }
 
-var (
-	_ pop.Source         = (*Streamer)(nil)
-	_ pop.FirstPositions = (*Streamer)(nil)
-)
+var _ pop.Source = (*Streamer)(nil)
 
 // splitmix64 is the SplitMix64 mix function: a bijective avalanche over
 // uint64 used to derive independent per-(person, day) jitter streams
@@ -143,7 +139,7 @@ func (s *Streamer) IndexOf(id int) int {
 	return id
 }
 
-// FirstPos implements pop.FirstPositions: the home anchor, used by the
+// FirstPos implements pop.Source: the home anchor, used by the
 // prediction provider's region shard plan.
 func (s *Streamer) FirstPos(i int) geo.Point { return s.home[i] }
 

@@ -1,5 +1,5 @@
 // Package nn implements small dense feed-forward neural networks with
-// backpropagation and SGD/Adam optimizers, written from scratch on the
+// backpropagation and the Adam optimizer, written from scratch on the
 // standard library. MobiRescue's RL dispatcher (Section IV-C4, following
 // Pensieve [24]) uses these networks as Q-function approximators; Go has
 // no ML ecosystem to lean on, so the substrate lives here.

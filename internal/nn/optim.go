@@ -5,49 +5,12 @@ import (
 	"math"
 )
 
-// Optimizer applies a gradient step to a parameter vector.
-type Optimizer interface {
-	// Step updates params in place given the accumulated gradient.
-	Step(params, grad []float64)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      []float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grad []float64) {
-	if s.Momentum == 0 {
-		for i := range params {
-			params[i] -= s.LR * grad[i]
-		}
-		return
-	}
-	if len(s.vel) != len(params) {
-		s.vel = make([]float64, len(params))
-	}
-	for i := range params {
-		s.vel[i] = s.Momentum*s.vel[i] + grad[i]
-		params[i] -= s.LR * s.vel[i]
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	m, v                  []float64
 	t                     int
 }
-
-var _ Optimizer = (*Adam)(nil)
 
 // NewAdam returns an Adam optimizer with standard defaults for any field
 // left zero.
@@ -58,7 +21,7 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step updates params in place given the accumulated gradient.
 func (a *Adam) Step(params, grad []float64) {
 	if len(a.m) != len(params) {
 		a.m = make([]float64, len(params))
@@ -119,21 +82,4 @@ func Scale(grad []float64, k float64) {
 	for i := range grad {
 		grad[i] *= k
 	}
-}
-
-// MSE returns the mean squared error between prediction and target and
-// writes dLoss/dPred into dOut when non-nil.
-func MSE(pred, target, dOut []float64) (float64, error) {
-	if len(pred) != len(target) {
-		return 0, fmt.Errorf("nn: MSE length mismatch %d vs %d", len(pred), len(target))
-	}
-	loss := 0.0
-	for i := range pred {
-		d := pred[i] - target[i]
-		loss += d * d
-		if dOut != nil {
-			dOut[i] = 2 * d / float64(len(pred))
-		}
-	}
-	return loss / float64(len(pred)), nil
 }

@@ -121,9 +121,6 @@ func infoDeltas(a, b Manifest) string {
 	if a.Workers != b.Workers {
 		add(fmt.Sprintf("workers %d vs %d", a.Workers, b.Workers))
 	}
-	if a.TrainWorkers != b.TrainWorkers {
-		add(fmt.Sprintf("train_workers %d vs %d", a.TrainWorkers, b.TrainWorkers))
-	}
 	if a.GoVersion != b.GoVersion {
 		add(fmt.Sprintf("go %s vs %s", a.GoVersion, b.GoVersion))
 	}

@@ -35,9 +35,6 @@ func appendManifest(b []byte, m *Manifest) []byte {
 	if m.Workers > 0 {
 		b = appendInt(b, "workers", m.Workers)
 	}
-	if m.TrainWorkers > 0 {
-		b = appendInt(b, "train_workers", m.TrainWorkers)
-	}
 	b = appendStr(b, "go", m.GoVersion)
 	if m.Timing {
 		b = append(b, `,"timing":true`...)

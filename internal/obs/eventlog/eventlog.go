@@ -109,12 +109,11 @@ type Manifest struct {
 	Seed       int64  `json:"seed"`
 	Chaos      string `json:"chaos,omitempty"`
 	ChaosSeed  int64  `json:"chaos_seed,omitempty"`
-	// TrainActors is logical (changes the experiment); the worker counts
-	// below are physical (informational only).
-	TrainActors  int    `json:"train_actors,omitempty"`
-	Workers      int    `json:"workers,omitempty"`
-	TrainWorkers int    `json:"train_workers,omitempty"`
-	GoVersion    string `json:"go,omitempty"`
+	// TrainActors is logical (changes the experiment); the worker count
+	// below is physical (informational only).
+	TrainActors int    `json:"train_actors,omitempty"`
+	Workers     int    `json:"workers,omitempty"`
+	GoVersion   string `json:"go,omitempty"`
 	// Timing records whether wall-clock fields were enabled; a timing
 	// log is not byte-comparable to anything, including itself re-run.
 	Timing bool `json:"timing,omitempty"`
@@ -487,16 +486,6 @@ func (l *Log) Events() int64 {
 	return l.events.Load()
 }
 
-// Err returns the first write error encountered, if any. Nil-safe.
-func (l *Log) Err() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Close flushes buffered output and closes the underlying file when the
 // log owns one. Nil-safe.
 func (l *Log) Close() error {
@@ -555,14 +544,6 @@ func (r *Recorder) SetWindow(w int) {
 		return
 	}
 	r.window = w
-}
-
-// Window returns the current window stamp. Nil-safe.
-func (r *Recorder) Window() int {
-	if r == nil {
-		return 0
-	}
-	return r.window
 }
 
 // Timing reports whether the destination log records wall-clock fields.

@@ -3,7 +3,6 @@ package eventlog
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Timeline reconstruction: collapse an event stream back into
@@ -224,12 +223,6 @@ func WriteTimeline(w io.Writer, rl *RunLog, tls []*RunTimeline) {
 		fmt.Fprintf(w, "%-14s %7d %9d %8.2f %6.0f %10d %7d %9s\n",
 			r.Run, r.FaultCount, r.FallbackCount, r.Baseline, r.Dip, r.DipW, r.RecoveredW, rec)
 	}
-}
-
-// SortRuns orders timelines by run label — useful when the caller wants
-// stable output from merged logs regardless of first-appearance order.
-func SortRuns(tls []*RunTimeline) {
-	sort.Slice(tls, func(i, j int) bool { return tls[i].Run < tls[j].Run })
 }
 
 func orDash(s string) string {

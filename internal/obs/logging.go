@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 )
@@ -16,16 +15,3 @@ func NewLogger(w io.Writer, level slog.Level, attrs ...slog.Attr) *slog.Logger {
 	}
 	return slog.New(h)
 }
-
-// discardHandler drops every record (slog.DiscardHandler arrived after
-// this module's Go floor).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// NopLogger returns a logger that discards everything — the safe default
-// for components whose caller did not supply one.
-func NopLogger() *slog.Logger { return slog.New(discardHandler{}) }

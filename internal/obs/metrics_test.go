@@ -19,9 +19,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("test_gauge", "h")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Errorf("gauge = %v, want 2.5", got)
 	}
 }
 
@@ -176,7 +175,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
 				r.Counter("conc_counter", "h").Inc()
-				r.Gauge("conc_gauge", "h").Add(1)
+				r.Gauge("conc_gauge", "h").Set(float64(j))
 				r.Histogram("conc_hist", "h", []float64{1, 10}).Observe(float64(j % 20))
 				if j%50 == 0 {
 					var sb strings.Builder
@@ -190,8 +189,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("conc_counter", "h").Value(); got != goroutines*iters {
 		t.Errorf("counter = %d, want %d", got, goroutines*iters)
 	}
-	if got := r.Gauge("conc_gauge", "h").Value(); got != goroutines*iters {
-		t.Errorf("gauge = %v, want %d", got, goroutines*iters)
+	if got := r.Gauge("conc_gauge", "h").Value(); got != iters-1 {
+		t.Errorf("gauge = %v, want %d", got, iters-1)
 	}
 	if got := r.Histogram("conc_hist", "h", nil).Count(); got != goroutines*iters {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*iters)
@@ -220,7 +219,7 @@ func TestRegistryFirstUseRace(t *testing.T) {
 				gauges[i] = r.Gauge("first_gauge", "h")
 				hists[i] = r.Histogram("first_hist", "h", []float64{1})
 				counters[i].Inc()
-				gauges[i].Add(1)
+				gauges[i].Set(1)
 				hists[i].Observe(0.5)
 			}(i)
 		}
@@ -234,8 +233,8 @@ func TestRegistryFirstUseRace(t *testing.T) {
 		if got := r.Counter("first_counter", "h").Value(); got != goroutines {
 			t.Fatalf("round %d: counter = %d, want %d", round, got, goroutines)
 		}
-		if got := r.Gauge("first_gauge", "h").Value(); got != goroutines {
-			t.Fatalf("round %d: gauge = %v, want %d", round, got, goroutines)
+		if got := r.Gauge("first_gauge", "h").Value(); got != 1 {
+			t.Fatalf("round %d: gauge = %v, want 1", round, got)
 		}
 		if got := r.Histogram("first_hist", "h", nil).Count(); got != goroutines {
 			t.Fatalf("round %d: histogram count = %d, want %d", round, got, goroutines)
@@ -255,7 +254,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveSince(time.Now())
 	h.ObserveDuration(time.Second)
@@ -284,7 +282,7 @@ func TestNoopAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(2) }); n != 0 {
 		t.Errorf("nil Counter: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { g.Set(1); g.Add(1) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { g.Set(1) }); n != 0 {
 		t.Errorf("nil Gauge: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(1); h.ObserveDuration(time.Second) }); n != 0 {

@@ -82,7 +82,4 @@ func TestLoggers(t *testing.T) {
 	if !strings.Contains(out, "visible") || !strings.Contains(out, "cmd=test") || !strings.Contains(out, "n=3") {
 		t.Errorf("log output = %q", out)
 	}
-	nop := NopLogger()
-	nop.Info("dropped")
-	nop.With("k", "v").WithGroup("g").Error("dropped too")
 }

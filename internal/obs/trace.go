@@ -50,14 +50,6 @@ func ContextWithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, tracerKey{}, &spanCtx{tracer: t})
 }
 
-// TracerFromContext returns the tracer installed in ctx, or nil.
-func TracerFromContext(ctx context.Context) *Tracer {
-	if sc, ok := ctx.Value(tracerKey{}).(*spanCtx); ok {
-		return sc.tracer
-	}
-	return nil
-}
-
 // StartSpan opens a span named name as a child of the context's current
 // span. It returns a derived context carrying the new span plus the span
 // itself; call End on the span when the operation finishes. When ctx
@@ -103,16 +95,6 @@ func (s *Span) Name() string {
 		return ""
 	}
 	return s.name
-}
-
-// Duration returns the span's closed duration (0 while open or on nil).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.dur
 }
 
 // agg is one aggregated node of the rendered span tree: every same-named
@@ -185,14 +167,4 @@ func (t *Tracer) Roots() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]*Span(nil), t.roots...)
-}
-
-// Children returns a copy of the span's child spans (for tests).
-func (s *Span) Children() []*Span {
-	if s == nil {
-		return nil
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return append([]*Span(nil), s.children...)
 }

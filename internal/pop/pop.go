@@ -27,11 +27,9 @@ import (
 
 // Source yields per-person positions for the prediction stage. i is a
 // dense index in [0, NumPeople()); implementations must be safe for
-// concurrent PosAt calls with distinct i at the same instant (the
-// sharded window pass partitions indices across goroutines).
-// Implementations whose PosAt is not safe across *different* instants
-// concurrently (cursor-based streamers) additionally implement
-// SerialWindows.
+// concurrent PosAt calls, across people and instants (the sharded
+// window pass partitions indices across goroutines, and concurrent
+// callers may compute different windows at once).
 type Source interface {
 	// NumPeople returns the population size.
 	NumPeople() int
@@ -43,21 +41,9 @@ type Source interface {
 	// (UnixNano). For trace-backed stores this is the last observed
 	// sample at or before the instant (clamped to the first sample).
 	PosAt(i int, unixNano int64) geo.Point
-}
-
-// SerialWindows marks a Source whose PosAt may only be called for one
-// instant at a time (per-person cursors advance window by window). The
-// prediction provider serializes window computations for such sources.
-type SerialWindows interface {
-	SerialWindows() bool
-}
-
-// FirstPositions is implemented by Sources that can report a cheap
-// anchor position per person (first observation, home). The prediction
-// provider uses it to assign people to regions for the shard plan;
-// sources without it fall back to a single unassigned group, which
-// changes shard boundaries but never results.
-type FirstPositions interface {
+	// FirstPos returns a cheap anchor position for person i (first
+	// observation, home); the prediction provider assigns people to
+	// regions by it for the shard plan.
 	FirstPos(i int) geo.Point
 }
 
@@ -140,9 +126,6 @@ func (b *Builder) Build() (*Store, error) {
 // NumPeople implements Source.
 func (s *Store) NumPeople() int { return len(s.ids) }
 
-// NumSamples returns the total sample count across all trajectories.
-func (s *Store) NumSamples() int { return len(s.times) }
-
 // ID implements Source.
 func (s *Store) ID(i int) int { return s.ids[i] }
 
@@ -162,9 +145,6 @@ func (s *Store) IndexOf(id int) int {
 	return -1
 }
 
-// Dense reports whether external IDs equal dense indices.
-func (s *Store) Dense() bool { return s.dense }
-
 // PosAt implements Source: the last sample at or before the instant,
 // clamped to the first sample — the exact semantics of the seed
 // pipeline's per-track posAt, so swapping the layout cannot change a
@@ -181,9 +161,5 @@ func (s *Store) PosAt(i int, unixNano int64) geo.Point {
 	return s.pos[lo+int64(idx)]
 }
 
-// SampleCount returns person i's trajectory length.
-func (s *Store) SampleCount(i int) int { return int(s.off[i+1] - s.off[i]) }
-
-// FirstPos returns person i's first observed position (used to assign
-// people to regions for the shard plan).
+// FirstPos implements Source: person i's first observed position.
 func (s *Store) FirstPos(i int) geo.Point { return s.pos[s.off[i]] }

@@ -10,7 +10,6 @@ package pop
 // byte-identical for any worker count (the PR-5 contract).
 type Regions struct {
 	numRegions int
-	region     []int16 // region per dense person index
 	order      []int32 // dense indices grouped by region
 	starts     []int32 // region r occupies order[starts[r]:starts[r+1]]
 }
@@ -25,17 +24,17 @@ func NewRegions(n, numRegions int, regionOf func(i int) int) *Regions {
 	}
 	r := &Regions{
 		numRegions: numRegions,
-		region:     make([]int16, n),
 		order:      make([]int32, n),
 		starts:     make([]int32, numRegions+2),
 	}
+	region := make([]int16, n)
 	counts := make([]int32, numRegions+1)
 	for i := 0; i < n; i++ {
 		reg := regionOf(i)
 		if reg < 1 || reg > numRegions {
 			reg = 0
 		}
-		r.region[i] = int16(reg)
+		region[i] = int16(reg)
 		counts[reg]++
 	}
 	next := make([]int32, numRegions+1)
@@ -47,33 +46,15 @@ func NewRegions(n, numRegions int, regionOf func(i int) int) *Regions {
 	}
 	r.starts[numRegions+1] = acc
 	for i := 0; i < n; i++ {
-		reg := r.region[i]
+		reg := region[i]
 		r.order[next[reg]] = int32(i)
 		next[reg]++
 	}
 	return r
 }
 
-// NumRegions returns the region count the plan was built for.
-func (r *Regions) NumRegions() int { return r.numRegions }
-
-// Len returns the population size.
-func (r *Regions) Len() int { return len(r.order) }
-
-// RegionOf returns the region assigned to dense person index i.
-func (r *Regions) RegionOf(i int) int { return int(r.region[i]) }
-
 // At returns the dense person index at position k of the region order.
 func (r *Regions) At(k int) int { return int(r.order[k]) }
-
-// CountIn returns how many people are assigned to region reg (0 =
-// unassigned).
-func (r *Regions) CountIn(reg int) int {
-	if reg < 0 || reg > r.numRegions {
-		return 0
-	}
-	return int(r.starts[reg+1] - r.starts[reg])
-}
 
 // Shard is one contiguous range [Start, End) of the region order.
 type Shard struct{ Start, End int }
@@ -112,54 +93,4 @@ func (r *Regions) Shards(maxShards int) []Shard {
 		}
 	}
 	return out
-}
-
-// TreeNode is one node of the hierarchical region tree: inner nodes
-// cover a contiguous run of regions, leaves cover either one region or
-// (for oversized regions) a sub-range of one. The tree generalizes the
-// paper's flat 7-district split — dispatch aggregation at metro scale
-// can roll demand up the tree instead of walking every district.
-type TreeNode struct {
-	// Lo and Hi bound the covered regions (inclusive).
-	Lo, Hi int
-	// Start and End bound the covered range of the region order.
-	Start, End int
-	Children   []*TreeNode
-}
-
-// People returns how many people the node covers.
-func (t *TreeNode) People() int { return t.End - t.Start }
-
-// Tree builds the hierarchical region tree by recursive bisection on
-// population: each inner node splits its region run at the point that
-// best balances people between the halves. leafPeople bounds leaf size;
-// single regions larger than it become leaves anyway (sub-splitting is
-// the shard planner's job). The tree is deterministic.
-func (r *Regions) Tree(leafPeople int) *TreeNode {
-	if leafPeople < 1 {
-		leafPeople = 1
-	}
-	return r.buildNode(0, r.numRegions, leafPeople)
-}
-
-func (r *Regions) buildNode(lo, hi, leafPeople int) *TreeNode {
-	node := &TreeNode{Lo: lo, Hi: hi, Start: int(r.starts[lo]), End: int(r.starts[hi+1])}
-	if lo == hi || node.People() <= leafPeople {
-		return node
-	}
-	// Split the region run where the population halves most evenly.
-	half := node.Start + node.People()/2
-	cut := lo
-	for reg := lo; reg < hi; reg++ {
-		if int(r.starts[reg+1]) >= half {
-			cut = reg
-			break
-		}
-		cut = reg
-	}
-	node.Children = []*TreeNode{
-		r.buildNode(lo, cut, leafPeople),
-		r.buildNode(cut+1, hi, leafPeople),
-	}
-	return node
 }

@@ -23,7 +23,6 @@ type Actor struct {
 	nAction int
 	scratch []float64 // private nn.ForwardInto buffer (one per actor)
 	traj    []Transition
-	reward  float64
 }
 
 var _ Policy = (*Actor)(nil)
@@ -63,11 +62,7 @@ func (a *Actor) Greedy(state []float64, mask []bool) int {
 // Observe implements Policy by appending to the recorded trajectory.
 func (a *Actor) Observe(t Transition) {
 	a.traj = append(a.traj, t)
-	a.reward += t.Reward
 }
 
 // Trajectory returns the recorded transitions in observation order.
 func (a *Actor) Trajectory() []Transition { return a.traj }
-
-// TotalReward returns the sum of recorded shaped rewards.
-func (a *Actor) TotalReward() float64 { return a.reward }

@@ -38,11 +38,11 @@ func trainedDQN(t testing.TB, seed int64) *DQN {
 		s := []float64{float64(i % 3), float64(i % 5), 0.5}
 		a := d.SelectAction(s, nil)
 		d.Observe(Transition{
-			State:  s,
-			Action: a,
-			Reward: float64(i%4) - 1.5,
+			State:     s,
+			Action:    a,
+			Reward:    float64(i%4) - 1.5,
 			NextState: []float64{float64((i + 1) % 3), float64((i + 1) % 5), 0.5},
-			Done:   i%8 == 7,
+			Done:      i%8 == 7,
 		})
 	}
 	return d
@@ -287,8 +287,12 @@ func TestActorRecordsTrajectory(t *testing.T) {
 	if !traj[5].Done {
 		t.Error("final transition should be terminal")
 	}
-	if a.TotalReward() != total {
-		t.Errorf("TotalReward = %v, want %v", a.TotalReward(), total)
+	got := 0.0
+	for _, tr := range traj {
+		got += tr.Reward
+	}
+	if got != total {
+		t.Errorf("trajectory reward = %v, want %v", got, total)
 	}
 	// Greedy must not record.
 	a.Greedy([]float64{0, 0, 0}, nil)

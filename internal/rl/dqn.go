@@ -11,23 +11,21 @@ import (
 // Exported RL training telemetry metric names (see README
 // "Observability").
 const (
-	MetricEnvSteps      = "mobirescue_rl_env_steps_total"
-	MetricLearnSteps    = "mobirescue_rl_learn_steps_total"
-	MetricReplaySize    = "mobirescue_rl_replay_occupancy"
-	MetricEpsilon       = "mobirescue_rl_epsilon"
-	MetricBatchLoss     = "mobirescue_rl_batch_loss"
-	MetricEpisodeReturn = "mobirescue_rl_episode_return"
+	MetricEnvSteps   = "mobirescue_rl_env_steps_total"
+	MetricLearnSteps = "mobirescue_rl_learn_steps_total"
+	MetricReplaySize = "mobirescue_rl_replay_occupancy"
+	MetricEpsilon    = "mobirescue_rl_epsilon"
+	MetricBatchLoss  = "mobirescue_rl_batch_loss"
 )
 
 // dqnMetrics holds the agent's optional telemetry handles; the zero value
 // (all nil) is a free no-op.
 type dqnMetrics struct {
-	envSteps      *obs.Counter
-	learnSteps    *obs.Counter
-	replaySize    *obs.Gauge
-	epsilon       *obs.Gauge
-	batchLoss     *obs.Gauge
-	episodeReturn *obs.Histogram
+	envSteps   *obs.Counter
+	learnSteps *obs.Counter
+	replaySize *obs.Gauge
+	epsilon    *obs.Gauge
+	batchLoss  *obs.Gauge
 }
 
 // DQNConfig tunes the deep Q-learning agent.
@@ -147,8 +145,6 @@ func (d *DQN) EnableMetrics(reg *obs.Registry) {
 		replaySize: reg.Gauge(MetricReplaySize, "Transitions currently in the replay buffer."),
 		epsilon:    reg.Gauge(MetricEpsilon, "Current exploration rate."),
 		batchLoss:  reg.Gauge(MetricBatchLoss, "Mean squared TD error of the last minibatch."),
-		episodeReturn: reg.Histogram(MetricEpisodeReturn, "Total reward per training episode.",
-			[]float64{-100, -10, 0, 10, 50, 100, 250, 500, 1000, 2500, 5000, 10000}),
 	}
 }
 
@@ -163,9 +159,6 @@ func (d *DQN) Epsilon() float64 {
 	}
 	return d.cfg.EpsilonStart + (d.cfg.EpsilonEnd-d.cfg.EpsilonStart)*frac
 }
-
-// QValues returns the online network's action values for state.
-func (d *DQN) QValues(state []float64) []float64 { return d.online.Forward(state) }
 
 // SelectAction picks an epsilon-greedy action under the optional validity
 // mask. It returns -1 when no action is valid.
@@ -228,44 +221,6 @@ func (d *DQN) learn() {
 	if d.cfg.TargetSync > 0 && d.learnN%d.cfg.TargetSync == 0 {
 		d.target.SetParams(d.online.Params())
 	}
-}
-
-// TrainEpisodes runs the agent in env for the given number of episodes
-// and returns each episode's total reward. maxSteps bounds episode
-// length (0 means 10000).
-func (d *DQN) TrainEpisodes(env Environment, episodes, maxSteps int) []float64 {
-	if maxSteps <= 0 {
-		maxSteps = 10000
-	}
-	returns := make([]float64, 0, episodes)
-	for ep := 0; ep < episodes; ep++ {
-		state := env.Reset()
-		total := 0.0
-		for step := 0; step < maxSteps; step++ {
-			mask := maskOf(env)
-			a := d.SelectAction(state, mask)
-			if a < 0 {
-				break // nothing valid to do
-			}
-			next, reward, done := env.Step(a)
-			total += reward
-			d.Observe(Transition{
-				State:     state,
-				Action:    a,
-				Reward:    reward,
-				NextState: next,
-				Done:      done,
-				NextMask:  maskOf(env),
-			})
-			state = next
-			if done {
-				break
-			}
-		}
-		d.met.episodeReturn.Observe(total)
-		returns = append(returns, total)
-	}
-	return returns
 }
 
 // SnapshotPolicy returns a frozen deep copy of the online network, the

@@ -1,7 +1,7 @@
 // Package rl provides the reinforcement-learning machinery behind
-// MobiRescue's dispatcher (Section IV-C): an episodic MDP interface, a
-// uniform replay buffer, and a DQN agent (epsilon-greedy exploration,
-// target network, Adam).
+// MobiRescue's dispatcher (Section IV-C): the Policy interface a
+// dispatcher drives, a uniform replay buffer, and a DQN agent
+// (epsilon-greedy exploration, target network, Adam).
 // The DNN function approximators come from internal/nn, mirroring the
 // paper's use of a Pensieve-style deep network [24].
 package rl
@@ -9,20 +9,6 @@ package rl
 import (
 	"fmt"
 )
-
-// Environment is an episodic Markov decision process with a fixed
-// discrete action space.
-type Environment interface {
-	// Reset starts a new episode and returns the initial state.
-	Reset() []float64
-	// Step applies an action, returning the next state, the reward, and
-	// whether the episode ended.
-	Step(action int) (next []float64, reward float64, done bool)
-	// StateSize is the state vector length.
-	StateSize() int
-	// NumActions is the size of the discrete action space.
-	NumActions() int
-}
 
 // Policy is the decision-and-feedback surface a dispatcher drives: pick
 // actions for states and observe the resulting transitions. The central
@@ -45,13 +31,6 @@ type Policy interface {
 // both satisfy it.
 type IntSource interface {
 	Intn(n int) int
-}
-
-// ActionMasker is an optional Environment extension restricting which
-// actions are valid in the current state (e.g. unreachable destination
-// zones). A nil mask means every action is valid.
-type ActionMasker interface {
-	ValidActions() []bool
 }
 
 // Transition is one (s, a, r, s', done) experience.
@@ -160,12 +139,4 @@ func randValid(rng IntSource, n int, mask []bool) int {
 		return -1
 	}
 	return valid[rng.Intn(len(valid))]
-}
-
-// maskOf returns env's action mask when it implements ActionMasker.
-func maskOf(env Environment) []bool {
-	if m, ok := env.(ActionMasker); ok {
-		return m.ValidActions()
-	}
-	return nil
 }

@@ -186,7 +186,22 @@ func TestDQNSolvesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	returns := d.TrainEpisodes(env, 120, 100)
+	// 120 episodes of at most 100 steps each.
+	returns := make([]float64, 0, 120)
+	for ep := 0; ep < 120; ep++ {
+		state, total := env.Reset(), 0.0
+		for step := 0; step < 100; step++ {
+			a := d.SelectAction(state, nil)
+			next, reward, done := env.Step(a)
+			total += reward
+			d.Observe(Transition{State: state, Action: a, Reward: reward, NextState: next, Done: done})
+			state = next
+			if done {
+				break
+			}
+		}
+		returns = append(returns, total)
+	}
 	// Later episodes should beat early ones.
 	early := mean(returns[:20])
 	late := mean(returns[len(returns)-20:])
@@ -249,7 +264,7 @@ func TestDQNSaveLoadPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []float64{0.1, 0.2, 0.3}
-	qa, qb := d.QValues(state), d2.QValues(state)
+	qa, qb := d.SnapshotPolicy().Forward(state), d2.SnapshotPolicy().Forward(state)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatalf("Q values differ after load: %v vs %v", qa, qb)

@@ -220,8 +220,9 @@ func (r *Router) TreeInto(ws *Workspace, src LandmarkID) *Tree {
 }
 
 // Tree runs Dijkstra from src and returns a freshly allocated
-// shortest-path tree the caller owns. Hot paths should prefer CachedTree
-// (shared per epoch) or TreeInto (caller-owned reusable workspace).
+// shortest-path tree the caller owns. CachedTree runs it on a miss;
+// other callers should prefer CachedTree, which shares one tree per
+// (source, epoch).
 func (r *Router) Tree(src LandmarkID) *Tree {
 	t := &Tree{}
 	h := r.cache.getHeap()
@@ -317,18 +318,6 @@ type Route struct {
 	Time float64 // seconds
 }
 
-// Empty reports whether the route contains no segments.
-func (rt Route) Empty() bool { return len(rt.Segs) == 0 }
-
-// Destination returns the final segment of the route, or NoSegment for an
-// empty route.
-func (rt Route) Destination() SegmentID {
-	if len(rt.Segs) == 0 {
-		return NoSegment
-	}
-	return rt.Segs[len(rt.Segs)-1]
-}
-
 // remainingTime returns the time to finish the segment the vehicle is on.
 // A vehicle already on a segment may always finish it, even if the
 // segment has since closed (it cannot teleport off the road); the closure
@@ -384,16 +373,6 @@ func (r *Router) RouteToSegmentEnd(pos Position, target SegmentID) (Route, error
 	segs = append(segs, target)
 	total := r.remainingTime(pos) + tree.TimeTo(tgt.From) + tw
 	return Route{Segs: segs, Time: total}, nil
-}
-
-// TravelTime returns the time in seconds to drive from pos to the end of
-// target, or +Inf when unreachable.
-func (r *Router) TravelTime(pos Position, target SegmentID) float64 {
-	rt, err := r.RouteToSegmentEnd(pos, target)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return rt.Time
 }
 
 // TreeFromPosition returns the shortest-path tree from the head landmark

@@ -128,7 +128,7 @@ func TestRouteToSegmentEnd(t *testing.T) {
 	if math.Abs(rt.Time-250) > 2 {
 		t.Errorf("Time = %v, want ~250", rt.Time)
 	}
-	if rt.Segs[0] != s01 || rt.Destination() != s23 {
+	if rt.Segs[0] != s01 || rt.Segs[len(rt.Segs)-1] != s23 {
 		t.Errorf("route endpoints wrong: %+v", rt.Segs)
 	}
 	if len(rt.Segs) != 3 {
@@ -167,9 +167,6 @@ func TestRouteToClosedTarget(t *testing.T) {
 	}
 	if _, err := r.RouteToSegmentEnd(pos, s12); !errors.Is(err, ErrNoPath) {
 		t.Errorf("err = %v, want ErrNoPath", err)
-	}
-	if !math.IsInf(r.TravelTime(pos, s12), 1) {
-		t.Error("TravelTime to closed target should be +Inf")
 	}
 }
 

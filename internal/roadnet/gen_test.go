@@ -98,7 +98,7 @@ func TestGenerateCityRegionsAssigned(t *testing.T) {
 			t.Errorf("region %d has %d landmarks, want 64", r, counts[r])
 		}
 	}
-	segRegions := city.Graph.Regions()
+	segRegions := city.Graph.SegmentIDsByRegion()
 	if len(segRegions) != 7 {
 		t.Errorf("segment regions = %v", segRegions)
 	}

@@ -36,8 +36,8 @@ func FuzzReadCityJSON(f *testing.F) {
 	}
 	valid := buf.String()
 	f.Add([]byte(valid))
-	f.Add([]byte(valid[:len(valid)/2]))                               // truncated
-	f.Add([]byte(strings.Replace(valid, `"id":1`, `"id":99`, 1)))     // id/index mismatch
+	f.Add([]byte(valid[:len(valid)/2]))                                      // truncated
+	f.Add([]byte(strings.Replace(valid, `"id":1`, `"id":99`, 1)))            // id/index mismatch
 	f.Add([]byte(strings.Replace(valid, `"depot":`, `"depot":9e9,"x":`, 1))) // dangling depot
 	f.Add([]byte(strings.Replace(valid, `"region":1`, `"region":-2`, 1)))    // bad region
 

@@ -5,8 +5,8 @@
 //
 // The package provides graph construction and validation, a synthetic
 // Charlotte-like generator with the paper's 7 council-district regions,
-// an OpenStreetMap XML loader, time-based shortest-path routing
-// (Dijkstra) under pluggable cost models, and JSON persistence.
+// time-based shortest-path routing (Dijkstra) under pluggable cost
+// models, and JSON persistence.
 package roadnet
 
 import (
@@ -317,9 +317,6 @@ func (g *Graph) Point(pos Position) geo.Point {
 	return geo.Interpolate(g.landmarks[s.From].Pos, g.landmarks[s.To].Pos, frac)
 }
 
-// RegionOf returns the region of pos.
-func (g *Graph) RegionOf(pos Position) int { return g.segments[pos.Seg].Region }
-
 // SegmentIDsByRegion groups all segment IDs by region index.
 func (g *Graph) SegmentIDsByRegion() map[int][]SegmentID {
 	byRegion := make(map[int][]SegmentID)
@@ -327,23 +324,4 @@ func (g *Graph) SegmentIDsByRegion() map[int][]SegmentID {
 		byRegion[s.Region] = append(byRegion[s.Region], s.ID)
 	}
 	return byRegion
-}
-
-// Regions returns the sorted list of distinct region indices present.
-func (g *Graph) Regions() []int {
-	seen := make(map[int]bool)
-	for _, s := range g.segments {
-		seen[s.Region] = true
-	}
-	out := make([]int, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	// insertion sort; region counts are tiny
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

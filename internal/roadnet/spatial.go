@@ -5,7 +5,7 @@ import (
 )
 
 // SpatialIndex is a uniform-grid index over a graph's landmarks for fast
-// nearest-landmark queries (map matching, request localization). It is
+// nearest-landmark queries (request localization). It is
 // immutable after construction and safe for concurrent use.
 type SpatialIndex struct {
 	g     *Graph

@@ -112,11 +112,6 @@ func (c *treeCache) entry(src LandmarkID) *treeEntry {
 	return e
 }
 
-// Epoch returns the cache's current epoch. Trees served by CachedTree
-// are valid for exactly one epoch; the simulator bumps the epoch once
-// per decision window via Rebind.
-func (r *Router) Epoch() uint64 { return r.cache.epoch.Load() }
-
 // Invalidate starts a new cache epoch and returns it. Every cached tree
 // becomes stale atomically in O(1); trees are recomputed lazily on next
 // use. Trees already handed out remain readable (they are immutable),
@@ -150,10 +145,7 @@ func (r *Router) CachedTree(src LandmarkID) *Tree {
 	// straggler may still be reading it) while holding the entry lock so
 	// co-located callers wait for this one Dijkstra instead of running
 	// their own.
-	t := &Tree{}
-	h := r.cache.getHeap()
-	r.computeTree(t, h, src)
-	r.cache.putHeap(h)
+	t := r.Tree(src)
 	e.tree = t
 	e.epoch = epoch
 	e.mu.Unlock()

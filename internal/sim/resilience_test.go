@@ -39,10 +39,10 @@ func (d *badOrderDisp) Decide(snap *Snapshot) ([]Order, time.Duration) {
 	}
 	d.fired = true
 	return []Order{
-		{Vehicle: 999, Target: d.good},                 // unknown vehicle
+		{Vehicle: 999, Target: d.good},                   // unknown vehicle
 		{Vehicle: 0, Target: roadnet.SegmentID(1 << 29)}, // out-of-range target
-		{Vehicle: 0, Target: d.good},                   // the real order
-		{Vehicle: 0, Target: d.good},                   // same-round duplicate
+		{Vehicle: 0, Target: d.good},                     // the real order
+		{Vehicle: 0, Target: d.good},                     // same-round duplicate
 	}, 0
 }
 

@@ -136,7 +136,7 @@ func TestRewardPerHourAccounting(t *testing.T) {
 
 func TestTimelyServedAccounting(t *testing.T) {
 	res := makeResult([]RequestOutcome{
-		served(5*time.Minute, 20*time.Minute, 0),   // timely, hour 0
+		served(5*time.Minute, 20*time.Minute, 0),    // timely, hour 0
 		served(5*time.Minute, 100*time.Minute, 0),   // stale
 		served(100*time.Minute, 110*time.Minute, 0), // timely, hour 1
 		unserved(10 * time.Minute),

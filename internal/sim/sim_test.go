@@ -42,8 +42,8 @@ func (g greedyDisp) Decide(snap *Snapshot) ([]Order, time.Duration) {
 			if used[rq.Seg] {
 				continue
 			}
-			if tt := snap.Router.TravelTime(v.Pos, rq.Seg); tt < bestT {
-				bestT = tt
+			if rt, err := snap.Router.RouteToSegmentEnd(v.Pos, rq.Seg); err == nil && rt.Time < bestT {
+				bestT = rt.Time
 				best = rq.Seg
 			}
 		}

@@ -208,9 +208,6 @@ func NewManager(dir string, keep int) (*Manager, error) {
 	return m, nil
 }
 
-// Dir returns the snapshot directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // Install writes st as the next snapshot generation — atomic temp +
 // fsync + rename, so a crash mid-install never damages an existing
 // file — and prunes generations beyond the keep limit. It returns the

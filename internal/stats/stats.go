@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives MobiRescue's
-// measurement and evaluation pipelines rely on: descriptive statistics,
-// Pearson correlation (Table I), empirical CDFs (Figures 3, 10, 12, 13,
-// 15, 16), histograms, and classification metrics for the SVM evaluation.
+// measurement and evaluation pipelines rely on: the mean, Pearson
+// correlation (Table I), empirical CDFs (Figures 3, 10, 12, 13, 15, 16),
+// and classification metrics for the SVM evaluation.
 package stats
 
 import (
@@ -24,61 +24,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 when fewer than
-// two samples are provided.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Min returns the minimum of xs. It returns an error when xs is empty.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns an error when xs is empty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys,
@@ -104,75 +49,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, errors.New("stats: zero variance series")
 	}
 	return cov / math.Sqrt(vx*vy), nil
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics. It returns an error for an
-// empty slice or out-of-range p.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Summary holds descriptive statistics for a sample set.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. The zero Summary is returned for an
-// empty slice.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	p25, _ := Percentile(xs, 25)
-	p50, _ := Percentile(xs, 50)
-	p75, _ := Percentile(xs, 75)
-	p95, _ := Percentile(xs, 95)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		P25:    p25,
-		Median: p50,
-		P75:    p75,
-		P95:    p95,
-		Max:    mx,
-	}
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }
 
 // CDF is an empirical cumulative distribution function over a sample set.
@@ -248,89 +124,6 @@ func (c *CDF) Points(n int) []CDFPoint {
 	return pts
 }
 
-// Histogram counts samples into uniform-width bins over [lo, hi).
-// Samples outside the range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-// It panics if n <= 0 or hi <= lo, which indicate programmer error.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range must be non-empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Online accumulates streaming mean/variance with Welford's algorithm.
-// The zero value is ready to use.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
 // Confusion is a binary-classification confusion matrix. It backs the
 // paper's prediction accuracy and precision metrics (Figures 15 and 16).
 type Confusion struct {
@@ -377,22 +170,4 @@ func (c Confusion) Recall() float64 {
 		return 0
 	}
 	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall, or 0 when both
-// are zero.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// Merge adds the counts of o into c.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
 }

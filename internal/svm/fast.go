@@ -186,21 +186,6 @@ func (m *Model) PredictInto(ws *Workspace, x []float64) bool {
 	return m.DecisionInto(ws, x) >= 0
 }
 
-// DecisionBatch computes the signed margins for a batch of raw feature
-// vectors into out (reused when cap allows) and returns it. It shares
-// one workspace across the batch, so it allocates only when out must
-// grow.
-func (m *Model) DecisionBatch(ws *Workspace, xs [][]float64, out []float64) []float64 {
-	if cap(out) < len(xs) {
-		out = make([]float64, len(xs))
-	}
-	out = out[:len(xs)]
-	for i, x := range xs {
-		out[i] = m.DecisionInto(ws, x)
-	}
-	return out
-}
-
 // DecisionReference is the pre-fast-path implementation — a generic
 // kernel sum over the [][]float64 support vectors after an allocating
 // scaler transform. It is retained as the equivalence oracle for the

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,58 +92,6 @@ func TestDecisionIntoZeroAlloc(t *testing.T) {
 		m.DecisionInto(ws, x) // warm the workspace
 		if n := testing.AllocsPerRun(200, func() { m.DecisionInto(ws, x) }); n != 0 {
 			t.Fatalf("%s: DecisionInto allocates %v/op, want 0", kernel.Name(), n)
-		}
-	}
-}
-
-// TestDecisionBatch pins batch output against per-vector calls and the
-// dst-reuse contract.
-func TestDecisionBatch(t *testing.T) {
-	m := trainFixture(t, RBF{Gamma: 0.4}, 60, 3, 11)
-	ws := NewWorkspace()
-	rng := rand.New(rand.NewSource(4))
-	xs := make([][]float64, 17)
-	for i := range xs {
-		xs[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64() * 50}
-	}
-	out := m.DecisionBatch(ws, xs, nil)
-	if len(out) != len(xs) {
-		t.Fatalf("batch returned %d results for %d inputs", len(out), len(xs))
-	}
-	for i, x := range xs {
-		if got := m.DecisionInto(ws, x); got != out[i] {
-			t.Fatalf("batch[%d] = %v, DecisionInto = %v", i, out[i], got)
-		}
-	}
-	// Reuse: a big-enough dst must come back without reallocating.
-	dst := make([]float64, 0, len(xs))
-	out2 := m.DecisionBatch(ws, xs, dst)
-	if &out2[0] != &dst[:1][0] {
-		t.Fatalf("DecisionBatch reallocated despite sufficient dst capacity")
-	}
-}
-
-// TestLoadedModelHasFastPath verifies Save/Load round-trips rebuild the
-// precomputed state so loaded models decide identically to trained ones.
-func TestLoadedModelHasFastPath(t *testing.T) {
-	for _, kernel := range []Kernel{Linear{}, RBF{Gamma: 0.25}} {
-		m := trainFixture(t, kernel, 70, 3, 13)
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("Load: %v", err)
-		}
-		if loaded.fast == nil {
-			t.Fatalf("%s: loaded model missing fast state", kernel.Name())
-		}
-		ws := NewWorkspace()
-		for _, x := range [][]float64{{0, 0, 0}, {5, -3, 120}, {-2, 8, 40}} {
-			if got, want := loaded.DecisionInto(ws, x), m.DecisionInto(ws, x); got != want {
-				t.Fatalf("%s: loaded decision %v != trained %v", kernel.Name(), got, want)
-			}
 		}
 	}
 }

@@ -298,9 +298,6 @@ func (m *Model) Predict(x []float64) bool { return m.Decision(x) >= 0 }
 // NumSVs returns the number of support vectors retained.
 func (m *Model) NumSVs() int { return len(m.svX) }
 
-// Kernel returns the kernel in use.
-func (m *Model) Kernel() Kernel { return m.kernel }
-
 // Scaler standardizes features to zero mean and unit variance.
 type Scaler struct {
 	Mean []float64

@@ -372,6 +372,7 @@ func TestDQNLearnerIntegration(t *testing.T) {
 				return nil, 0, err
 			}
 			state := []float64{float64(round), float64(actor), 0}
+			total := 0.0
 			for i := 0; i < 5; i++ {
 				a := ap.SelectAction(state, nil)
 				next := []float64{float64(round), float64(actor), float64(i + 1)}
@@ -379,9 +380,10 @@ func TestDQNLearnerIntegration(t *testing.T) {
 					State: state, Action: a, Reward: float64(a),
 					NextState: next, Done: i == 4,
 				})
+				total += float64(a)
 				state = next
 			}
-			return ap.Trajectory(), ap.TotalReward(), nil
+			return ap.Trajectory(), total, nil
 		}
 		tr, err := New(agent, rollout, 0, Config{Actors: 4, Episodes: 8, Workers: workers, Seed: 11})
 		if err != nil {

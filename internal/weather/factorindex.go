@@ -71,9 +71,6 @@ func NewFactorIndex(f Field, elev func(geo.Point) float64, lookback time.Duratio
 	}
 }
 
-// Lookback returns the trailing-average window the index answers for.
-func (fi *FactorIndex) Lookback() time.Duration { return fi.lookback }
-
 // sampleLocked returns the memoized storm state at t, computing and
 // caching it on miss. Called with fi.mu held.
 func (fi *FactorIndex) sampleLocked(t time.Time) stormSample {

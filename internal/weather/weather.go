@@ -131,27 +131,6 @@ func (h *Hurricane) WindAt(p geo.Point, t time.Time) float64 {
 	return e * (h.BaseWind + (h.PeakWind-h.BaseWind)*decay)
 }
 
-// AccumPrecip numerically integrates the precipitation (mm) at p from
-// from to to, sampling every step. A non-positive step defaults to
-// 15 minutes.
-func AccumPrecip(f Field, p geo.Point, from, to time.Time, step time.Duration) float64 {
-	if step <= 0 {
-		step = 15 * time.Minute
-	}
-	if !to.After(from) {
-		return 0
-	}
-	total := 0.0
-	for t := from; t.Before(to); t = t.Add(step) {
-		dt := step
-		if t.Add(step).After(to) {
-			dt = to.Sub(t)
-		}
-		total += f.PrecipAt(p, t) * dt.Hours()
-	}
-	return total
-}
-
 // Factors is the disaster-related factor vector h of Section IV-B.
 type Factors struct {
 	Precip   float64 // mm/h
@@ -205,30 +184,6 @@ func windowMeans(f Field, p geo.Point, t time.Time, lookback time.Duration) (pre
 		n++
 	}
 	return precip / float64(n), wind / float64(n)
-}
-
-// RegionAverages samples the field hourly over [from, to) at each center
-// and returns the mean precipitation (mm/h) and wind (mph) per center,
-// matching the per-region averages annotated in Figure 1.
-func RegionAverages(f Field, centers []geo.Point, from, to time.Time) (precip, wind []float64) {
-	precip = make([]float64, len(centers))
-	wind = make([]float64, len(centers))
-	if !to.After(from) {
-		return precip, wind
-	}
-	n := 0
-	for t := from; t.Before(to); t = t.Add(time.Hour) {
-		for i, c := range centers {
-			precip[i] += f.PrecipAt(c, t)
-			wind[i] += f.WindAt(c, t)
-		}
-		n++
-	}
-	for i := range centers {
-		precip[i] /= float64(n)
-		wind[i] /= float64(n)
-	}
-	return precip, wind
 }
 
 // FlorencePreset returns a Hurricane calibrated to the paper's Florence
