@@ -35,19 +35,20 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Go micro-benchmarks for working on one layer: Decide latency, the
-# routing fast path, and the prediction kernels (SVM, network forward
-# pass, storm series). They print numbers and gate nothing; tests pin
-# the 0 allocs/op they report. End-to-end numbers come from
-# `bash bench/run.sh`.
+# routing fast path, the prediction kernels (SVM, network forward pass,
+# storm series), and whole prediction windows over streamed populations
+# of 10K to 1M people, cold and next, on 1 and 2 CPUs. They print
+# numbers and gate nothing; tests pin the 0 allocs/op they report.
+# End-to-end numbers come from `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDecide -benchtime 100x ./internal/dispatch
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/roadnet
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/svm ./internal/nn ./internal/weather
+	$(GO) test -run '^$$' -bench PredictStreamer -cpu 1,2 ./internal/core
 
 # One-iteration pass over the same micro-benchmarks plus core's
-# (BenchmarkPredictStreamer, BenchmarkTrainEpisodes) — the only run of
-# the benchmark bodies, which `make test` skips — so their code cannot
-# rot between commits.
+# BenchmarkTrainEpisodes — the only run of the benchmark bodies, which
+# `make test` skips — so their code cannot rot between commits.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/weather ./internal/core
 
@@ -119,5 +120,9 @@ verify: vet build test
 # the event-log smoke, and the serving-layer smoke.
 ci: verify bench-test eventlog-smoke serve-smoke
 
+# Go's build outputs, plus what the smokes, `make cover` and the
+# benchmark leave in the repository root.
 clean:
 	$(GO) clean ./...
+	rm -f eventlog_*.jsonl crashtest_mobirescue cover.out cover.txt
+	rm -rf eventlog_snaps .bench_build

@@ -38,7 +38,7 @@ var callerAllowlist = map[string]string{
 
 	// Test doubles other packages' tests use.
 	"sim.StaticCost": "fixed cost model for the sim, chaos and serve tests",
-	"weather.Calm":   "storm-free field for the flood tests",
+	"weather.Calm":   "storm-free field for the flood tests and core's TestPredictReuseCounted",
 
 	// Accessors of at most four lines that a test reads.
 	"chaos.(*Injector).NumSurges":      "TestInjectorSchedulesDeterministic",

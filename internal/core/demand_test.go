@@ -220,10 +220,13 @@ func TestPredictProviderOverStreamer(t *testing.T) {
 	}
 }
 
-// BenchmarkPredictStreamer times one cold prediction window (Predict
-// plus RegionTotals, window cache reset) over streamed populations of
-// 10K, 100K and 1M people. Run it with -cpu 1,2 to time the serial and
-// the sharded loop:
+// BenchmarkPredictStreamer times prediction windows (Predict plus
+// RegionTotals) over streamed populations of 10K, 100K and 1M people,
+// in two modes per tier that share one provider. cold resets the cache
+// before every window, so everyone is evaluated exactly; next predicts
+// successive 5-minute windows with no reset, so stationary people reuse
+// their certified margins, as in a run. Run it with -cpu 1,2 to time the
+// serial and the sharded loop:
 //
 //	go test -run '^$' -bench PredictStreamer -cpu 1,2 ./internal/core
 func BenchmarkPredictStreamer(b *testing.B) {
@@ -239,14 +242,34 @@ func BenchmarkPredictStreamer(b *testing.B) {
 		b.Run(tier.name, func(b *testing.B) {
 			p := streamerProvider(b, sys, tier.people)
 			p.Predict(windows[1]) // fill the per-person memos
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := windows[i%2]
+			b.Run("cold", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					w := windows[i%2]
+					p.ResetCache()
+					p.Predict(w)
+					p.RegionTotals(w)
+				}
+			})
+			b.Run("next", func(b *testing.B) {
 				p.ResetCache()
-				p.Predict(w)
-				p.RegionTotals(w)
-			}
+				p.Predict(at)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 1; i <= b.N; i++ {
+					// Successive windows through the day after at, so
+					// every window lies inside the storm; on wrapping
+					// back to at, drop the cached windows (not the
+					// margins) and take one near-cold window.
+					k := i % 288
+					if k == 0 {
+						p.dropWindows()
+					}
+					w := at.Add(time.Duration(k) * 5 * time.Minute)
+					p.Predict(w)
+					p.RegionTotals(w)
+				}
+			})
 		})
 	}
 }

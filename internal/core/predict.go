@@ -126,24 +126,40 @@ const (
 	MetricPredictSeconds    = "mobirescue_predict_window_seconds"
 )
 
-// segMemo memoizes the position-dependent inputs of one person's last
-// evaluated position: the altitude factor, and — resolved lazily, only
-// once the person is predicted positive — the nearest road segment.
-// People are stationary for most 5-minute windows, so the elevation
-// model and the spatial-index ring search are skipped whenever the
-// position is unchanged. A memo is immutable once published; the
-// pointer is swapped atomically because concurrent Predict calls for
-// different windows may touch the same person, and since both fields
-// are pure functions of the position, racing writers store equal
-// values. Memos live in a dense index-addressed slice (one atomic
-// pointer per person), not a map — at metro scale a map-keyed memo is
-// O(people) of bucket overhead plus a hash per lookup.
+// segMemo memoizes one person's last evaluated position: the altitude
+// factor, the nearest road segment (resolved lazily, only once the
+// person is predicted positive), and the last exact SVM margin computed
+// there with the instant and cache epoch it was computed at. People are
+// stationary for most 5-minute windows, so the elevation model and the
+// spatial-index ring search are skipped whenever the position is
+// unchanged, and the margin certifies the decision of later windows
+// (see certifies). A memo is immutable once published; the pointer is
+// swapped atomically because concurrent Predict calls for different
+// windows may touch the same person, so no reader ever pairs one
+// position's margin with another position. Racing writers store equal
+// position fields and equally valid (margin, at) pairs. Memos live in a
+// dense index-addressed slice (one atomic pointer per person), not a
+// map — at metro scale a map-keyed memo is O(people) of bucket overhead
+// plus a hash per lookup.
 type segMemo struct {
 	pos      geo.Point
 	alt      float64
+	margin   float64 // NaN when no finite margin is kept
+	at       int64   // unix nanoseconds margin was computed at
+	epoch    uint64  // ResetCache epoch margin was computed in
 	seg      roadnet.SegmentID
 	resolved bool // seg is valid
 }
+
+// marginSlack covers the floating-point rounding of the two exact
+// evaluations a reuse compares (see certifies), per unit of |rawB|+1.
+// Each margin is rawB plus three products whose factors are 25-term
+// means; their rounding error is a few dozen ulps of the largest term,
+// about 1e-13 for the trained model (|rawB| ≈ 24, terms below ~50).
+// 1e-6·(|rawB|+1) ≈ 2.5e-5 exceeds that by about 10⁸ and stays below 0.1%
+// of one 5-minute window's drift bound; it holds while every term
+// stays below ~10⁸·(|rawB|+1).
+const marginSlack = 1e-6
 
 // predictScratch is the per-worker reusable window scratch: the SVM
 // workspace plus a flat per-segment count column with its touched list.
@@ -186,17 +202,19 @@ type predictMetrics struct {
 // per window (weather.FactorIndex.SeriesInto) and evaluated per person
 // without locks, zero-allocation SVM decisions
 // (svm.Model.DecisionInto), index-addressed memoized altitude and
-// nearest-segment lookups for stationary people, and a person loop over
-// a columnar pop.Source sharded along the region plan (pop.Regions —
-// the paper's council districts) across SetWorkers goroutines with per-shard
-// accumulators merged in fixed shard order. Per-person counts are small
-// integers, so the merged float64 sums are exact under any partition —
-// the predicted distribution is byte-identical for any worker count and
-// identical to the pre-columnar per-track path. Windows are cached
-// behind a singleflight so concurrent callers for the same instant
-// compute once; the cache is bounded (entries older than the episode
-// horizon, and beyond a hard cap, are evicted). The provider is safe
-// for concurrent use.
+// nearest-segment lookups for stationary people, certified reuse of a
+// stationary person's last exact margin (see certifies), and a person
+// loop over a columnar pop.Source sharded along the region plan
+// (pop.Regions — the paper's council districts) across SetWorkers
+// goroutines with per-shard accumulators merged in fixed shard order.
+// A reused margin's sign is provably the exact decision's, and
+// per-person counts are small integers, so the merged float64 sums are
+// exact under any partition — the predicted distribution is
+// byte-identical for any worker count and identical to the
+// pre-columnar per-track path. Windows are cached behind a singleflight
+// so concurrent callers for the same instant compute once; the cache is
+// bounded (entries older than the episode horizon, and beyond a hard
+// cap, are evicted). The provider is safe for concurrent use.
 type PredictProvider struct {
 	model   *svm.Model
 	storm   weather.Field
@@ -231,6 +249,12 @@ type PredictProvider struct {
 	// round in a window queries the same instant, and the totals are
 	// deterministic, so racing writers store equal values.
 	regTotals atomic.Pointer[regionTotalsEntry]
+
+	// rate bounds how fast any person's margin can drift per nanosecond
+	// at a fixed position (+Inf disables reuse); slack covers rounding.
+	// epoch advances on ResetCache, which forgets every kept margin.
+	rate, slack float64
+	epoch       atomic.Uint64
 }
 
 // regionTotalsEntry caches one instant's per-region totals.
@@ -297,6 +321,17 @@ func NewPredictProviderFromSource(city *roadnet.City, src pop.Source, model *svm
 		horizon:    horizon,
 		maxEntries: 4096,
 		cache:      make(map[int64]*predictEntry),
+		rate:       math.Inf(1),
+	}
+	// A linear model's margin is rawB + w·(P̄, W̄, altitude), and the
+	// altitude of a fixed position does not drift, so the margin drifts
+	// at most |w_P|·ρ_P + |w_W|·ρ_W per second. Any other kernel, or a
+	// field without a bound, keeps rate at +Inf and never reuses.
+	if w, b, ok := model.LinearWeights(); ok && len(w) >= 2 {
+		if rp, rw := p.factors.DriftRate(); !math.IsInf(rp, 1) {
+			p.rate = (math.Abs(w[0])*rp + math.Abs(w[1])*rw) / 1e9
+			p.slack = marginSlack * (math.Abs(b) + 1)
+		}
 	}
 	p.scratch.New = func() any {
 		return &predictScratch{
@@ -324,7 +359,7 @@ func (p *PredictProvider) EnableMetrics(reg *obs.Registry) {
 		hits:      reg.Counter(MetricPredictCacheHits, "Prediction window cache hits."),
 		misses:    reg.Counter(MetricPredictCacheMiss, "Prediction window cache misses."),
 		evictions: reg.Counter(MetricPredictCacheEvict, "Prediction windows evicted from the cache."),
-		persons:   reg.Counter(MetricPredictPersons, "Per-person SVM decisions evaluated by Predict."),
+		persons:   reg.Counter(MetricPredictPersons, "People classified by Predict, whether evaluated by the SVM or by a reused certified margin."),
 		positives: reg.Counter(MetricPredictPositives, "Per-person decisions predicting a rescue request."),
 		latency: reg.Histogram(MetricPredictSeconds,
 			"Wall-clock seconds per computed prediction window.", obs.DefSecondsBuckets),
@@ -457,24 +492,31 @@ func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float
 // touches only flat columns and read-only state — positions from the
 // source, the shared series, pooled SVM workspace, index-addressed
 // memos, and a per-segment count column — so it takes no lock and
-// performs no map operations; it allocates only when a person's memo
-// is refreshed. The sparse result map is built once from the touched
-// list afterwards.
+// performs no map operations. A person whose memo holds a margin that
+// certifies t keeps that margin's sign; everyone else is evaluated
+// exactly, and only an exact evaluation that publishes a memo
+// allocates. The sparse result map is built once from the touched list
+// afterwards.
 func (p *PredictProvider) predictRange(start, end int, t time.Time, series *weather.StormSeries, out map[roadnet.SegmentID]float64) {
 	s := p.scratch.Get().(*predictScratch)
-	unixNano := t.UnixNano()
-	var vec [3]float64
+	at := t.UnixNano()
+	epoch := p.epoch.Load()
 	positives := 0
 	for k := start; k < end; k++ {
 		i := p.plan.At(k)
-		m := p.memoAt(i, p.src.PosAt(i, unixNano))
-		vec[0], vec[1] = series.At(m.pos)
-		vec[2] = m.alt
-		if !p.model.PredictInto(s.ws, vec[:]) {
+		pos := p.src.PosAt(i, at)
+		m := p.segs[i].Load()
+		var positive bool
+		if m != nil && m.pos == pos && m.epoch == epoch && p.certifies(m.margin, at-m.at) {
+			positive = m.margin >= 0
+		} else {
+			m, positive = p.evaluate(i, m, pos, at, epoch, series, s.ws)
+		}
+		if !positive {
 			continue
 		}
 		positives++
-		seg := p.segmentOf(i, m)
+		seg := m.seg
 		if seg == roadnet.NoSegment {
 			continue
 		}
@@ -493,34 +535,61 @@ func (p *PredictProvider) predictRange(start, end int, t time.Time, series *weat
 	p.met.positives.Add(int64(positives))
 }
 
-// memoAt returns person i's memo for pos, replacing it with a fresh one
-// (altitude resolved, segment not yet) when the person has moved.
-func (p *PredictProvider) memoAt(i int, pos geo.Point) *segMemo {
-	if m := p.segs[i].Load(); m != nil && m.pos == pos {
-		return m
-	}
-	m := &segMemo{pos: pos, alt: weather.Altitude(p.elev, pos)}
-	p.segs[i].Store(m)
-	return m
+// certifies reports whether a margin computed dt nanoseconds away from a
+// query instant, at the same position, has the sign an exact evaluation
+// at that instant gives: the margin drifts at most rate·|dt| there, and
+// slack covers the rounding of both evaluations. A NaN margin certifies
+// nothing, and nothing certifies while rate is +Inf.
+func (p *PredictProvider) certifies(margin float64, dt int64) bool {
+	return math.Abs(margin) > p.rate*math.Abs(float64(dt))+p.slack
 }
 
-// segmentOf resolves memo m of person i to its nearest road segment,
-// publishing the resolved memo on first use.
-func (p *PredictProvider) segmentOf(i int, m *segMemo) roadnet.SegmentID {
-	if m.resolved {
-		return m.seg
+// evaluate computes person i's exact SVM decision at pos and instant
+// at, given the person's current memo m (nil, or for another position).
+// It publishes one fresh memo when the person moved, when the margin is
+// finite and certifies at least its own instant, or when a positive
+// decision needs the nearest segment resolved, and returns the memo
+// holding the segment along with the decision.
+func (p *PredictProvider) evaluate(i int, m *segMemo, pos geo.Point, at int64, epoch uint64, series *weather.StormSeries, ws *svm.Workspace) (*segMemo, bool) {
+	publish := m == nil || m.pos != pos
+	var n segMemo
+	if publish {
+		n = segMemo{pos: pos, alt: weather.Altitude(p.elev, pos), margin: math.NaN()}
+	} else {
+		n = *m
 	}
-	seg := p.index.NearestSegment(m.pos)
-	p.segs[i].Store(&segMemo{pos: m.pos, alt: m.alt, seg: seg, resolved: true})
-	return seg
+	var vec [3]float64
+	vec[0], vec[1] = series.At(pos)
+	vec[2] = n.alt
+	margin := p.model.DecisionInto(ws, vec[:])
+	positive := margin >= 0
+	if !math.IsInf(margin, 0) && p.certifies(margin, 0) {
+		n.margin, n.at, n.epoch = margin, at, epoch
+		publish = true
+	}
+	if positive && !n.resolved {
+		n.seg, n.resolved = p.index.NearestSegment(pos), true
+		publish = true
+	}
+	if publish {
+		m = new(segMemo)
+		*m = n
+		p.segs[i].Store(m)
+	}
+	return m, positive
 }
 
-// ResetCache drops every cached window (benchmarks use this to measure
-// the cold path).
+// ResetCache drops every cached window, the RegionTotals entry, and —
+// in O(1), by advancing the epoch — every kept margin, so the next
+// window evaluates everyone exactly, as a fresh run does (benchmarks use
+// this to measure the cold path). Position memos stay: they are pure
+// functions of the position.
 func (p *PredictProvider) ResetCache() {
 	p.mu.Lock()
 	p.cache = make(map[int64]*predictEntry)
 	p.mu.Unlock()
+	p.regTotals.Store(nil)
+	p.epoch.Add(1)
 }
 
 // CacheLen returns the number of cached windows (including in-flight

@@ -9,6 +9,7 @@ import (
 	"mobirescue/internal/mobility"
 	"mobirescue/internal/obs"
 	"mobirescue/internal/roadnet"
+	"mobirescue/internal/svm"
 	"mobirescue/internal/weather"
 )
 
@@ -50,6 +51,14 @@ func (p *PredictProvider) PredictReference(t time.Time) map[roadnet.SegmentID]fl
 		out[seg]++
 	}
 	return out
+}
+
+// dropWindows forgets the cached windows but, unlike ResetCache, keeps
+// every memo's margin, so the next windows reuse them.
+func (p *PredictProvider) dropWindows() {
+	p.mu.Lock()
+	p.cache = make(map[int64]*predictEntry)
+	p.mu.Unlock()
 }
 
 // TestPredictParallelMatchesSerial is the determinism contract of the
@@ -335,6 +344,156 @@ func TestPredictMovingPeopleMemos(t *testing.T) {
 		if !reflect.DeepEqual(fromPerson, want[w]) {
 			t.Fatalf("window %v: PredictPerson decisions disagree with Predict/PredictReference", at)
 		}
+	}
+}
+
+// countingModel returns a shallow copy of the system's SVM — the same
+// trained state — with its own evaluation counter in a fresh registry,
+// so a test can count exact SVM evaluations without touching the shared
+// model.
+func countingModel(sys *System) (*svm.Model, *obs.Registry) {
+	m := *sys.SVM
+	reg := obs.NewRegistry()
+	m.EnableMetrics(reg)
+	return &m, reg
+}
+
+// peakDayWindows returns every 5-minute window of the evaluation
+// episode's peak request day from the given offset into the day.
+func peakDayWindows(sc *Scenario, from time.Duration, n int) []time.Time {
+	cfg := sc.Eval.Data.Config
+	day := cfg.Start.Add(time.Duration(sc.Eval.PeakRequestDay())*24*time.Hour + from)
+	windows := make([]time.Time, n)
+	for w := range windows {
+		windows[w] = day.Add(time.Duration(w) * 5 * time.Minute)
+	}
+	return windows
+}
+
+// TestPredictReuseExact pins certified margin reuse: on one provider
+// whose kept margins persist across passes (only the window map is
+// dropped between them, never ResetCache), every 5-minute window of the
+// evaluation peak day, predicted forwards, backwards, and all at once
+// at workers 4, must equal PredictReference. Passes after the first
+// reuse margins computed hours away in either direction, and the
+// concurrent pass races windows at different instants on the same
+// people's memos (run under -race in CI).
+func TestPredictReuseExact(t *testing.T) {
+	sys := testSystem(t)
+	sc := sys.Scenario
+	model, reg := countingModel(sys)
+	p, err := NewPredictProvider(sc.City, sc.Eval, model, sc.Elev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.EnableMetrics(reg)
+	windows := peakDayWindows(sc, 0, 288)
+	want := make([]map[roadnet.SegmentID]float64, len(windows))
+	for w, at := range windows {
+		want[w] = p.PredictReference(at)
+	}
+	reference := metricValue(t, reg.Snapshot(), svm.MetricPredictions)
+	check := func(pass string, w int, got map[roadnet.SegmentID]float64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want[w]) {
+			t.Fatalf("%s: window %v differs from PredictReference", pass, windows[w])
+		}
+	}
+	defer p.SetWorkers(0)
+	p.SetWorkers(1)
+	for w, at := range windows {
+		check("forwards", w, p.Predict(at))
+	}
+	p.dropWindows()
+	p.SetWorkers(2)
+	for w := len(windows) - 1; w >= 0; w-- {
+		check("backwards", w, p.Predict(windows[w]))
+	}
+	p.dropWindows()
+	p.SetWorkers(4)
+	got := make([]map[roadnet.SegmentID]float64, len(windows))
+	var wg sync.WaitGroup
+	for w, at := range windows {
+		wg.Add(1)
+		go func(w int, at time.Time) {
+			defer wg.Done()
+			got[w] = p.Predict(at)
+		}(w, at)
+	}
+	wg.Wait()
+	for w := range windows {
+		check("concurrent", w, got[w])
+	}
+
+	snap := reg.Snapshot()
+	exact, persons := metricValue(t, snap, svm.MetricPredictions)-reference, metricValue(t, snap, MetricPredictPersons)
+	t.Logf("%d of %d person-windows evaluated exactly", exact, persons)
+	if 2*exact > persons {
+		t.Fatalf("fixture exercises little reuse: %d of %d person-windows evaluated exactly", exact, persons)
+	}
+}
+
+// TestPredictReuseCounted pins the saving, with the counters named in
+// advance: over the 120 windows of the metro span (06:00–16:00 of the
+// peak day) on a 10,000-person streamer, exact SVM evaluations
+// (svm.MetricPredictions) stay at most a quarter of the people
+// classified (MetricPredictPersons). The first window evaluates
+// everyone, and so does the first window after ResetCache. With
+// weather.Calm as the field there is no drift bound, so every person is
+// evaluated in every window.
+func TestPredictReuseCounted(t *testing.T) {
+	sys := testSystem(t)
+	sc := sys.Scenario
+	const people = 10_000
+	mcfg := sc.Eval.Data.Config
+	mcfg.NumPeople = people
+	st, err := mobility.NewStreamer(sc.City, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := peakDayWindows(sc, 6*time.Hour, 120)
+	provider := func(storm weather.Field) (*PredictProvider, func() (exact, persons int)) {
+		t.Helper()
+		model, reg := countingModel(sys)
+		p, err := NewPredictProviderFromSource(sc.City, st, model, storm, sc.Elev, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.EnableMetrics(reg)
+		return p, func() (int, int) {
+			snap := reg.Snapshot()
+			return metricValue(t, snap, svm.MetricPredictions), metricValue(t, snap, MetricPredictPersons)
+		}
+	}
+
+	p, counts := provider(sc.Eval.Storm)
+	p.Predict(windows[0])
+	if exact, _ := counts(); exact != people {
+		t.Fatalf("first window evaluated %d people exactly, want all %d", exact, people)
+	}
+	for _, at := range windows[1:] {
+		p.Predict(at)
+	}
+	exact, persons := counts()
+	t.Logf("metro span: %d of %d person-windows evaluated exactly (%.1f%%)", exact, persons, 100*float64(exact)/float64(persons))
+	if persons != len(windows)*people {
+		t.Fatalf("%s = %d, want %d people x %d windows", MetricPredictPersons, persons, people, len(windows))
+	}
+	if 4*exact > persons {
+		t.Fatalf("%d of %d person-windows evaluated exactly, want at most 25%%", exact, persons)
+	}
+	p.ResetCache()
+	p.Predict(windows[0])
+	if again, _ := counts(); again-exact != people {
+		t.Fatalf("first window after ResetCache evaluated %d people exactly, want all %d", again-exact, people)
+	}
+
+	calm, calmCounts := provider(weather.Calm{})
+	for _, at := range windows[:3] {
+		calm.Predict(at)
+	}
+	if exact, persons := calmCounts(); exact != persons || persons != 3*people {
+		t.Fatalf("calm field: %d exact evaluations for %d people classified, want every person in every window", exact, persons)
 	}
 }
 

@@ -180,10 +180,15 @@ func (m *Model) DecisionInto(ws *Workspace, x []float64) float64 {
 	return s
 }
 
-// PredictInto is the zero-allocation form of Predict over a caller-owned
-// workspace.
-func (m *Model) PredictInto(ws *Workspace, x []float64) bool {
-	return m.DecisionInto(ws, x) >= 0
+// LinearWeights returns the raw-space weights and bias DecisionInto
+// folds a linear model into: its margin is b + Σ_j w[j]·x[j] over the
+// unscaled features, summed in that order. ok is false for any other
+// kernel. The slice is shared and must not be mutated.
+func (m *Model) LinearWeights() (w []float64, b float64, ok bool) {
+	if m.fast == nil || m.fast.rawW == nil {
+		return nil, 0, false
+	}
+	return m.fast.rawW, m.fast.rawB, true
 }
 
 // DecisionReference is the pre-fast-path implementation — a generic

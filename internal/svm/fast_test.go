@@ -82,6 +82,32 @@ func TestFastDecisionShortAndLongVectors(t *testing.T) {
 	}
 }
 
+// TestLinearWeights pins the weights a caller may bound a linear
+// model's margin with: b + Σ w[j]·x[j], summed in order, reproduces
+// DecisionInto bit for bit. An RBF model reports that it has none.
+func TestLinearWeights(t *testing.T) {
+	m := trainFixture(t, Linear{}, 120, 3, 7)
+	w, b, ok := m.LinearWeights()
+	if !ok || len(w) != 3 {
+		t.Fatalf("linear model: LinearWeights() = %v, %v, %v, want 3 weights", w, b, ok)
+	}
+	ws := NewWorkspace()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		x := []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 100}
+		s := b
+		for j, v := range x {
+			s += w[j] * v
+		}
+		if got := m.DecisionInto(ws, x); got != s {
+			t.Fatalf("vector %d: b + w·x = %v, DecisionInto = %v", i, s, got)
+		}
+	}
+	if w, _, ok := trainFixture(t, RBF{Gamma: 0.3}, 80, 3, 5).LinearWeights(); ok || w != nil {
+		t.Fatalf("RBF model reported linear weights %v", w)
+	}
+}
+
 // TestDecisionIntoZeroAlloc is the 0 allocs/op contract for the hot
 // path, for both kernels (the RBF path exercises the workspace).
 func TestDecisionIntoZeroAlloc(t *testing.T) {

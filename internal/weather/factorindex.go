@@ -184,6 +184,47 @@ func (fi *FactorIndex) WindowFactors(p geo.Point, t time.Time) Factors {
 	return Factors{Precip: precip, Wind: wind, Altitude: Altitude(fi.elev, p)}
 }
 
+// driftKappa bounds how much faster geo.FastDistance to the storm centre
+// can change than the centre moves. The equirectangular approximation
+// stretches motion by about tan(lat)·Δlat/2 relative to the great
+// circle; within a few hundred km of the centre at mid latitudes that is
+// under 5%. Farther out the stretch grows only linearly in the distance
+// while the decay slopes below fall exponentially, so their product
+// stays inside the bound everywhere.
+const driftKappa = 1.05
+
+// DriftRate bounds how fast the trailing means at a fixed point can
+// change with the query instant, per second: for any p, t1 and t2,
+// |P̄(p,t1) − P̄(p,t2)| ≤ precip·|t1−t2| and |W̄(p,t1) − W̄(p,t2)| ≤
+// wind·|t1−t2|. Both are +Inf for fields other than *Hurricane, which
+// have no closed form.
+//
+// Each hourly sample is PeakPrecip·e(t)·exp(−d²/2R²) for precipitation
+// and e(t)·(BaseWind + (PeakWind−BaseWind)·exp(−d/2R)) for wind, with
+// d = FastDistance(p, centre(t)). The raised-cosine envelope e lies in
+// [0, 1] and changes at most |e′| ≤ π/span, span = End − Start. The
+// precipitation decay has slope at most 1/(R√e) in d, the wind decay at
+// most 1/(2R), and d changes at most driftKappa·TrackSpeed. So, per
+// second:
+//
+//	ρ_P = PeakPrecip·(π/span + κ·TrackSpeed/(R√e))
+//	ρ_W = (π/span)·(|BaseWind| + |PeakWind−BaseWind|) + κ·TrackSpeed·|PeakWind−BaseWind|/(2R)
+//
+// A trailing mean of samples that each obey a bound obeys it too. The
+// altitude factor does not depend on time at all.
+func (fi *FactorIndex) DriftRate() (precip, wind float64) {
+	h := fi.hur
+	if h == nil {
+		return math.Inf(1), math.Inf(1)
+	}
+	env := math.Pi / h.End.Sub(h.Start).Seconds()
+	move := driftKappa * math.Abs(h.TrackSpeed) / h.Radius
+	diff := math.Abs(h.PeakWind - h.BaseWind)
+	precip = math.Abs(h.PeakPrecip) * (env + move/math.Sqrt(math.E))
+	wind = env*(math.Abs(h.BaseWind)+diff) + move*diff/2
+	return precip, wind
+}
+
 // FactorsInto fills vec (which must have length >= 3) with the factor
 // vector in the canonical (precipitation, wind, altitude) order without
 // allocating — the zero-alloc companion of Factors.Vector for

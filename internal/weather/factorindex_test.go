@@ -1,6 +1,7 @@
 package weather
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -257,4 +258,86 @@ func BenchmarkWindowFactors(b *testing.B) {
 			s.At(p)
 		}
 	})
+}
+
+// TestDriftRateBounds checks FactorIndex.DriftRate on random draws: at a
+// fixed point the trailing means never change faster than the bound.
+// Besides the Florence and Michael presets, two synthetic storms each
+// isolate one term of it: a stationary storm, where only the envelope
+// moves the means, and a fast storm with a 1,000-day impact window,
+// where only motion does. Draws cover 1 h and 24 h lookbacks; points
+// near the storm centre, inside the city and 400 km away; instants
+// before Start, on the envelope's flanks, at the peak and after End;
+// and gaps from 1 s to 6 h. Each storm's steepest draw must also come
+// within reach of its bound, so a loose bound fails too.
+func TestDriftRateBounds(t *testing.T) {
+	city := geo.Point{Lat: 35.2271, Lon: -80.8431}
+	start := time.Date(2018, 9, 12, 0, 0, 0, 0, time.UTC)
+	stationary := FlorencePreset(start, city)
+	stationary.TrackSpeed = 0
+	fast := FlorencePreset(start, city)
+	fast.Start = start.Add(-500 * 24 * time.Hour)
+	fast.End = start.Add(500 * 24 * time.Hour)
+	// One great-circle lap every 500 days (~0.93 m/s, ten times
+	// Florence's speed): the centre is back at TrackStart, near the
+	// city, at the peak, and at the antipode on the flanks.
+	fast.TrackSpeed = 2 * math.Pi * geo.EarthRadiusMeters / (500 * 24 * 3600)
+	storms := []struct {
+		name string
+		h    *Hurricane
+	}{
+		{"florence", FlorencePreset(start, city)},
+		{"michael", MichaelPreset(start, city)},
+		{"stationary", stationary},
+		{"fast", fast},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, st := range storms {
+		h := st.h
+		span := h.End.Sub(h.Start)
+		instants := []time.Time{
+			h.Start.Add(-30 * time.Hour),
+			h.Start.Add(span / 4),
+			h.Start.Add(span / 2),
+			h.End.Add(-span / 4),
+			h.End,
+		}
+		var worstP, worstW float64
+		for _, lookback := range []time.Duration{time.Hour, 24 * time.Hour} {
+			fi := NewFactorIndex(h, nil, lookback)
+			rateP, rateW := fi.DriftRate()
+			for _, base := range instants {
+				for draw := 0; draw < 300; draw++ {
+					t1 := base.Add(time.Duration(rng.Float64() * float64(30*time.Hour)))
+					gap := time.Duration(math.Exp(rng.Float64()*math.Log(6*3600)) * float64(time.Second))
+					t2 := t1.Add(gap)
+					var p geo.Point
+					switch draw % 3 {
+					case 0:
+						p = geo.Destination(h.CenterAt(t1), rng.Float64()*360, rng.Float64()*3*h.Radius)
+					case 1:
+						p = geo.Destination(city, rng.Float64()*360, rng.Float64()*10000)
+					default:
+						p = geo.Destination(city, rng.Float64()*360, 400000)
+					}
+					f1, f2 := fi.WindowFactors(p, t1), fi.WindowFactors(p, t2)
+					dt := gap.Seconds()
+					dp, dw := math.Abs(f2.Precip-f1.Precip), math.Abs(f2.Wind-f1.Wind)
+					if dp > rateP*dt || dw > rateW*dt {
+						t.Fatalf("%s lookback %v p=%v t=%v +%v: |ΔP| %.3g (bound %.3g), |ΔW| %.3g (bound %.3g)",
+							st.name, lookback, p, t1, gap, dp, rateP*dt, dw, rateW*dt)
+					}
+					worstP = math.Max(worstP, dp/(rateP*dt))
+					worstW = math.Max(worstW, dw/(rateW*dt))
+				}
+			}
+		}
+		t.Logf("%s: steepest draw reaches %.2f of the precipitation bound, %.2f of the wind bound", st.name, worstP, worstW)
+		if worstP < 0.5 || worstW < 0.5 {
+			t.Errorf("%s: steepest draws reach only %.2f (precip) and %.2f (wind) of the bound, want >= 0.5", st.name, worstP, worstW)
+		}
+	}
+	if p, w := NewFactorIndex(Calm{}, nil, 24*time.Hour).DriftRate(); !math.IsInf(p, 1) || !math.IsInf(w, 1) {
+		t.Fatalf("Calm drift rate (%v, %v), want +Inf: it has no closed form", p, w)
+	}
 }
