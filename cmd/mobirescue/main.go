@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mobirescue [-method mr|rescue|schedule] [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-checkpoint-every N] [-chaos profile] [-chaos-seed S] [-decide-deadline d] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep N] [-resume] [-obs addr] [-report] [-cpuprofile f] [-memprofile f]
+//	mobirescue [-method mr|rescue|schedule] [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-chaos profile] [-chaos-seed S] [-decide-deadline d] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep N] [-resume] [-obs addr] [-report] [-cpuprofile f] [-memprofile f]
 //
 // With -obs the process serves /metrics (Prometheus text format),
 // /healthz, /debug/vars, and /debug/pprof/* on the given address for the
@@ -40,9 +40,9 @@
 // so change it only to change the experiment) roll out concurrently
 // under the -workers bound. The trained policy is byte-identical for
 // any -workers value. -save-policy writes a versioned,
-// checksummed checkpoint after training (and every -checkpoint-every
-// rounds during it); -load-policy warm-starts from one, skipping
-// training when -episodes is 0.
+// checksummed checkpoint once the run ends (-snapshot-dir covers
+// crash safety during training); -load-policy warm-starts from one,
+// skipping training when -episodes is 0.
 package main
 
 import (
@@ -68,7 +68,6 @@ func main() {
 		method  = flag.String("method", "mr", "dispatch method: mr, rescue, or schedule")
 		report  = flag.Bool("report", false, "print the span/metric report on stderr after the run")
 		verbose = flag.Bool("v", false, "verbose (debug-level) logging")
-		ckptEv  = flag.Int("checkpoint-every", 0, "also checkpoint to -save-policy every N training rounds (0 = only at the end)")
 	)
 	f.Parse(flag.CommandLine, os.Args[1:])
 	level := slog.LevelInfo
@@ -118,7 +117,6 @@ func main() {
 	if err != nil {
 		fatal(logger, err)
 	}
-	sys.Config.CheckpointEvery = *ckptEv
 	profile, err := chaos.ProfileByName(f.Chaos)
 	if err != nil {
 		fatal(logger, err)

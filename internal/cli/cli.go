@@ -80,7 +80,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.StringVar(&f.Obs, "obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
 	fs.IntVar(&f.Workers, "workers", 0, "parallelism bound for routing prefetch, evaluation runs and RL training rollouts (0 = GOMAXPROCS, 1 = serial; results and the trained policy are identical for any value)")
 	fs.IntVar(&f.TrainActors, "train-actors", 0, "logical actor count for RL training (0 = default 4; changes the training experiment, not just its speed)")
-	fs.StringVar(&f.SavePolicy, "save-policy", "", "write the trained policy checkpoint to this file (also checkpointed during training)")
+	fs.StringVar(&f.SavePolicy, "save-policy", "", "write the trained policy checkpoint to this file")
 	fs.StringVar(&f.LoadPolicy, "load-policy", "", "warm-start the policy from this checkpoint before training/evaluation")
 	fs.StringVar(&f.EventLog, "eventlog", "", "record the flight-recorder event stream (JSONL) to this file")
 	fs.BoolVar(&f.EventLogTiming, "eventlog-timing", false, "include wall-clock fields in -eventlog (breaks cross-run byte-identity)")
@@ -154,7 +154,6 @@ func (f *Flags) systemConfig(reg *obs.Registry, logger *slog.Logger) core.System
 	cfg.Teams = f.Teams
 	cfg.Workers = f.Workers
 	cfg.TrainActors = f.TrainActors
-	cfg.CheckpointPath = f.SavePolicy
 	cfg.DecideTimeout = f.DecideDeadline
 	cfg.Metrics = reg
 	cfg.Logger = logger

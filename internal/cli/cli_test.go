@@ -129,7 +129,6 @@ func TestFlagsBind(t *testing.T) {
 			system: system(func(c *core.SystemConfig) {
 				c.Seed, c.Teams, c.Workers = 42, 9, 2
 				c.TrainActors = 5
-				c.CheckpointPath = "save.ckpt"
 				c.DecideTimeout = 2 * time.Second
 			}),
 			every: 4,

@@ -194,7 +194,7 @@ func (s *System) trainParallel(episodes int) ([]float64, error) {
 	rollout := s.trainRollout(day)
 	trainRec := s.evlog.Recorder("train")
 	var prev []float64
-	startRound, prevCkpt := 0, 0
+	startRound := 0
 	if st := s.resume; st != nil { // PhaseTrain; TrainRLParallel handles the rest
 		if len(st.LearnerState) > 0 {
 			eps, err := s.MR.Agent().RestoreFullState(st.LearnerState)
@@ -204,7 +204,7 @@ func (s *System) trainParallel(episodes int) ([]float64, error) {
 			s.trainedEpisodes = eps
 		}
 		trainRec.RestoreState(st.TrainRecorder)
-		prev, startRound, prevCkpt = st.TrainRewards, st.TrainRounds, st.Checkpoints
+		prev, startRound = st.TrainRewards, st.TrainRounds
 		s.resume = nil
 	}
 	remaining := episodes - len(prev)
@@ -216,16 +216,14 @@ func (s *System) trainParallel(episodes int) ([]float64, error) {
 	}
 	baseEp := s.trainedEpisodes
 	cfgT := train.Config{
-		Actors:          s.trainActors(),
-		Episodes:        remaining,
-		Workers:         s.Config.Workers,
-		Seed:            s.Config.Seed,
-		CheckpointPath:  s.Config.CheckpointPath,
-		CheckpointEvery: s.Config.CheckpointEvery,
-		Metrics:         s.Config.Metrics,
-		Logger:          s.Config.Logger,
-		Events:          trainRec,
-		StartRound:      startRound,
+		Actors:     s.trainActors(),
+		Episodes:   remaining,
+		Workers:    s.Config.Workers,
+		Seed:       s.Config.Seed,
+		Metrics:    s.Config.Metrics,
+		Logger:     s.Config.Logger,
+		Events:     trainRec,
+		StartRound: startRound,
 	}
 	if s.durable.enabled() {
 		cfgT.RoundHook = func(round int, stats *train.Stats) error {
@@ -241,7 +239,6 @@ func (s *System) trainParallel(episodes int) ([]float64, error) {
 				TrainRounds:   round + 1,
 				TrainEpisodes: baseEp + uint64(stats.Episodes),
 				TrainRewards:  append(append([]float64(nil), prev...), stats.Rewards...),
-				Checkpoints:   prevCkpt + stats.Checkpoints,
 				LearnerState:  full,
 				TrainRecorder: trainRec.CaptureState(),
 			}, "MobiRescue")

@@ -161,14 +161,12 @@ type segMemo struct {
 // stays below ~10⁸·(|rawB|+1).
 const marginSlack = 1e-6
 
-// predictScratch is the per-worker reusable window scratch: the SVM
-// workspace plus a flat per-segment count column with its touched list.
-// The hot per-person loop increments counts[seg] — no map operations —
-// and the touched list turns the column back into the (sparse) result
-// map afterwards. Pooled so steady-state windows allocate only their
-// result maps.
+// predictScratch is the per-worker reusable window scratch: a flat
+// per-segment count column with its touched list. The hot per-person
+// loop increments counts[seg] — no map operations — and the touched
+// list turns the column back into the (sparse) result map afterwards.
+// Pooled so steady-state windows allocate only their result maps.
 type predictScratch struct {
-	ws      *svm.Workspace
 	counts  []float64
 	touched []roadnet.SegmentID
 }
@@ -200,14 +198,13 @@ type predictMetrics struct {
 //
 // Queries run the prediction fast path: a storm series resolved once
 // per window (weather.FactorIndex.SeriesInto) and evaluated per person
-// without locks, zero-allocation SVM decisions
-// (svm.Model.DecisionInto), index-addressed memoized altitude and
+// without locks, zero-allocation linear SVM decisions
+// (svm.Model.Decision), index-addressed memoized altitude and
 // nearest-segment lookups for stationary people, certified reuse of a
 // stationary person's last exact margin (see certifies), and a person
-// loop over a columnar pop.Source sharded along the region plan
-// (pop.Regions — the paper's council districts) across SetWorkers
-// goroutines with per-shard accumulators merged in fixed shard order.
-// A reused margin's sign is provably the exact decision's, and
+// loop over a columnar pop.Source cut into contiguous index ranges, one
+// per SetWorkers goroutine, with per-range accumulators merged in range
+// order. A reused margin's sign is provably the exact decision's, and
 // per-person counts are small integers, so the merged float64 sums are
 // exact under any partition — the predicted distribution is
 // byte-identical for any worker count and identical to the
@@ -224,7 +221,6 @@ type PredictProvider struct {
 	src pop.Source
 	// segs[i] memoizes person i's last nearest-segment resolution.
 	segs       []atomic.Pointer[segMemo]
-	plan       *pop.Regions
 	segRegion  []int32 // region per segment, for RegionTotals
 	numRegions int
 	index      *roadnet.SpatialIndex
@@ -245,22 +241,12 @@ type PredictProvider struct {
 	// mode: the obs counters are registry-global, but a pred_cache event
 	// needs this provider's own totals.
 	locHits, locMisses atomic.Int64
-	// regTotals is a one-entry cache for RegionTotals: every dispatcher
-	// round in a window queries the same instant, and the totals are
-	// deterministic, so racing writers store equal values.
-	regTotals atomic.Pointer[regionTotalsEntry]
 
 	// rate bounds how fast any person's margin can drift per nanosecond
 	// at a fixed position (+Inf disables reuse); slack covers rounding.
 	// epoch advances on ResetCache, which forgets every kept margin.
 	rate, slack float64
 	epoch       atomic.Uint64
-}
-
-// regionTotalsEntry caches one instant's per-region totals.
-type regionTotalsEntry struct {
-	key    int64
-	totals []float64
 }
 
 // NewPredictProvider builds the provider over an episode's people
@@ -298,13 +284,7 @@ func NewPredictProviderFromSource(city *roadnet.City, src pop.Source, model *svm
 	if horizon <= 0 {
 		horizon = 24 * time.Hour
 	}
-	n := src.NumPeople()
 	g := city.Graph
-	numRegions := city.NumRegions()
-	// The shard plan groups people by council district so shards share
-	// flood cells and spatial-index neighborhoods. Any deterministic
-	// assignment works — shard boundaries never change results.
-	regionOf := func(i int) int { return city.RegionAt(src.FirstPos(i)) }
 	segRegion := make([]int32, g.NumSegments())
 	g.Segments(func(s roadnet.Segment) { segRegion[s.ID] = int32(s.Region) })
 	p := &PredictProvider{
@@ -313,10 +293,9 @@ func NewPredictProviderFromSource(city *roadnet.City, src pop.Source, model *svm
 		factors:    weather.NewFactorIndex(storm, elev, factorLookback),
 		elev:       elev,
 		src:        src,
-		segs:       make([]atomic.Pointer[segMemo], n),
-		plan:       pop.NewRegions(n, numRegions, regionOf),
+		segs:       make([]atomic.Pointer[segMemo], src.NumPeople()),
 		segRegion:  segRegion,
-		numRegions: numRegions,
+		numRegions: city.NumRegions(),
 		index:      roadnet.NewSpatialIndex(g),
 		horizon:    horizon,
 		maxEntries: 4096,
@@ -334,10 +313,7 @@ func NewPredictProviderFromSource(city *roadnet.City, src pop.Source, model *svm
 		}
 	}
 	p.scratch.New = func() any {
-		return &predictScratch{
-			ws:     svm.NewWorkspace(),
-			counts: make([]float64, g.NumSegments()),
-		}
+		return &predictScratch{counts: make([]float64, g.NumSegments())}
 	}
 	return p, nil
 }
@@ -440,77 +416,61 @@ func (p *PredictProvider) evictLocked(newKey int64) {
 }
 
 // computeWindow runs the per-person prediction loop for one window,
-// cutting the region-ordered plan into shards bounded by the worker
-// count. The window's storm series is resolved once up front and shared
-// read-only by every shard. Each shard accumulates into a private map;
-// shards merge in fixed plan order. Per-person counts are small
-// integers, so the merged sums are exact and the result is
-// byte-identical for any worker count (and for the pre-columnar
-// ID-ordered partition).
+// cutting the n people into w = min(workers, n) contiguous index ranges
+// [k·n/w, (k+1)·n/w). The window's storm series is resolved once up
+// front and shared read-only by every range. Range 0 runs on the
+// calling goroutine and each other range on its own; every range
+// accumulates into a private map, and the maps merge in range order.
+// Per-person counts are small integers, so the merged sums are exact
+// and the result is byte-identical for any worker count (and for the
+// pre-columnar ID-ordered pass).
 func (p *PredictProvider) computeWindow(t time.Time) map[roadnet.SegmentID]float64 {
-	workers := p.effectiveWorkers()
-	if n := p.src.NumPeople(); workers > n {
-		workers = n
-	}
+	n := p.src.NumPeople()
+	w := min(p.effectiveWorkers(), n)
 	series := new(weather.StormSeries)
 	p.factors.SeriesInto(series, t)
-	out := make(map[roadnet.SegmentID]float64)
-	shards := p.plan.Shards(workers)
-	if workers <= 1 || len(shards) <= 1 {
-		for _, sh := range shards {
-			p.predictRange(sh.Start, sh.End, t, series, out)
-		}
-		return out
-	}
-	// The plan may cut a few more shards than workers (region-aligned
-	// boundaries); a semaphore keeps the requested parallelism bound.
-	results := make([]map[roadnet.SegmentID]float64, len(shards))
-	sem := make(chan struct{}, workers)
+	results := make([]map[roadnet.SegmentID]float64, w)
 	var wg sync.WaitGroup
-	wg.Add(len(shards))
-	for si, sh := range shards {
-		go func(si int, sh pop.Shard) {
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func(k int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m := make(map[roadnet.SegmentID]float64)
-			p.predictRange(sh.Start, sh.End, t, series, m)
-			results[si] = m
-		}(si, sh)
+			results[k] = p.predictRange(k*n/w, (k+1)*n/w, t, series)
+		}(k)
 	}
+	results[0] = p.predictRange(0, n/w, t, series)
 	wg.Wait()
-	for _, m := range results { // fixed plan order
-		for seg, n := range m {
-			out[seg] += n
+	out := results[0]
+	for _, m := range results[1:] {
+		for seg, c := range m {
+			out[seg] += c
 		}
 	}
 	return out
 }
 
-// predictRange evaluates plan positions [start, end) at t into out,
-// against the window's resolved storm series. The per-person loop
-// touches only flat columns and read-only state — positions from the
-// source, the shared series, pooled SVM workspace, index-addressed
-// memos, and a per-segment count column — so it takes no lock and
-// performs no map operations. A person whose memo holds a margin that
-// certifies t keeps that margin's sign; everyone else is evaluated
-// exactly, and only an exact evaluation that publishes a memo
-// allocates. The sparse result map is built once from the touched list
-// afterwards.
-func (p *PredictProvider) predictRange(start, end int, t time.Time, series *weather.StormSeries, out map[roadnet.SegmentID]float64) {
+// predictRange evaluates people [start, end) at t against the window's
+// resolved storm series and returns their per-segment counts. The
+// per-person loop touches only flat columns and read-only state —
+// positions from the source, the shared series, index-addressed memos,
+// and a per-segment count column — so it takes no lock and performs no
+// map operations. A person whose memo holds a margin that certifies t
+// keeps that margin's sign; everyone else is evaluated exactly, and
+// only an exact evaluation that publishes a memo allocates. The sparse
+// result map is built once from the touched list afterwards.
+func (p *PredictProvider) predictRange(start, end int, t time.Time, series *weather.StormSeries) map[roadnet.SegmentID]float64 {
 	s := p.scratch.Get().(*predictScratch)
 	at := t.UnixNano()
 	epoch := p.epoch.Load()
 	positives := 0
-	for k := start; k < end; k++ {
-		i := p.plan.At(k)
+	for i := start; i < end; i++ {
 		pos := p.src.PosAt(i, at)
 		m := p.segs[i].Load()
 		var positive bool
 		if m != nil && m.pos == pos && m.epoch == epoch && p.certifies(m.margin, at-m.at) {
 			positive = m.margin >= 0
 		} else {
-			m, positive = p.evaluate(i, m, pos, at, epoch, series, s.ws)
+			m, positive = p.evaluate(i, m, pos, at, epoch, series)
 		}
 		if !positive {
 			continue
@@ -525,14 +485,16 @@ func (p *PredictProvider) predictRange(start, end int, t time.Time, series *weat
 		}
 		s.counts[seg]++
 	}
+	out := make(map[roadnet.SegmentID]float64, len(s.touched))
 	for _, seg := range s.touched {
-		out[seg] += s.counts[seg]
+		out[seg] = s.counts[seg]
 		s.counts[seg] = 0
 	}
 	s.touched = s.touched[:0]
 	p.scratch.Put(s)
 	p.met.persons.Add(int64(end - start))
 	p.met.positives.Add(int64(positives))
+	return out
 }
 
 // certifies reports whether a margin computed dt nanoseconds away from a
@@ -550,7 +512,7 @@ func (p *PredictProvider) certifies(margin float64, dt int64) bool {
 // finite and certifies at least its own instant, or when a positive
 // decision needs the nearest segment resolved, and returns the memo
 // holding the segment along with the decision.
-func (p *PredictProvider) evaluate(i int, m *segMemo, pos geo.Point, at int64, epoch uint64, series *weather.StormSeries, ws *svm.Workspace) (*segMemo, bool) {
+func (p *PredictProvider) evaluate(i int, m *segMemo, pos geo.Point, at int64, epoch uint64, series *weather.StormSeries) (*segMemo, bool) {
 	publish := m == nil || m.pos != pos
 	var n segMemo
 	if publish {
@@ -561,7 +523,7 @@ func (p *PredictProvider) evaluate(i int, m *segMemo, pos geo.Point, at int64, e
 	var vec [3]float64
 	vec[0], vec[1] = series.At(pos)
 	vec[2] = n.alt
-	margin := p.model.DecisionInto(ws, vec[:])
+	margin := p.model.Decision(vec[:])
 	positive := margin >= 0
 	if !math.IsInf(margin, 0) && p.certifies(margin, 0) {
 		n.margin, n.at, n.epoch = margin, at, epoch
@@ -579,16 +541,14 @@ func (p *PredictProvider) evaluate(i int, m *segMemo, pos geo.Point, at int64, e
 	return m, positive
 }
 
-// ResetCache drops every cached window, the RegionTotals entry, and —
-// in O(1), by advancing the epoch — every kept margin, so the next
-// window evaluates everyone exactly, as a fresh run does (benchmarks use
-// this to measure the cold path). Position memos stay: they are pure
-// functions of the position.
+// ResetCache drops every cached window and — in O(1), by advancing the
+// epoch — every kept margin, so the next window evaluates everyone
+// exactly, as a fresh run does (benchmarks use this to measure the cold
+// path). Position memos stay: they are pure functions of the position.
 func (p *PredictProvider) ResetCache() {
 	p.mu.Lock()
 	p.cache = make(map[int64]*predictEntry)
 	p.mu.Unlock()
-	p.regTotals.Store(nil)
 	p.epoch.Add(1)
 }
 
@@ -623,12 +583,7 @@ func (p *PredictProvider) Source() pop.Source { return p.src }
 // dispatch's regionDemand filter. The sums are integer-exact, so the
 // totals are byte-identical to aggregating the Predict map in any
 // order.
-// The returned slice is shared and must not be mutated.
 func (p *PredictProvider) RegionTotals(t time.Time) []float64 {
-	key := t.Unix()
-	if e := p.regTotals.Load(); e != nil && e.key == key {
-		return e.totals
-	}
 	pred := p.Predict(t)
 	totals := make([]float64, p.numRegions+1)
 	for seg, n := range pred {
@@ -641,7 +596,6 @@ func (p *PredictProvider) RegionTotals(t time.Time) []float64 {
 		}
 		totals[r] += n
 	}
-	p.regTotals.Store(&regionTotalsEntry{key: key, totals: totals})
 	return totals
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"mobirescue/internal/mobility"
 	"mobirescue/internal/obs"
+	"mobirescue/internal/pop"
 	"mobirescue/internal/roadnet"
 	"mobirescue/internal/svm"
 	"mobirescue/internal/weather"
@@ -61,9 +62,58 @@ func (p *PredictProvider) dropWindows() {
 	p.mu.Unlock()
 }
 
+// smallProvider returns a provider over n people of the evaluation
+// episode, taking first the people predicted positive somewhere in
+// windows, so even a population of one person predicts demand.
+func smallProvider(t *testing.T, sys *System, n int, windows []time.Time) *PredictProvider {
+	t.Helper()
+	sc := sys.Scenario
+	var picked []int
+	var rest []int
+	for _, person := range sc.Eval.Data.People {
+		positive := false
+		for _, at := range windows {
+			if pred, _, _ := sys.EvalProvider.PredictPerson(person.ID, at); pred {
+				positive = true
+			}
+		}
+		if positive && len(picked) < (n+1)/2 {
+			picked = append(picked, person.ID)
+		} else {
+			rest = append(rest, person.ID)
+		}
+	}
+	picked = append(picked, rest[:n-len(picked)]...)
+	keep := make(map[int]bool, n)
+	for _, id := range picked {
+		keep[id] = true
+	}
+	b := pop.NewBuilder()
+	for _, pt := range sc.Eval.Data.Points {
+		if keep[pt.PersonID] {
+			b.Add(pt.PersonID, pt.Time, pt.Pos)
+		}
+	}
+	store, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.NumPeople() != n {
+		t.Fatalf("small population has %d people, want %d", store.NumPeople(), n)
+	}
+	p, err := NewPredictProviderFromSource(sc.City, store, sys.SVM, sc.Eval.Storm, sc.Elev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestPredictParallelMatchesSerial is the determinism contract of the
 // sharded person loop: the predicted distribution must be byte-identical
 // for workers 1, 2, 4, and 8 at every window (run under -race in CI).
+// Populations smaller than the worker count, or not divisible by it,
+// cut uneven and single-person ranges; each must still equal the serial
+// distribution and PredictReference.
 func TestPredictParallelMatchesSerial(t *testing.T) {
 	sys := testSystem(t)
 	p := sys.EvalProvider
@@ -84,6 +134,32 @@ func TestPredictParallelMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(got, baseline[i]) {
 				t.Fatalf("workers=%d window %v: distribution differs from serial", workers, at)
 			}
+		}
+	}
+
+	for _, tc := range []struct{ people, workers int }{
+		{1, 8}, {2, 8}, {3, 8}, {7, 8}, {9, 2}, {9, 4},
+	} {
+		sp := smallProvider(t, sys, tc.people, windows)
+		positives := 0.0
+		for _, at := range windows {
+			sp.SetWorkers(1)
+			sp.ResetCache()
+			serial := sp.Predict(at)
+			sp.SetWorkers(tc.workers)
+			sp.ResetCache()
+			if got := sp.Predict(at); !reflect.DeepEqual(got, serial) {
+				t.Fatalf("people=%d workers=%d window %v: distribution differs from serial", tc.people, tc.workers, at)
+			}
+			if want := sp.PredictReference(at); !reflect.DeepEqual(serial, want) {
+				t.Fatalf("people=%d window %v: distribution differs from PredictReference", tc.people, at)
+			}
+			for _, n := range serial {
+				positives += n
+			}
+		}
+		if positives == 0 {
+			t.Fatalf("people=%d: no window predicts demand; the fixture splits nothing", tc.people)
 		}
 	}
 }
@@ -214,7 +290,7 @@ func TestPredictPerson(t *testing.T) {
 	checked := 0
 	src := p.Source()
 	for i := 0; i < src.NumPeople() && checked < 200; i++ {
-		id := src.ID(i)
+		id := src.(*pop.Store).ID(i)
 		pred, pos, ok := p.PredictPerson(id, at)
 		if !ok {
 			t.Fatalf("person %d: not found", id)

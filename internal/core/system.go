@@ -62,11 +62,6 @@ type SystemConfig struct {
 	// learner's merge order, so changing it changes the training run.
 	// 0 means the default of 4.
 	TrainActors int
-	// CheckpointPath, when set, receives an atomically written, versioned
-	// policy checkpoint after training (and every CheckpointEvery rounds
-	// when positive) — see SavePolicy/LoadPolicy for manual control.
-	CheckpointPath  string
-	CheckpointEvery int
 	// Chaos, when enabled, injects the profile's faults into every
 	// simulation run (flash-flood surges, vehicle breakdowns, sensing
 	// and dispatcher faults — see internal/chaos) and wraps every
@@ -460,14 +455,14 @@ func (s *System) trainActors() int {
 // actor) and the learner's final state are byte-identical for any
 // Workers value; see internal/train for the determinism contract.
 //
-// episodes <= 0 trains for Config.TrainEpisodes. With CheckpointPath set
-// the learner state is checkpointed atomically after training (and every
-// CheckpointEvery rounds). With SetDurability the rounds are snapshotted
-// and a pending resume continues from its snapshot; episodes is then the
-// total target including the resumed progress. A snapshot taken after
-// training finished restores the trained learner (or, mid-evaluation,
-// leaves it to the simulator's dispatcher-chain blob) and returns the
-// recorded rewards without training.
+// episodes <= 0 trains for Config.TrainEpisodes. SavePolicy writes the
+// trained learner state afterwards. With SetDurability the rounds are
+// snapshotted and a pending resume continues from its snapshot;
+// episodes is then the total target including the resumed progress.
+// A snapshot taken after training finished restores the trained
+// learner (or, mid-evaluation, leaves it to the simulator's
+// dispatcher-chain blob) and returns the recorded rewards without
+// training.
 func (s *System) TrainRLParallel(episodes int) ([]float64, error) {
 	if st := s.resume; st != nil && st.Phase != snapshot.PhaseTrain {
 		s.trainRewards = st.TrainRewards
@@ -522,9 +517,9 @@ func (s *System) SavePolicy(path string) error {
 }
 
 // LoadPolicy warm-starts the dispatcher from a checkpoint written by
-// SavePolicy (or by the trainer), returning the episode count recorded
-// in its header. Evaluation can then run the restored policy directly,
-// and further training resumes exactly where the checkpoint left off.
+// SavePolicy, returning the episode count recorded in its header.
+// Evaluation can then run the restored policy directly, and further
+// training resumes exactly where the checkpoint left off.
 func (s *System) LoadPolicy(path string) (uint64, error) {
 	episodes, err := train.LoadCheckpointFile(path, s.MR.Agent())
 	if err != nil {

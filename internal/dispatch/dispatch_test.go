@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -112,6 +113,24 @@ func TestNewMobiRescueValidation(t *testing.T) {
 	if m.Name() != "MobiRescue" {
 		t.Errorf("Name = %q", m.Name())
 	}
+}
+
+// TestNewMobiRescueFootprint pins the cost of a dispatcher that only
+// decides (a serve session, a benchmark pass): building one allocates
+// under 1 MB, because the learner's replay storage grows only as
+// transitions arrive instead of holding all BufferSize slots up front.
+func TestNewMobiRescueFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := NewMobiRescue(7, constPredict(nil), DefaultMRConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("NewMobiRescue allocated %.2f MB, want under 1 MB", float64(n)/(1<<20))
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestMobiRescueDecideProducesValidOrders(t *testing.T) {

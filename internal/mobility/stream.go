@@ -128,7 +128,8 @@ func NewStreamer(city *roadnet.City, cfg Config) (*Streamer, error) {
 // NumPeople implements pop.Source.
 func (s *Streamer) NumPeople() int { return len(s.home) }
 
-// ID implements pop.Source: synthetic IDs are dense.
+// ID returns the external person ID of dense index i: synthetic IDs
+// are dense.
 func (s *Streamer) ID(i int) int { return i }
 
 // IndexOf implements pop.Source.
@@ -138,10 +139,6 @@ func (s *Streamer) IndexOf(id int) int {
 	}
 	return id
 }
-
-// FirstPos implements pop.Source: the home anchor, used by the
-// prediction provider's region shard plan.
-func (s *Streamer) FirstPos(i int) geo.Point { return s.home[i] }
 
 // HomeRegionCounts tallies the population per region (index 0 collects
 // out-of-region homes), for reporting the tier's spatial distribution.

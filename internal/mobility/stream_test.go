@@ -59,7 +59,7 @@ func TestStreamerDeterministic(t *testing.T) {
 	}
 	diff := 0
 	for i := 0; i < a.NumPeople(); i++ {
-		if a.FirstPos(i) != other.FirstPos(i) {
+		if a.home[i] != other.home[i] {
 			diff++
 		}
 	}
@@ -91,7 +91,7 @@ func TestStreamerSourceContract(t *testing.T) {
 	}
 	before := cfg.Start.Add(-time.Hour)
 	for i := 0; i < s.NumPeople(); i++ {
-		if s.PosAt(i, before.UnixNano()) != s.FirstPos(i) {
+		if s.PosAt(i, before.UnixNano()) != s.home[i] {
 			t.Fatalf("person %d: pre-window position is not the home anchor", i)
 		}
 	}
@@ -109,14 +109,14 @@ func TestStreamerShelterDuringDisaster(t *testing.T) {
 	}
 	during := cfg.DisasterStart.Add(26 * time.Hour)
 	for i := 0; i < s.NumPeople(); i++ {
-		if s.PosAt(i, during.UnixNano()) != s.FirstPos(i) {
+		if s.PosAt(i, during.UnixNano()) != s.home[i] {
 			t.Fatalf("person %d: not sheltering at home during the disaster", i)
 		}
 	}
 	workday := cfg.Start.Add(11 * time.Hour) // pre-disaster late morning
 	away := 0
 	for i := 0; i < s.NumPeople(); i++ {
-		if s.PosAt(i, workday.UnixNano()) != s.FirstPos(i) {
+		if s.PosAt(i, workday.UnixNano()) != s.home[i] {
 			away++
 		}
 	}

@@ -147,10 +147,6 @@ func appendEvent(b []byte, e *Event) []byte {
 		b = appendFloat(b, "epsilon", e.Epsilon)
 		b = appendFloat(b, "loss", e.Loss)
 
-	case TypeCheckpoint:
-		b = appendInt(b, "round", e.Round)
-		b = appendStr(b, "path", e.Path)
-
 	case TypePredCache:
 		b = appendInt64(b, "hits", e.Hits)
 		b = appendInt64(b, "misses", e.Misses)

@@ -87,7 +87,6 @@ const (
 	TypeFallback    Type = "fallback"     // Resilient served a fallback round
 	TypeReroute     Type = "reroute"      // mid-episode route repair/divert
 	TypeTrainRound  Type = "train_round"  // one actor-learner training round
-	TypeCheckpoint  Type = "checkpoint"   // policy checkpoint installed
 	TypePredCache   Type = "pred_cache"   // prediction-cache snapshot (timing mode)
 	TypeDeadline    Type = "deadline"     // Resilient Decide deadline expired
 )
@@ -205,7 +204,6 @@ type Event struct {
 	Reward      float64 `json:"reward,omitempty"`
 	Epsilon     float64 `json:"epsilon,omitempty"`
 	Loss        float64 `json:"loss,omitempty"`
-	Path        string  `json:"path,omitempty"`
 
 	// LatencyNS is the only wall-clock field: Dispatcher.Decide latency
 	// in nanoseconds. It is encoded only when the log runs in timing

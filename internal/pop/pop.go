@@ -1,7 +1,6 @@
 // Package pop is the metro-scale population data model: a columnar
-// (struct-of-arrays) store of per-person GPS trajectories plus the
-// region-ordered shard plan the prediction and dispatch-aggregation
-// stages parallelize over.
+// (struct-of-arrays) store of per-person GPS trajectories behind the
+// Source interface the prediction stage reads positions through.
 //
 // The seed pipeline keeps one Go object per person and one slice per
 // trajectory — fine at the paper's 8,590 people, hostile at a million:
@@ -33,18 +32,12 @@ import (
 type Source interface {
 	// NumPeople returns the population size.
 	NumPeople() int
-	// ID returns the external person ID of dense index i.
-	ID(i int) int
 	// IndexOf returns the dense index of an external person ID, or -1.
 	IndexOf(id int) int
 	// PosAt returns person i's position at the given instant
 	// (UnixNano). For trace-backed stores this is the last observed
 	// sample at or before the instant (clamped to the first sample).
 	PosAt(i int, unixNano int64) geo.Point
-	// FirstPos returns a cheap anchor position for person i (first
-	// observation, home); the prediction provider assigns people to
-	// regions by it for the shard plan.
-	FirstPos(i int) geo.Point
 }
 
 // Store is an immutable columnar trajectory store: person i's samples
@@ -126,7 +119,7 @@ func (b *Builder) Build() (*Store, error) {
 // NumPeople implements Source.
 func (s *Store) NumPeople() int { return len(s.ids) }
 
-// ID implements Source.
+// ID returns the external person ID of dense index i.
 func (s *Store) ID(i int) int { return s.ids[i] }
 
 // IndexOf implements Source: O(1) when IDs are dense, binary search
@@ -160,6 +153,3 @@ func (s *Store) PosAt(i int, unixNano int64) geo.Point {
 	}
 	return s.pos[lo+int64(idx)]
 }
-
-// FirstPos implements Source: person i's first observed position.
-func (s *Store) FirstPos(i int) geo.Point { return s.pos[s.off[i]] }

@@ -141,71 +141,3 @@ func TestPosAtZeroAlloc(t *testing.T) {
 		t.Fatalf("PosAt allocates %v per sweep, want 0", allocs)
 	}
 }
-
-func TestRegionsOrderAndShards(t *testing.T) {
-	const n = 1000
-	const numRegions = 7
-	regionOf := func(i int) int {
-		switch {
-		case i%97 == 0:
-			return 0 // unassigned
-		case i%101 == 0:
-			return 99 // out of range -> unassigned
-		default:
-			return 1 + i%numRegions
-		}
-	}
-	r := NewRegions(n, numRegions, regionOf)
-
-	// Every person appears exactly once, grouped by region, ascending
-	// index within a region.
-	seen := make([]bool, n)
-	lastReg, lastIdx := -1, -1
-	total := 0
-	for k := 0; k < n; k++ {
-		i := r.At(k)
-		if seen[i] {
-			t.Fatalf("index %d appears twice", i)
-		}
-		seen[i] = true
-		reg := regionOf(i)
-		if reg < 1 || reg > numRegions {
-			reg = 0
-		}
-		if reg < lastReg {
-			t.Fatalf("region order regressed: %d after %d", reg, lastReg)
-		}
-		if reg > lastReg {
-			lastReg, lastIdx = reg, -1
-		}
-		if i <= lastIdx {
-			t.Fatalf("index order within region %d regressed", reg)
-		}
-		lastIdx = i
-		total++
-	}
-	if total != n {
-		t.Fatalf("order covers %d of %d people", total, n)
-	}
-	for _, maxShards := range []int{1, 2, 4, 8, 16, 1000} {
-		shards := r.Shards(maxShards)
-		covered := 0
-		prevEnd := 0
-		for _, sh := range shards {
-			if sh.Start != prevEnd {
-				t.Fatalf("maxShards=%d: shard starts at %d, want %d", maxShards, sh.Start, prevEnd)
-			}
-			if sh.End <= sh.Start {
-				t.Fatalf("maxShards=%d: empty shard %+v", maxShards, sh)
-			}
-			covered += sh.End - sh.Start
-			prevEnd = sh.End
-		}
-		if covered != n {
-			t.Fatalf("maxShards=%d: shards cover %d of %d", maxShards, covered, n)
-		}
-	}
-	if got := len(r.Shards(1)); got < 1 {
-		t.Fatalf("Shards(1) returned %d shards", got)
-	}
-}

@@ -44,11 +44,15 @@ type Transition struct {
 }
 
 // Replay is a fixed-capacity ring buffer of transitions with uniform
-// sampling. The zero value is not usable; construct with NewReplay.
+// sampling. Its storage grows as transitions arrive, never past the
+// capacity, so an agent that only decides (an inference-only
+// dispatcher) holds no slots. The zero value is not usable; construct
+// with NewReplay.
 type Replay struct {
-	buf  []Transition
-	next int
-	full bool
+	buf      []Transition // stored transitions; buf[i] is slot i of the ring
+	capacity int
+	next     int // slot the next Add writes
+	full     bool
 }
 
 // NewReplay returns a replay buffer holding up to capacity transitions.
@@ -58,25 +62,29 @@ func NewReplay(capacity int) *Replay {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("rl: replay capacity %d must be positive", capacity))
 	}
-	return &Replay{buf: make([]Transition, capacity)}
+	return &Replay{capacity: capacity}
 }
 
 // Len returns the number of stored transitions.
-func (r *Replay) Len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
+func (r *Replay) Len() int { return len(r.buf) }
 
 // Cap returns the buffer capacity.
-func (r *Replay) Cap() int { return len(r.buf) }
+func (r *Replay) Cap() int { return r.capacity }
 
 // Add stores a transition, evicting the oldest when full.
 func (r *Replay) Add(t Transition) {
-	r.buf[r.next] = t
+	if r.full {
+		r.buf[r.next] = t
+	} else {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Transition, len(r.buf), min(max(2*cap(r.buf), 64), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, t)
+	}
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 		r.full = true
 	}

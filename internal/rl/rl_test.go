@@ -317,3 +317,62 @@ func BenchmarkDQNLearnStep(b *testing.B) {
 		}
 	}
 }
+
+// eagerRing is the replay ring as it was first written: every slot
+// allocated up front. TestReplayMatchesEagerRing pins Replay to it.
+type eagerRing struct {
+	buf  []Transition
+	next int
+	full bool
+}
+
+func (r *eagerRing) add(t Transition) {
+	r.buf[r.next] = t
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.full = true
+	}
+}
+
+func (r *eagerRing) len() int {
+	if r.full {
+		return len(r.buf)
+	}
+	return r.next
+}
+
+// TestReplayMatchesEagerRing feeds a capacity-5 replay 0, 3, 5 and 12
+// transitions (empty, partly filled, exactly full, wrapped twice) and
+// requires the same Len, Cap and Sample draws as an eagerly allocated
+// ring, with storage that never outgrows the capacity.
+func TestReplayMatchesEagerRing(t *testing.T) {
+	for _, n := range []int{0, 3, 5, 12} {
+		r := NewReplay(5)
+		ref := &eagerRing{buf: make([]Transition, 5)}
+		for i := 0; i < n; i++ {
+			tr := Transition{Action: i, Reward: float64(i)}
+			r.Add(tr)
+			ref.add(tr)
+		}
+		if r.Len() != ref.len() || r.Cap() != 5 {
+			t.Fatalf("n=%d: Len=%d Cap=%d, want %d and 5", n, r.Len(), r.Cap(), ref.len())
+		}
+		if cap(r.buf) > 5 {
+			t.Fatalf("n=%d: storage holds %d slots, more than the capacity", n, cap(r.buf))
+		}
+		a, b := NewRNG(int64(n)), NewRNG(int64(n))
+		got := r.Sample(a, 64, nil)
+		if ref.len() == 0 {
+			if got != nil {
+				t.Fatalf("n=%d: empty replay sampled %v", n, got)
+			}
+			continue
+		}
+		for k, tr := range got {
+			if want := ref.buf[b.Intn(ref.len())]; tr.Action != want.Action {
+				t.Fatalf("n=%d draw %d: sampled action %d, eager ring gives %d", n, k, tr.Action, want.Action)
+			}
+		}
+	}
+}

@@ -32,16 +32,12 @@ func (d *DQN) CaptureFullState(episodes uint64) ([]byte, error) {
 	if err := d.SaveCheckpoint(&ckpt, episodes); err != nil {
 		return nil, err
 	}
-	used := d.replay.buf
-	if !d.replay.full {
-		used = d.replay.buf[:d.replay.next]
-	}
 	wire := dqnFullWire{
 		Checkpoint: ckpt.Bytes(),
 		ReplayCap:  d.replay.Cap(),
 		ReplayNext: d.replay.next,
 		ReplayFull: d.replay.full,
-		ReplayBuf:  used,
+		ReplayBuf:  d.replay.buf,
 		LastLoss:   d.lastLoss,
 	}
 	var buf bytes.Buffer
@@ -80,9 +76,8 @@ func (d *DQN) RestoreFullState(blob []byte) (episodes uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	buf := make([]Transition, wire.ReplayCap)
-	copy(buf, wire.ReplayBuf)
-	d.replay.buf = buf
+	d.replay.buf = make([]Transition, len(wire.ReplayBuf))
+	copy(d.replay.buf, wire.ReplayBuf)
 	d.replay.next = wire.ReplayNext
 	d.replay.full = wire.ReplayFull
 	d.lastLoss = wire.LastLoss

@@ -6,10 +6,30 @@ import (
 )
 
 // TestCaptureRestoreFullStateRoundTrip proves the snapshot blob carries
-// the agent's complete mutable state: a restored agent re-captures to
-// the same bytes and behaves identically from then on.
+// the agent's complete mutable state, with the replay ring partly
+// filled and wrapped: a restored agent re-captures to the same bytes
+// and behaves identically from then on.
 func TestCaptureRestoreFullStateRoundTrip(t *testing.T) {
-	d := trainedDQN(t, 42)
+	for _, extra := range []int{0, 125} { // trainedDQN fills 25 of 64 slots
+		d := trainedDQN(t, 42)
+		for i := 0; i < extra; i++ {
+			d.Observe(Transition{
+				State:     []float64{float64(i % 3), float64(i % 5), 0.5},
+				Action:    i % 2,
+				Reward:    float64(i%4) - 1.5,
+				NextState: []float64{float64((i + 1) % 3), float64((i + 1) % 5), 0.5},
+				Done:      i%8 == 7,
+			})
+		}
+		if wrapped := 25+extra > d.replay.Cap(); d.replay.full != wrapped {
+			t.Fatalf("extra=%d: replay full = %v, want %v", extra, d.replay.full, wrapped)
+		}
+		captureRestoreRoundTrip(t, d)
+	}
+}
+
+func captureRestoreRoundTrip(t *testing.T, d *DQN) {
+	t.Helper()
 	blob, err := d.CaptureFullState(7)
 	if err != nil {
 		t.Fatalf("CaptureFullState: %v", err)

@@ -11,24 +11,9 @@ func benchCity(b *testing.B) *City {
 	return mustCity(b, DefaultGenConfig())
 }
 
-// BenchmarkTree is the steady-state single-source Dijkstra: a reused
-// Workspace, so the generation-stamped arrays and the typed heap are
-// warm. TestTreeIntoZeroAlloc pins its 0 allocs/op.
-func BenchmarkTree(b *testing.B) {
-	city := benchCity(b)
-	r := NewRouter(city.Graph, nil)
-	ws := NewWorkspace()
-	r.TreeInto(ws, city.Depot) // warm-up: allocate the arrays once
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TreeInto(ws, city.Depot)
-	}
-}
-
-// BenchmarkTreeCold allocates a fresh caller-owned tree per call — the
-// seed implementation's only mode. Kept as the baseline the cached and
-// workspace paths are compared against.
+// BenchmarkTreeCold allocates a fresh caller-owned tree per call, as
+// every cache miss does. Kept as the baseline the cached path is
+// compared against.
 func BenchmarkTreeCold(b *testing.B) {
 	city := benchCity(b)
 	r := NewRouter(city.Graph, nil)

@@ -91,45 +91,19 @@ func (r *Router) Rebind(cost CostModel) {
 	r.Invalidate()
 }
 
-// Tree is a single-source shortest-path tree produced by Router.Tree,
-// Router.TreeInto, or the router's epoch-scoped tree cache.
+// Tree is a single-source shortest-path tree produced by Router.Tree or
+// the router's epoch-scoped tree cache.
 //
-// Storage is generation-stamped: dist/prevSeg slots are meaningful only
-// where stamp[i] == gen, so recomputing into the same storage needs no
-// O(V) clearing and a fresh tree needs no O(V) +Inf initialization.
-// Trees obtained from the cache are immutable and remain readable even
-// after an epoch bump (stragglers see consistent, merely stale data);
-// trees from a Workspace are valid only until the workspace's next
-// TreeInto.
+// dist/prevSeg slots are meaningful only where labeled[i] is set, so a
+// fresh tree needs no O(V) +Inf initialization. Trees are immutable once
+// computed and remain readable even after an epoch bump (stragglers see
+// consistent, merely stale data).
 type Tree struct {
 	g       *Graph
 	Source  LandmarkID
 	dist    []float64
 	prevSeg []SegmentID
-	stamp   []uint32
-	gen     uint32
-}
-
-// reset binds t to g/src and invalidates all slots in O(1) by bumping
-// the generation stamp. Arrays are (re)allocated only on first use or a
-// graph-size change.
-func (t *Tree) reset(g *Graph, src LandmarkID) {
-	n := g.NumLandmarks()
-	t.g = g
-	t.Source = src
-	if len(t.stamp) != n {
-		t.dist = make([]float64, n)
-		t.prevSeg = make([]SegmentID, n)
-		t.stamp = make([]uint32, n)
-		t.gen = 0
-	}
-	t.gen++
-	if t.gen == 0 { // wrapped after 2^32 reuses: one real clear, then restart
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
-		t.gen = 1
-	}
+	labeled []bool
 }
 
 // pqItem is an entry in the Dijkstra priority queue.
@@ -197,52 +171,29 @@ func (h *minHeap) pop() pqItem {
 	return top
 }
 
-// Workspace holds the reusable state of one Dijkstra computation: the
-// generation-stamped tree arrays plus the typed heap. Reusing a
-// workspace across TreeInto calls makes the computation allocation-free
-// after warm-up. A Workspace is not safe for concurrent use; use one per
-// goroutine.
-type Workspace struct {
-	tree Tree
-	heap minHeap
-}
-
-// NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// TreeInto runs Dijkstra from src into ws, reusing its buffers, and
-// returns the workspace's tree. The returned tree aliases ws and is only
-// valid until the next TreeInto on the same workspace. After warm-up
-// this performs zero heap allocations.
-func (r *Router) TreeInto(ws *Workspace, src LandmarkID) *Tree {
-	r.computeTree(&ws.tree, &ws.heap, src)
-	return &ws.tree
-}
-
 // Tree runs Dijkstra from src and returns a freshly allocated
-// shortest-path tree the caller owns. CachedTree runs it on a miss;
-// other callers should prefer CachedTree, which shares one tree per
-// (source, epoch).
+// shortest-path tree the caller owns, using a pooled heap as scratch.
+// CachedTree runs it on a miss; other callers should prefer CachedTree,
+// which shares one tree per (source, epoch).
 func (r *Router) Tree(src LandmarkID) *Tree {
-	t := &Tree{}
-	h := r.cache.getHeap()
-	r.computeTree(t, h, src)
-	r.cache.putHeap(h)
-	return t
-}
-
-// computeTree runs Dijkstra from src into t, using h as scratch.
-func (r *Router) computeTree(t *Tree, h *minHeap, src LandmarkID) {
 	var startNS int64
 	if r.met.dijkstraSeconds != nil {
 		startNS = nowNanos()
 	}
-	t.reset(r.g, src)
+	n := r.g.NumLandmarks()
+	t := &Tree{
+		g:       r.g,
+		Source:  src,
+		dist:    make([]float64, n),
+		prevSeg: make([]SegmentID, n),
+		labeled: make([]bool, n),
+	}
 	if r.g.validLandmark(src) {
+		h := r.cache.getHeap()
 		cost := r.Cost()
 		t.dist[src] = 0
 		t.prevSeg[src] = NoSegment
-		t.stamp[src] = t.gen
+		t.labeled[src] = true
 		h.reset()
 		h.push(pqItem{lm: src, dist: 0})
 		for len(h.items) > 0 {
@@ -258,25 +209,27 @@ func (r *Router) computeTree(t *Tree, h *minHeap, src LandmarkID) {
 				}
 				nd := item.dist + w
 				to := seg.To
-				if t.stamp[to] == t.gen && nd >= t.dist[to] {
+				if t.labeled[to] && nd >= t.dist[to] {
 					continue
 				}
 				t.dist[to] = nd
 				t.prevSeg[to] = sid
-				t.stamp[to] = t.gen
+				t.labeled[to] = true
 				h.push(pqItem{lm: to, dist: nd})
 			}
 		}
+		r.cache.putHeap(h)
 	}
 	if r.met.dijkstraSeconds != nil {
 		r.met.dijkstraSeconds.Observe(float64(nowNanos()-startNS) / 1e9)
 	}
+	return t
 }
 
 // TimeTo returns the travel time in seconds from the tree source to lm,
 // or +Inf when unreachable.
 func (t *Tree) TimeTo(lm LandmarkID) float64 {
-	if lm < 0 || int(lm) >= len(t.stamp) || t.stamp[lm] != t.gen {
+	if lm < 0 || int(lm) >= len(t.labeled) || !t.labeled[lm] {
 		return math.Inf(1)
 	}
 	return t.dist[lm]
@@ -293,7 +246,7 @@ func (t *Tree) PathTo(lm LandmarkID) ([]SegmentID, error) {
 	}
 	var rev []SegmentID
 	for cur := lm; cur != t.Source; {
-		if t.stamp[cur] != t.gen {
+		if !t.labeled[cur] {
 			return nil, fmt.Errorf("%w: broken tree at landmark %d", ErrNoPath, cur)
 		}
 		sid := t.prevSeg[cur]

@@ -315,33 +315,6 @@ func TestTreeFromPosition(t *testing.T) {
 	}
 }
 
-// TestTreeIntoZeroAlloc pins the steady-state routing contract: once a
-// Workspace has been warmed, TreeInto reuses its stamped arrays and
-// heap, so a shortest-path tree over the default generated city costs
-// no heap allocation, from the depot or from any other source.
-func TestTreeIntoZeroAlloc(t *testing.T) {
-	city := mustCity(t, DefaultGenConfig())
-	r := NewRouter(city.Graph, nil)
-	ws := NewWorkspace()
-	other := city.Hospitals[len(city.Hospitals)-1]
-	if other == city.Depot {
-		t.Fatal("fixture: the second source is the depot")
-	}
-	r.TreeInto(ws, city.Depot)
-	r.TreeInto(ws, other)
-	allocs := testing.AllocsPerRun(100, func() {
-		if tr := r.TreeInto(ws, city.Depot); tr.Source != city.Depot {
-			t.Fatalf("tree source %d, want the depot %d", tr.Source, city.Depot)
-		}
-		if tr := r.TreeInto(ws, other); tr.Source != other {
-			t.Fatalf("tree source %d, want %d", tr.Source, other)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("TreeInto allocates %v times per depot+hospital pair, want 0", allocs)
-	}
-}
-
 func BenchmarkDijkstraCityGraph(b *testing.B) {
 	city, err := GenerateCity(DefaultGenConfig())
 	if err != nil {

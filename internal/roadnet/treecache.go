@@ -29,7 +29,7 @@ const (
 )
 
 // routerMetrics holds the router's nil-safe metric handles. The zero
-// value (all nil) disables observation; computeTree additionally checks
+// value (all nil) disables observation; Router.Tree additionally checks
 // dijkstraSeconds for nil so the no-metrics hot path never calls
 // time.Now.
 type routerMetrics struct {
@@ -83,7 +83,7 @@ type treeCache struct {
 	epoch   atomic.Uint64
 	mu      sync.RWMutex // guards entries map shape (not entry contents)
 	entries map[LandmarkID]*treeEntry
-	heaps   sync.Pool // *minHeap scratch for cache misses and Router.Tree
+	heaps   sync.Pool // *minHeap scratch for Router.Tree
 }
 
 func (c *treeCache) init() {

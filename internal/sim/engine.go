@@ -334,7 +334,15 @@ func (s *Simulator) complete() *Result {
 		return s.result
 	}
 	s.finished = true
-	res := &Result{
+	res := s.newResult()
+	s.finishRun(res)
+	s.result = res
+	return res
+}
+
+// newResult builds the run's Result from the simulator's final state.
+func (s *Simulator) newResult() *Result {
+	return &Result{
 		Method:        s.disp.Name(),
 		Config:        s.cfg,
 		Requests:      s.requests,
@@ -342,9 +350,6 @@ func (s *Simulator) complete() *Result {
 		ComputeDelays: s.delays,
 		Resilience:    s.res,
 	}
-	s.finishRun(res)
-	s.result = res
-	return res
 }
 
 // Result returns the finalized outcome once the run has completed
@@ -357,14 +362,7 @@ func (s *Simulator) Result() *Result {
 		return nil
 	}
 	if s.result == nil {
-		s.result = &Result{
-			Method:        s.disp.Name(),
-			Config:        s.cfg,
-			Requests:      s.requests,
-			Rounds:        s.rounds,
-			ComputeDelays: s.delays,
-			Resilience:    s.res,
-		}
+		s.result = s.newResult()
 	}
 	return s.result
 }

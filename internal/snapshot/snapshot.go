@@ -99,7 +99,6 @@ type RunState struct {
 	TrainRounds     int       // completed actor-learner rounds
 	TrainEpisodes   uint64    // episodes absorbed by the learner
 	TrainRewards    []float64 // per-episode returns so far
-	Checkpoints     int       // periodic checkpoints installed so far
 	LearnerState    []byte    // full learner state (policy + optimizer + replay)
 	TrainRecorder   eventlog.RecorderState
 	TrainedEpisodes uint64 // final episode count once PhaseTrained+

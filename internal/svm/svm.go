@@ -29,8 +29,6 @@ const (
 // kernel-induced space.
 type Kernel interface {
 	Compute(a, b []float64) float64
-	// Name identifies the kernel for serialization.
-	Name() string
 }
 
 // Linear is the standard dot-product kernel.
@@ -46,9 +44,6 @@ func (Linear) Compute(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Name implements Kernel.
-func (Linear) Name() string { return "linear" }
 
 // RBF is the Gaussian radial-basis-function kernel
 // K(a,b) = exp(-gamma * ||a-b||^2).
@@ -67,9 +62,6 @@ func (k RBF) Compute(a, b []float64) float64 {
 	}
 	return math.Exp(-k.Gamma * s)
 }
-
-// Name implements Kernel.
-func (k RBF) Name() string { return "rbf" }
 
 // Config controls SMO training.
 type Config struct {
@@ -106,9 +98,11 @@ type Model struct {
 	bias   float64
 	scaler *Scaler
 
-	// fast is the precomputed inference state (folded scaler, linear
-	// weight vector, flattened RBF support vectors); see fast.go.
-	fast *fastState
+	// rawW and rawB fold a linear model's scaler and support vectors
+	// into raw-space weights (see finalize); rawW is nil for any other
+	// kernel.
+	rawW []float64
+	rawB float64
 
 	predictions *obs.Counter // nil (free) unless EnableMetrics is called
 }
@@ -277,18 +271,6 @@ func Train(x [][]float64, y []bool, cfg Config) (*Model, error) {
 	}
 	m.finalize()
 	return m, nil
-}
-
-// Decision returns the signed margin for a raw (unscaled) feature
-// vector. It runs the precomputed fast path (see fast.go) over a pooled
-// workspace, so it stays safe for concurrent use and allocation-free in
-// steady state; use DecisionInto with a caller-owned Workspace to avoid
-// the pool in tight per-worker loops.
-func (m *Model) Decision(x []float64) float64 {
-	ws := wsPool.Get().(*Workspace)
-	s := m.DecisionInto(ws, x)
-	wsPool.Put(ws)
-	return s
 }
 
 // Predict returns the class for a raw feature vector: true for the

@@ -46,16 +46,14 @@ import (
 
 // Exported training telemetry metric names (see README "Observability").
 const (
-	MetricRounds          = "mobirescue_train_rounds_total"
-	MetricEpisodes        = "mobirescue_train_episodes_total"
-	MetricTransitions     = "mobirescue_train_transitions_total"
-	MetricRoundReward     = "mobirescue_train_round_reward_mean"
-	MetricActorSeconds    = "mobirescue_train_actor_episode_seconds"
-	MetricLearnerSeconds  = "mobirescue_train_learner_apply_seconds"
-	MetricQueueDepth      = "mobirescue_train_learner_queue_depth"
-	MetricEpisodeLen      = "mobirescue_train_episode_transitions"
-	MetricCheckpointSecs  = "mobirescue_train_checkpoint_seconds"
-	MetricCheckpointsDone = "mobirescue_train_checkpoints_total"
+	MetricRounds         = "mobirescue_train_rounds_total"
+	MetricEpisodes       = "mobirescue_train_episodes_total"
+	MetricTransitions    = "mobirescue_train_transitions_total"
+	MetricRoundReward    = "mobirescue_train_round_reward_mean"
+	MetricActorSeconds   = "mobirescue_train_actor_episode_seconds"
+	MetricLearnerSeconds = "mobirescue_train_learner_apply_seconds"
+	MetricQueueDepth     = "mobirescue_train_learner_queue_depth"
+	MetricEpisodeLen     = "mobirescue_train_episode_transitions"
 )
 
 // Learner is the central policy owner: it hands actors frozen snapshots,
@@ -92,33 +90,28 @@ type Config struct {
 	Workers int
 	// Seed derives every actor's RNG stream via rl.DeriveSeed.
 	Seed int64
-	// CheckpointPath, when set, receives an atomically written learner
-	// checkpoint after the final round — and after every CheckpointEvery
-	// rounds when that is positive.
-	CheckpointPath  string
-	CheckpointEvery int
 	// Metrics, when non-nil, receives training telemetry (round/episode
-	// counters, per-round reward, actor throughput, learner queue depth,
-	// checkpoint latency). Nil disables it at zero cost.
+	// counters, per-round reward, actor throughput, learner queue
+	// depth). Nil disables it at zero cost.
 	Metrics *obs.Registry
 	// Logger, when non-nil, receives per-round structured records.
 	Logger *slog.Logger
 	// Events, when non-nil, receives one flight-recorder train_round
 	// event per round (episodes, mean reward, epsilon, transitions,
-	// learner loss) and a checkpoint event per checkpoint write. The
-	// trainer emits from the learner goroutine only, so the stream is
-	// deterministic for any Workers value. Nil — the default — is free.
+	// learner loss). The trainer emits from the learner goroutine only,
+	// so the stream is deterministic for any Workers value. Nil — the
+	// default — is free.
 	Events *eventlog.Recorder
 	// StartRound is the absolute round index the loop starts at (0 for a
 	// fresh run). A resumed run sets it to the number of rounds already
 	// absorbed so rl.DeriveSeed — keyed by absolute round — hands every
 	// actor the same stream the uninterrupted run would have.
 	StartRound int
-	// RoundHook, when non-nil, runs after each completed round (and any
-	// periodic checkpoint) with the absolute index of the round that just
-	// finished. A non-nil error aborts training and is returned from Run;
-	// crash-safe runs use it to install window snapshots and to stop
-	// gracefully (internal/snapshot.ErrStopRequested).
+	// RoundHook, when non-nil, runs after each completed round with the
+	// absolute index of the round that just finished. A non-nil error
+	// aborts training and is returned from Run; crash-safe runs use it to
+	// install window snapshots and to stop gracefully
+	// (internal/snapshot.ErrStopRequested).
 	RoundHook func(round int, stats *Stats) error
 }
 
@@ -130,8 +123,6 @@ type Stats struct {
 	// Episodes and Rounds count completed work; Transitions counts
 	// learner-absorbed transitions.
 	Episodes, Rounds, Transitions int
-	// Checkpoints counts checkpoint files written.
-	Checkpoints int
 	// Elapsed is the wall-clock training time.
 	Elapsed time.Duration
 }
@@ -142,13 +133,11 @@ type trainMetrics struct {
 	rounds      *obs.Counter
 	episodes    *obs.Counter
 	transitions *obs.Counter
-	checkpoints *obs.Counter
 	roundReward *obs.Gauge
 	queueDepth  *obs.Gauge
 	actorSecs   *obs.Histogram
 	learnSecs   *obs.Histogram
 	episodeLen  *obs.Histogram
-	ckptSecs    *obs.Histogram
 }
 
 // Trainer coordinates the actor pool and the learner. Construct with New.
@@ -157,7 +146,7 @@ type Trainer struct {
 	rollout  Rollout
 	cfg      Config
 	met      trainMetrics
-	episodes uint64 // completed episodes (cumulative, for checkpoints)
+	episodes uint64 // completed episodes, cumulative from base
 }
 
 // New validates the configuration and builds a trainer. base is the
@@ -177,9 +166,6 @@ func New(learner Learner, rollout Rollout, base uint64, cfg Config) (*Trainer, e
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("train: workers %d must be >= 0", cfg.Workers)
 	}
-	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("train: checkpoint interval %d must be >= 0", cfg.CheckpointEvery)
-	}
 	if cfg.StartRound < 0 {
 		return nil, fmt.Errorf("train: start round %d must be >= 0", cfg.StartRound)
 	}
@@ -189,13 +175,11 @@ func New(learner Learner, rollout Rollout, base uint64, cfg Config) (*Trainer, e
 			rounds:      reg.Counter(MetricRounds, "Training rounds completed."),
 			episodes:    reg.Counter(MetricEpisodes, "Actor episodes absorbed by the learner."),
 			transitions: reg.Counter(MetricTransitions, "Transitions absorbed by the learner."),
-			checkpoints: reg.Counter(MetricCheckpointsDone, "Checkpoint files written."),
 			roundReward: reg.Gauge(MetricRoundReward, "Mean episode reward of the last round."),
 			queueDepth:  reg.Gauge(MetricQueueDepth, "Completed trajectories waiting for in-order application."),
 			actorSecs:   reg.Histogram(MetricActorSeconds, "Wall-clock seconds per actor episode.", obs.DefSecondsBuckets),
 			learnSecs:   reg.Histogram(MetricLearnerSeconds, "Wall-clock seconds applying one trajectory.", obs.DefSecondsBuckets),
 			episodeLen:  reg.Histogram(MetricEpisodeLen, "Transitions per actor episode.", obs.DefCountBuckets),
-			ckptSecs:    reg.Histogram(MetricCheckpointSecs, "Wall-clock seconds per checkpoint write.", obs.DefSecondsBuckets),
 		}
 	}
 	return t, nil
@@ -254,21 +238,10 @@ func (t *Trainer) Run(ctx context.Context) (*Stats, error) {
 				slog.Int("episodes", n),
 				slog.Float64("mean_reward", mean(rw)))
 		}
-		if t.cfg.CheckpointPath != "" && t.cfg.CheckpointEvery > 0 &&
-			(round+1)%t.cfg.CheckpointEvery == 0 && remaining > 0 {
-			if err := t.checkpoint(stats); err != nil {
-				return stats, err
-			}
-		}
 		if t.cfg.RoundHook != nil {
 			if err := t.cfg.RoundHook(round, stats); err != nil {
 				return stats, err
 			}
-		}
-	}
-	if t.cfg.CheckpointPath != "" {
-		if err := t.checkpoint(stats); err != nil {
-			return stats, err
 		}
 	}
 	return stats, nil
@@ -368,32 +341,6 @@ func (t *Trainer) runRound(ctx context.Context, round, n int, stats *Stats) erro
 			e.Loss = ll.LastLoss()
 		}
 		t.cfg.Events.Emit(e)
-	}
-	return nil
-}
-
-// checkpoint writes the learner state to cfg.CheckpointPath atomically.
-func (t *Trainer) checkpoint(stats *Stats) error {
-	ckptStart := time.Now()
-	if err := SaveCheckpointFile(t.cfg.CheckpointPath, t.learner, t.Episodes()); err != nil {
-		return err
-	}
-	t.met.ckptSecs.ObserveSince(ckptStart)
-	t.met.checkpoints.Inc()
-	stats.Checkpoints++
-	if t.cfg.Events != nil {
-		// StartRound keeps the recorded round absolute so a resumed run
-		// emits the same bytes as an uninterrupted one.
-		t.cfg.Events.Emit(eventlog.Event{
-			Type: eventlog.TypeCheckpoint, Round: t.cfg.StartRound + stats.Rounds,
-			Path: t.cfg.CheckpointPath,
-		})
-	}
-	if t.cfg.Logger != nil {
-		t.cfg.Logger.Debug("checkpoint written",
-			slog.String("path", t.cfg.CheckpointPath),
-			slog.Uint64("episodes", t.Episodes()),
-			slog.Duration("latency", time.Since(ckptStart)))
 	}
 	return nil
 }

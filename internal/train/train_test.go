@@ -197,9 +197,6 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := New(l, rollout, 0, Config{Episodes: 1, Workers: -1}); err == nil {
 		t.Error("negative workers should error")
 	}
-	if _, err := New(l, rollout, 0, Config{Episodes: 1, CheckpointEvery: -1}); err == nil {
-		t.Error("negative checkpoint interval should error")
-	}
 }
 
 func TestTrainerRolloutErrorStopsLearner(t *testing.T) {
@@ -239,43 +236,6 @@ func TestTrainerContextCancellation(t *testing.T) {
 	}
 	if len(l.observed) != 0 {
 		t.Errorf("learner mutated after cancellation: %d transitions", len(l.observed))
-	}
-}
-
-func TestTrainerCheckpointCadence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "policy.ckpt")
-	l := newFakeLearner(t)
-	tr, err := New(l, markerRollout(2, 0), 0, Config{
-		Actors: 2, Episodes: 6, Seed: 1,
-		CheckpointPath: path, CheckpointEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := tr.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rounds 0 and 1 checkpoint mid-run (remaining > 0), round 2 via the
-	// final write: 3 total.
-	if stats.Checkpoints != 3 {
-		t.Errorf("checkpoints = %d, want 3", stats.Checkpoints)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, []byte("episodes=6\n")) {
-		t.Errorf("final checkpoint header = %q", bytes.SplitN(data, []byte("\n"), 2)[0])
-	}
-	// No temp files left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("checkpoint dir has %d entries, want only the checkpoint", len(entries))
 	}
 }
 
