@@ -7,30 +7,35 @@
 //
 // Usage:
 //
-//	crashtest -bin ./mobirescue [-runs N] [-min-kills N] [-scale small] [-episodes 8] [-workers 2] [-seed 7] [-kill-seed 1] [-min-delay 500ms] [-max-delay d] [-dir d] [-keep]
+//	crashtest -bin ./mobirescue [-dir d]
+//
+// Every run is `mobirescue -method mr -scale small -episodes 8
+// -workers 2 -seed 7` with -eventlog and -snapshot-dir. The work
+// directory is -dir, kept afterwards, or else a fresh temporary
+// directory that a passing run removes.
 //
 // Procedure:
 //
-//  1. Reference: run the binary uninterrupted with -eventlog and
-//     -snapshot-dir; its event log is the ground truth.
-//  2. Kill cycles: for each of -runs cycles (continuing until at least
-//     -min-kills SIGKILLs have landed), launch the same command in a
-//     fresh directory, SIGKILL it after a random delay drawn from
-//     [-min-delay, -max-delay], then re-launch with -resume (killing
-//     again at a new random delay) until an attempt exits 0. The final
-//     event log must equal the reference byte for byte. -max-delay
-//     defaults to the reference run's wall time, which always covers
-//     start-up plus the longest stretch between two snapshots, so some
-//     resume outlives its kill on any machine.
+//  1. Reference: run the binary uninterrupted; its event log is the
+//     ground truth.
+//  2. Kill cycles: for each of 4 cycles (continuing until at least 10
+//     SIGKILLs have landed), launch the same command in a fresh
+//     directory, SIGKILL it after a random delay drawn from 500 ms up
+//     to the reference run's wall time, then re-launch with -resume
+//     (killing again at a new random delay) until an attempt exits 0.
+//     The final event log must equal the reference byte for byte. The
+//     reference run's wall time always covers start-up plus the longest
+//     stretch between two snapshots, so some resume outlives its kill
+//     on any machine.
 //  3. Corruption drills: take a killed run with at least two snapshot
 //     generations, damage the newest snapshot file (truncate it, then
 //     in a second drill flip one byte), resume, and require both that
 //     the run falls back to the previous valid snapshot and that the
 //     final event log is still byte-identical.
 //
-// The kill schedule is driven by -kill-seed, so a failing fuzz run is
-// reproducible. Exit code 0 means every cycle and drill passed;
-// anything else is a determinism or recovery failure.
+// The kill schedule is seeded, so a failing fuzz run is reproducible.
+// Exit code 0 means every cycle and drill passed; anything else is a
+// determinism or recovery failure.
 package main
 
 import (
@@ -42,26 +47,23 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"time"
 
 	"mobirescue/internal/obs/eventlog"
 )
 
+// The kill schedule the package comment describes.
+const (
+	runs     = 4
+	minKills = 10
+	minDelay = 500 * time.Millisecond
+	killSeed = 1
+)
+
 func main() {
 	var (
-		bin      = flag.String("bin", "", "path to the mobirescue binary (required)")
-		runs     = flag.Int("runs", 4, "kill/resume cycles to run")
-		minKills = flag.Int("min-kills", 10, "keep adding cycles until this many SIGKILLs have landed")
-		scale    = flag.String("scale", "small", "scenario scale passed to the binary")
-		episodes = flag.Int("episodes", 8, "training episodes passed to the binary")
-		workers  = flag.Int("workers", 2, "worker bound passed to the binary")
-		seed     = flag.Int64("seed", 7, "run seed passed to the binary")
-		killSeed = flag.Int64("kill-seed", 1, "seed for the kill-delay schedule")
-		minDelay = flag.Duration("min-delay", 500*time.Millisecond, "earliest kill after launch")
-		maxDelay = flag.Duration("max-delay", 0, "latest kill after launch (0 = the reference run's wall time)")
-		dirFlag  = flag.String("dir", "", "work directory (default: a fresh temp dir)")
-		keep     = flag.Bool("keep", false, "keep the work directory on success")
+		bin     = flag.String("bin", "", "path to the mobirescue binary (required)")
+		dirFlag = flag.String("dir", "", "work directory, kept afterwards (default: a fresh temp dir, removed on success)")
 	)
 	flag.Parse()
 	if *bin == "" {
@@ -82,17 +84,12 @@ func main() {
 		fatal(err)
 	}
 	h := &harness{
-		bin:      binPath,
-		dir:      dir,
-		rng:      rand.New(rand.NewSource(*killSeed)),
-		minDelay: *minDelay,
-		maxDelay: *maxDelay,
+		bin: binPath,
+		dir: dir,
+		rng: rand.New(rand.NewSource(killSeed)),
 		args: []string{
-			"-method", "mr",
-			"-scale", *scale,
-			"-episodes", strconv.Itoa(*episodes),
-			"-workers", strconv.Itoa(*workers),
-			"-seed", strconv.FormatInt(*seed, 10),
+			"-method", "mr", "-scale", "small", "-episodes", "8",
+			"-workers", "2", "-seed", "7",
 		},
 	}
 
@@ -102,18 +99,16 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("crashtest: reference run %v, event log %d bytes\n", refDur.Round(time.Millisecond), len(ref))
-	if h.maxDelay <= 0 {
-		h.maxDelay = refDur
-	}
-	fmt.Printf("crashtest: kill delays drawn from [%v, %v]\n", h.minDelay, h.maxDelay.Round(time.Millisecond))
+	h.maxDelay = refDur
+	fmt.Printf("crashtest: kill delays drawn from [%v, %v]\n", minDelay, h.maxDelay.Round(time.Millisecond))
 
 	failures := 0
-	for cycle := 1; cycle <= *runs || h.kills < *minKills; cycle++ {
+	for cycle := 1; cycle <= runs || h.kills < minKills; cycle++ {
 		if err := h.killCycle(cycle, ref); err != nil {
 			fmt.Fprintf(os.Stderr, "crashtest: FAIL cycle %d: %v\n", cycle, err)
 			failures++
 		}
-		if cycle > *runs*10 {
+		if cycle > runs*10 {
 			fmt.Fprintf(os.Stderr, "crashtest: FAIL: %d cycles yielded only %d kills; runs too short for the kill window\n", cycle, h.kills)
 			failures++
 			break
@@ -131,7 +126,7 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
-	if !*keep && *dirFlag == "" {
+	if *dirFlag == "" {
 		os.RemoveAll(dir)
 	}
 	fmt.Println("crashtest: PASS")
@@ -142,8 +137,7 @@ type harness struct {
 	dir      string
 	args     []string
 	rng      *rand.Rand
-	minDelay time.Duration
-	maxDelay time.Duration
+	maxDelay time.Duration // the reference run's wall time
 
 	kills     int
 	resumes   int
@@ -188,11 +182,11 @@ func (h *harness) launch(runDir string, resume bool, delay time.Duration) (done 
 }
 
 func (h *harness) delay() time.Duration {
-	span := h.maxDelay - h.minDelay
+	span := h.maxDelay - minDelay
 	if span <= 0 {
-		return h.minDelay
+		return minDelay
 	}
-	return h.minDelay + time.Duration(h.rng.Int63n(int64(span)))
+	return minDelay + time.Duration(h.rng.Int63n(int64(span)))
 }
 
 // reference runs the command uninterrupted and returns its event log.

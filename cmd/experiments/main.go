@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	experiments [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-fig all|9|...|16] [-chaos profile] [-chaos-seed S] [-eventlog f] [-eventlog-timing] [-decide-deadline d] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep K] [-resume] [-obs addr] [-cpuprofile f] [-memprofile f]
+//	experiments [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-save-policy f] [-load-policy f] [-fig all|9|...|16] [-chaos profile] [-chaos-seed S] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-resume] [-obs addr] [-cpuprofile f] [-memprofile f]
 //
-// RL training uses the parallel actor–learner pipeline: -train-actors
-// logical actors (default 4) roll out under the -workers concurrency
-// bound; the trained policy is byte-identical for any -workers value.
+// RL training uses the parallel actor–learner pipeline: four logical
+// actors roll out under the -workers concurrency bound; the trained
+// policy is byte-identical for any -workers value.
 // -load-policy warm-starts from a checkpoint
 // (train on top with -episodes, or pass -episodes -1 to skip training);
 // -save-policy writes the trained state for later runs.
@@ -27,7 +27,7 @@
 //
 // -snapshot-dir makes the expensive training phase crash-safe: a
 // checksummed snapshot is installed after every -snapshot-every-th
-// training round (keeping the newest -snapshot-keep), and -resume with
+// training round (keeping the newest three), and -resume with
 // the same flags continues from the latest valid one with a
 // byte-identical -eventlog stream. The three-method comparison is not
 // snapshotted mid-run: a resume after training re-executes it in full,
@@ -35,9 +35,6 @@
 // finishes its current round, installs a final snapshot, flushes the
 // event log, and exits with code 3. A resume of a finished run (the
 // terminal snapshot says so) exits 0 without re-running anything.
-// -decide-deadline overrides the resilient dispatcher's per-round
-// Decide deadline (0 keeps the 5s default); expirations emit a typed
-// "deadline" event.
 //
 // The binary always collects metrics and spans and prints an end-of-run
 // report (top spans, key counters) on stderr. With -obs it additionally

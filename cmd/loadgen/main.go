@@ -2,33 +2,35 @@
 // serving stack — the load test of internal/serve — and writes a JSON
 // report of what it measured to standard output, or to the -out file.
 //
-// The run has three phases, all through the HTTP session API (the same
-// handlers cmd/mobiserve mounts, minus the network):
+// The sessions run the greedy method over the small scenario at seed 1,
+// with serve's default queue depth. The run has three phases, all
+// through the HTTP session API (the same handlers cmd/mobiserve mounts,
+// minus the network):
 //
-//  1. ramp: -sessions long-lived sessions are created and held open by
-//     -clients concurrent workers, pinning the peak-concurrency claim;
+//  1. ramp: 1000 long-lived sessions are created and held open by 16
+//     concurrent workers, pinning the peak-concurrency claim;
 //  2. burst: every live session gets advance and inject traffic from
 //     the shared worker pool (cross-session contention, 429 retries);
-//  3. churn: -churn short session lifecycles (create, advance ×
-//     -windows with a mid-life inject, close) run through the pool
+//  3. churn: 2000 short session lifecycles (300 with -smoke; create,
+//     advance × 2 with a mid-life inject, close) run through the pool
 //     while the ramped sessions stay live.
 //
 // The report gives sessions/sec (churn lifecycles), p99 create and
 // advance latency (*_ns_per_op), peak heap, and backpressure retry
 // counts, plus the two gate booleans:
 //
-//   - sustained_target_sessions: the service held -target concurrent
-//     live sessions (default 1000);
+//   - sustained_target_sessions: the service held all 1000 ramped
+//     sessions live at once;
 //   - zero_errors: no request failed — backpressure 429s are retried,
 //     anything else is an error.
 //
 // loadgen exits 1, without writing the report, when either gate
-// boolean is false. With -smoke the churn shrinks for CI; `make
-// serve-smoke` runs that and relies on the exit status.
+// boolean is false. `make serve-smoke` runs it with -smoke and relies
+// on the exit status.
 //
 // Usage:
 //
-//	go run ./cmd/loadgen [-out report.json] [-scale small] [-seed 1] [-sessions 1000] [-target 1000] [-churn 2000] [-clients 16] [-windows 2] [-method greedy] [-smoke]
+//	go run ./cmd/loadgen [-out report.json] [-smoke]
 package main
 
 import (
@@ -49,6 +51,17 @@ import (
 	"mobirescue/internal/core"
 	"mobirescue/internal/obs"
 	"mobirescue/internal/serve"
+)
+
+// The load the package comment describes; the ramped sessions are also
+// the concurrency target the gate requires.
+const (
+	scale    = "small"
+	seed     = 1
+	method   = "greedy"
+	sessions = 1000
+	clients  = 16
+	windows  = 2
 )
 
 // report is the JSON document loadgen writes.
@@ -168,40 +181,29 @@ func forEach(n, clients int, fn func(i int)) {
 
 func main() {
 	var (
-		out      = flag.String("out", "-", "output JSON path (- for stdout)")
-		scale    = flag.String("scale", "small", "scenario scale ("+core.ScaleNames+")")
-		seed     = flag.Int64("seed", 1, "scenario/model seed")
-		method   = flag.String("method", "greedy", "dispatch method sessions run")
-		sessions = flag.Int("sessions", 1000, "long-lived sessions held open through the run")
-		target   = flag.Int("target", 1000, "concurrent-session count the gate requires")
-		churn    = flag.Int("churn", 2000, "short session lifecycles during the churn phase")
-		clients  = flag.Int("clients", 16, "concurrent client workers")
-		windows  = flag.Int("windows", 2, "advances per churn lifecycle")
-		qDepth   = flag.Int("queue-depth", 0, "per-session command queue depth (0 = 8)")
-		smoke    = flag.Bool("smoke", false, "CI smoke mode: shrink the churn phase (the concurrency target still holds)")
+		out   = flag.String("out", "-", "output JSON path (- for stdout)")
+		smoke = flag.Bool("smoke", false, "CI smoke mode: shrink the churn phase (the concurrency target still holds)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
 
+	churn := 2000
 	if *smoke {
-		*churn = 300
-	}
-	if *sessions < *target {
-		log.Fatalf("-sessions %d below -target %d: the gate could never hold", *sessions, *target)
+		churn = 300
 	}
 
-	scCfg, err := core.ScenarioConfigForScale(*scale)
+	scCfg, err := core.ScenarioConfigForScale(scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	scCfg.Seed = *seed
+	scCfg.Seed = seed
 	sc, err := core.BuildScenario(scCfg)
 	if err != nil {
 		log.Fatalf("building scenario: %v", err)
 	}
 	sysCfg := core.DefaultSystemConfig()
-	sysCfg.Seed = *seed
+	sysCfg.Seed = seed
 	sys, err := core.NewSystem(sc, sysCfg)
 	if err != nil {
 		log.Fatalf("building system: %v", err)
@@ -212,8 +214,7 @@ func main() {
 	}
 	reg := obs.NewRegistry()
 	svc, err := serve.NewService(world, serve.Config{
-		MaxSessions: *sessions + *clients + 1,
-		QueueDepth:  *qDepth,
+		MaxSessions: sessions + clients + 1,
 		Metrics:     reg,
 	})
 	if err != nil {
@@ -224,7 +225,7 @@ func main() {
 	advanceLat := &latencies{}
 
 	createBody := func(i int) string {
-		return fmt.Sprintf(`{"method":%q,"seed":%d}`, *method, int64(i%97+1))
+		return fmt.Sprintf(`{"method":%q,"seed":%d}`, method, int64(i%97+1))
 	}
 	peakConcurrent := 0
 	var peakMu sync.Mutex
@@ -239,8 +240,8 @@ func main() {
 
 	// Phase 1 — ramp: open the long-lived sessions.
 	rampStart := time.Now()
-	rampIDs := make([]string, *sessions)
-	forEach(*sessions, *clients, func(i int) {
+	rampIDs := make([]string, sessions)
+	forEach(sessions, clients, func(i int) {
 		opStart := time.Now()
 		resp := c.expect("POST", "/api/sessions", createBody(i), http.StatusCreated)
 		createLat.add(time.Since(opStart))
@@ -254,11 +255,11 @@ func main() {
 	})
 	rampSecs := time.Since(rampStart).Seconds()
 	log.Printf("ramp: %d sessions live in %.2fs (%.0f creates/s)",
-		svc.SessionCount(), rampSecs, float64(*sessions)/rampSecs)
+		svc.SessionCount(), rampSecs, float64(sessions)/rampSecs)
 
 	// Phase 2 — burst: advance + inject traffic across every live
 	// session from the shared pool.
-	forEach(*sessions, *clients, func(i int) {
+	forEach(sessions, clients, func(i int) {
 		id := rampIDs[i]
 		if id == "" {
 			return
@@ -277,9 +278,9 @@ func main() {
 	// Phase 3 — churn: short lifecycles while the ramped sessions stay
 	// open, so creates/closes run against a full table.
 	churnStart := time.Now()
-	forEach(*churn, *clients, func(i int) {
+	forEach(churn, clients, func(i int) {
 		opStart := time.Now()
-		resp := c.expect("POST", "/api/sessions", createBody(i+*sessions), http.StatusCreated)
+		resp := c.expect("POST", "/api/sessions", createBody(i+sessions), http.StatusCreated)
 		createLat.add(time.Since(opStart))
 		var st serve.Status
 		if err := json.Unmarshal(resp, &st); err != nil || st.ID == "" {
@@ -287,7 +288,7 @@ func main() {
 			return
 		}
 		notePeak()
-		for w := 0; w < *windows; w++ {
+		for w := 0; w < windows; w++ {
 			opStart = time.Now()
 			c.expect("POST", "/api/sessions/"+st.ID+"/advance", `{"windows":1}`, http.StatusOK)
 			advanceLat.add(time.Since(opStart))
@@ -301,7 +302,7 @@ func main() {
 	churnSecs := time.Since(churnStart).Seconds()
 
 	// Tear down the ramped sessions; the table must come back empty.
-	forEach(*sessions, *clients, func(i int) {
+	forEach(sessions, clients, func(i int) {
 		if rampIDs[i] == "" {
 			return
 		}
@@ -317,31 +318,31 @@ func main() {
 		GoVersion:       runtime.Version(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		Smoke:           *smoke,
-		Scale:           *scale,
-		Seed:            *seed,
-		Method:          *method,
-		TargetSessions:  *target,
-		RampSessions:    *sessions,
-		ChurnLifecycles: *churn,
-		Clients:         *clients,
-		WindowsPerLife:  *windows,
+		Scale:           scale,
+		Seed:            seed,
+		Method:          method,
+		TargetSessions:  sessions,
+		RampSessions:    sessions,
+		ChurnLifecycles: churn,
+		Clients:         clients,
+		WindowsPerLife:  windows,
 
 		PeakConcurrentSessions: peakConcurrent,
-		SessionsPerSec:         float64(*churn) / churnSecs,
+		SessionsPerSec:         float64(churn) / churnSecs,
 		CreateP99NsPerOp:       createLat.p99(),
 		AdvanceP99NsPerOp:      advanceLat.p99(),
 		PeakHeapBytes:          peakHeap,
 		BackpressureRetries:    c.retries.Load(),
 		Errors:                 c.errors.Load(),
 	}
-	rep.SustainedTargetSessions = peakConcurrent >= *target
+	rep.SustainedTargetSessions = peakConcurrent >= sessions
 	rep.ZeroErrors = rep.Errors == 0
 
 	log.Printf("churn: %d lifecycles in %.2fs (%.0f sessions/s), peak %d concurrent, p99 advance %.2fms, peak heap %.1f MB, %d retries, %d errors",
-		*churn, churnSecs, rep.SessionsPerSec, peakConcurrent,
+		churn, churnSecs, rep.SessionsPerSec, peakConcurrent,
 		rep.AdvanceP99NsPerOp/1e6, float64(peakHeap)/1e6, rep.BackpressureRetries, rep.Errors)
 	if !rep.SustainedTargetSessions {
-		log.Fatalf("peak concurrency %d never reached the %d-session target", peakConcurrent, *target)
+		log.Fatalf("peak concurrency %d never reached the %d-session target", peakConcurrent, sessions)
 	}
 	if !rep.ZeroErrors {
 		log.Fatalf("%d requests failed", rep.Errors)

@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	mobirescue [-method mr|rescue|schedule] [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-train-actors N] [-save-policy f] [-load-policy f] [-chaos profile] [-chaos-seed S] [-decide-deadline d] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-snapshot-keep N] [-resume] [-obs addr] [-report] [-cpuprofile f] [-memprofile f]
+//	mobirescue [-method mr|rescue|schedule] [-scale small|mid|full] [-episodes N] [-teams N] [-seed S] [-workers N] [-save-policy f] [-load-policy f] [-chaos profile] [-chaos-seed S] [-eventlog f] [-eventlog-timing] [-snapshot-dir d] [-snapshot-every N] [-resume] [-obs addr] [-cpuprofile f] [-memprofile f]
 //
-// With -obs the process serves /metrics (Prometheus text format),
-// /healthz, /debug/vars, and /debug/pprof/* on the given address for the
-// whole run, then keeps serving until interrupted so the final metric
-// values stay scrapeable. -report prints the span/metric report on
-// stderr at the end of the run (implied by -obs).
+// The run always collects metrics and spans and prints the span/metric
+// report on stderr at its end. With -obs the process also serves
+// /metrics (Prometheus text format), /healthz, /debug/vars, and
+// /debug/pprof/* on the given address for the whole run, then keeps
+// serving until interrupted so the final metric values stay scrapeable.
 //
 // -eventlog records the run's flight-recorder stream (structured JSONL
 // events from every layer — see README "Flight recorder & run diffing")
@@ -21,14 +21,14 @@
 // -chaos enables deterministic fault injection (flash-flood surges,
 // vehicle breakdowns, sensing and dispatcher faults) and wraps the
 // dispatcher in the resilient degraded-mode shell; the same -chaos-seed
-// reproduces the same chaotic run. -decide-deadline overrides the
-// wrapper's wall-clock Decide deadline (default 5 s); an expiration is
-// recorded as a typed deadline event in the flight recorder.
+// reproduces the same chaotic run. The wrapper's wall-clock Decide
+// deadline is 5 s; an expiration is recorded as a typed deadline event
+// in the flight recorder.
 //
 // -snapshot-dir makes the run crash-safe (see README "Durability &
 // crash recovery"): a complete run snapshot is installed atomically at
 // every -snapshot-every-th window/training-round boundary, keeping the
-// last -snapshot-keep generations. -resume continues from the latest
+// last three generations. -resume continues from the latest
 // valid snapshot — the resumed run's event log is byte-identical to an
 // uninterrupted one — and starts fresh when none exists. On SIGINT or
 // SIGTERM a snapshotting run finishes its current window, installs a
@@ -36,10 +36,9 @@
 // second signal kills the process immediately.
 //
 // RL training (method mr) runs the parallel actor–learner pipeline:
-// -train-actors logical actors (default 4; fixes seeds and merge order,
-// so change it only to change the experiment) roll out concurrently
-// under the -workers bound. The trained policy is byte-identical for
-// any -workers value. -save-policy writes a versioned,
+// four logical actors (they fix seeds and merge order) roll out
+// concurrently under the -workers bound. The trained policy is
+// byte-identical for any -workers value. -save-policy writes a versioned,
 // checksummed checkpoint once the run ends (-snapshot-dir covers
 // crash safety during training); -load-policy warm-starts from one,
 // skipping training when -episodes is 0.
@@ -64,17 +63,9 @@ import (
 
 func main() {
 	f := cli.Register(flag.CommandLine, cli.MobiRescue)
-	var (
-		method  = flag.String("method", "mr", "dispatch method: mr, rescue, or schedule")
-		report  = flag.Bool("report", false, "print the span/metric report on stderr after the run")
-		verbose = flag.Bool("v", false, "verbose (debug-level) logging")
-	)
+	method := flag.String("method", "mr", "dispatch method: mr, rescue, or schedule")
 	f.Parse(flag.CommandLine, os.Args[1:])
-	level := slog.LevelInfo
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	logger := obs.NewLogger(os.Stderr, level, slog.String("cmd", "mobirescue"))
+	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, slog.String("cmd", "mobirescue"))
 
 	stopProfiles, err := f.StartProfiles(logger)
 	if err != nil {
@@ -90,18 +81,10 @@ func main() {
 		fatal(logger, err)
 	}
 
-	// Observability: a registry + tracer when -obs or -report is set.
-	var (
-		reg    *obs.Registry
-		tracer *obs.Tracer
-		ctx    = context.Background()
-	)
-	if f.Obs != "" || *report {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer()
-		ctx = obs.ContextWithTracer(ctx, tracer)
-		reg.PublishExpvar("mobirescue")
-	}
+	reg := obs.NewRegistry()
+	reg.PublishExpvar("mobirescue")
+	tracer := obs.NewTracer()
+	ctx := obs.ContextWithTracer(context.Background(), tracer)
 	var server *obs.Server
 	if f.Obs != "" {
 		server, err = obs.StartServer(f.Obs, reg)
@@ -177,9 +160,7 @@ func main() {
 		fmt.Printf("resilience:    %s\n", res.Resilience)
 	}
 
-	if *report || f.Obs != "" {
-		obs.WriteReport(os.Stderr, reg, tracer)
-	}
+	obs.WriteReport(os.Stderr, reg, tracer)
 	if server != nil {
 		// Keep serving so the final metric values stay scrapeable.
 		logger.Info("run complete; serving metrics until interrupted",

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	mobiserve [-addr :8080] [-scale small] [-seed 1] [-teams N] [-episodes N] [-load-policy f] [-max-sessions N] [-queue-depth N] [-eventlog f] [-checkpoint f] [-resume] [-workers N] [-v]
+//	mobiserve [-addr :8080] [-scale small] [-seed 1] [-teams N] [-episodes N] [-load-policy f] [-max-sessions N] [-queue-depth N] [-eventlog f] [-checkpoint f] [-resume] [-workers N]
 //
 // Startup builds the scenario, trains the SVM, optionally trains the
 // RL policy for -episodes (or warm-starts it from -load-policy), then
@@ -57,14 +57,9 @@ func main() {
 		ckptF    = flag.String("checkpoint", "mobiserve.ckpt", "drain checkpoint path written on SIGINT/SIGTERM")
 		resume   = flag.Bool("resume", false, "restore live sessions from -checkpoint before serving (fresh start when it does not exist)")
 		workers  = flag.Int("workers", 0, "parallelism bound for scenario building and SVM/RL training (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "verbose (debug-level) logging")
 	)
 	flag.Parse()
-	level := slog.LevelInfo
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	logger := obs.NewLogger(os.Stderr, level, slog.String("cmd", "mobiserve"))
+	logger := obs.NewLogger(os.Stderr, slog.LevelInfo, slog.String("cmd", "mobiserve"))
 
 	reg := obs.NewRegistry()
 	reg.PublishExpvar("mobirescue")

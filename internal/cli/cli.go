@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"os"
 	"syscall"
-	"time"
 
 	"mobirescue/internal/chaos"
 	"mobirescue/internal/core"
@@ -54,15 +53,12 @@ type Flags struct {
 	ChaosSeed      int64
 	Obs            string
 	Workers        int
-	TrainActors    int
 	SavePolicy     string
 	LoadPolicy     string
 	EventLog       string
 	EventLogTiming bool
-	DecideDeadline time.Duration
 	SnapshotDir    string
 	SnapshotEvery  int
-	SnapshotKeep   int
 	Resume         bool
 	CPUProfile     string
 	MemProfile     string
@@ -79,24 +75,29 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "chaos fault-schedule seed")
 	fs.StringVar(&f.Obs, "obs", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
 	fs.IntVar(&f.Workers, "workers", 0, "parallelism bound for routing prefetch, evaluation runs and RL training rollouts (0 = GOMAXPROCS, 1 = serial; results and the trained policy are identical for any value)")
-	fs.IntVar(&f.TrainActors, "train-actors", 0, "logical actor count for RL training (0 = default 4; changes the training experiment, not just its speed)")
 	fs.StringVar(&f.SavePolicy, "save-policy", "", "write the trained policy checkpoint to this file")
 	fs.StringVar(&f.LoadPolicy, "load-policy", "", "warm-start the policy from this checkpoint before training/evaluation")
 	fs.StringVar(&f.EventLog, "eventlog", "", "record the flight-recorder event stream (JSONL) to this file")
 	fs.BoolVar(&f.EventLogTiming, "eventlog-timing", false, "include wall-clock fields in -eventlog (breaks cross-run byte-identity)")
-	fs.DurationVar(&f.DecideDeadline, "decide-deadline", 0, "resilient wrapper's wall-clock Decide deadline in chaos runs (0 = default 5s); expirations emit a typed deadline event")
 	fs.StringVar(&f.SnapshotDir, "snapshot-dir", "", "install crash-safe run snapshots into this directory (see -resume)")
 	fs.IntVar(&f.SnapshotEvery, "snapshot-every", 1, "snapshot cadence in dispatch windows / training rounds")
-	fs.IntVar(&f.SnapshotKeep, "snapshot-keep", snapshot.DefaultKeep, "newest snapshot generations to keep")
 	fs.BoolVar(&f.Resume, "resume", false, "resume from the latest valid snapshot in -snapshot-dir (same flags as the original run; fresh start when none)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write an allocs/heap profile to this file at exit")
 	return f
 }
 
-// validate rejects flag combinations that cannot do what they say.
+// validate rejects flag values and combinations that cannot do what
+// they say.
 func (f *Flags) validate() error {
-	if f.Resume && f.SnapshotDir == "" {
+	switch {
+	case f.Workers < 0:
+		return fmt.Errorf("-workers %d must be >= 0", f.Workers)
+	case f.Teams < 0:
+		return fmt.Errorf("-teams %d must be >= 0", f.Teams)
+	case f.SnapshotEvery < 0:
+		return fmt.Errorf("-snapshot-every %d must be >= 0", f.SnapshotEvery)
+	case f.Resume && f.SnapshotDir == "":
 		return errors.New("-resume needs -snapshot-dir")
 	}
 	return nil
@@ -153,8 +154,6 @@ func (f *Flags) systemConfig(reg *obs.Registry, logger *slog.Logger) core.System
 	cfg.Seed = f.Seed
 	cfg.Teams = f.Teams
 	cfg.Workers = f.Workers
-	cfg.TrainActors = f.TrainActors
-	cfg.DecideTimeout = f.DecideDeadline
 	cfg.Metrics = reg
 	cfg.Logger = logger
 	return cfg
@@ -226,14 +225,15 @@ func (f *Flags) Open(sys *core.System, method string, reg *obs.Registry, logger 
 	return r, nil
 }
 
-// durability is the snapshot wiring -snapshot-dir, -snapshot-every and
-// -snapshot-keep describe, with SIGINT/SIGTERM armed as graceful stops;
-// the zero Durability (off) without -snapshot-dir.
+// durability is the snapshot wiring -snapshot-dir and -snapshot-every
+// describe, keeping the newest snapshot.DefaultKeep generations, with
+// SIGINT/SIGTERM armed as graceful stops; the zero Durability (off)
+// without -snapshot-dir.
 func (f *Flags) durability(identity core.ScenarioConfig) (core.Durability, error) {
 	if f.SnapshotDir == "" {
 		return core.Durability{}, nil
 	}
-	mgr, err := snapshot.NewManager(f.SnapshotDir, f.SnapshotKeep)
+	mgr, err := snapshot.NewManager(f.SnapshotDir, snapshot.DefaultKeep)
 	if err != nil {
 		return core.Durability{}, err
 	}

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"mobirescue/internal/core"
 	"mobirescue/internal/obs"
@@ -21,11 +20,10 @@ import (
 // sharedFlags are the flag names both commands accept; crashtest and
 // the Makefile drive the commands by these names.
 var sharedFlags = []string{
-	"chaos", "chaos-seed", "cpuprofile", "decide-deadline", "episodes",
-	"eventlog", "eventlog-timing", "load-policy", "memprofile", "obs",
-	"resume", "save-policy", "scale", "seed", "snapshot-dir",
-	"snapshot-every", "snapshot-keep", "teams", "train-actors",
-	"workers",
+	"chaos", "chaos-seed", "cpuprofile", "episodes", "eventlog",
+	"eventlog-timing", "load-policy", "memprofile", "obs", "resume",
+	"save-policy", "scale", "seed", "snapshot-dir", "snapshot-every",
+	"teams", "workers",
 }
 
 func parse(t *testing.T, d Defaults, args ...string) *Flags {
@@ -67,7 +65,7 @@ func TestFlagsBind(t *testing.T) {
 	defaults := func(scale string, episodes int) Flags {
 		return Flags{
 			Scale: scale, Episodes: episodes, Seed: 1,
-			Chaos: "off", ChaosSeed: 1, SnapshotEvery: 1, SnapshotKeep: snapshot.DefaultKeep,
+			Chaos: "off", ChaosSeed: 1, SnapshotEvery: 1,
 		}
 	}
 	tests := []struct {
@@ -78,7 +76,6 @@ func TestFlagsBind(t *testing.T) {
 		scenario core.ScenarioConfig
 		system   core.SystemConfig
 		every    int // Durability.Every; 0 = durability off
-		keep     int
 	}{
 		{
 			name:     "mobirescue defaults",
@@ -108,31 +105,25 @@ func TestFlagsBind(t *testing.T) {
 			args: []string{
 				"-scale", "full", "-episodes", "3", "-teams", "9", "-seed", "42",
 				"-chaos", "heavy", "-chaos-seed", "5",
-				"-obs", ":9090", "-workers", "2",
-				"-train-actors", "5", "-save-policy", "save.ckpt",
+				"-obs", ":9090", "-workers", "2", "-save-policy", "save.ckpt",
 				"-load-policy", "load.ckpt", "-eventlog", "run.jsonl",
-				"-eventlog-timing", "-decide-deadline", "2s",
-				"-snapshot-dir", snapDir, "-snapshot-every", "4",
-				"-snapshot-keep", "2", "-resume", "-cpuprofile", "cpu.out",
+				"-eventlog-timing", "-snapshot-dir", snapDir,
+				"-snapshot-every", "4", "-resume", "-cpuprofile", "cpu.out",
 				"-memprofile", "mem.out",
 			},
 			flags: Flags{
 				Scale: "full", Episodes: 3, Teams: 9, Seed: 42,
 				Chaos: "heavy", ChaosSeed: 5, Obs: ":9090", Workers: 2,
-				TrainActors: 5, SavePolicy: "save.ckpt",
-				LoadPolicy: "load.ckpt", EventLog: "run.jsonl", EventLogTiming: true,
-				DecideDeadline: 2 * time.Second, SnapshotDir: snapDir,
-				SnapshotEvery: 4, SnapshotKeep: 2, Resume: true,
+				SavePolicy: "save.ckpt", LoadPolicy: "load.ckpt",
+				EventLog: "run.jsonl", EventLogTiming: true,
+				SnapshotDir: snapDir, SnapshotEvery: 4, Resume: true,
 				CPUProfile: "cpu.out", MemProfile: "mem.out",
 			},
 			scenario: scenario("full", 42),
 			system: system(func(c *core.SystemConfig) {
 				c.Seed, c.Teams, c.Workers = 42, 9, 2
-				c.TrainActors = 5
-				c.DecideTimeout = 2 * time.Second
 			}),
 			every: 4,
-			keep:  2,
 		},
 	}
 	for _, tc := range tests {
@@ -171,9 +162,9 @@ func TestFlagsBind(t *testing.T) {
 				t.Errorf("durability = {Every %d Scale %q ConfigHash %q}, want {%d %q %q}",
 					d.Every, d.Scale, d.ConfigHash, tc.every, tc.flags.Scale, core.ConfigHash(sc))
 			}
-			// -snapshot-keep reaches the manager: installing more than
-			// keep generations leaves exactly keep on disk.
-			for i := 0; i < tc.keep+2; i++ {
+			// The manager keeps snapshot.DefaultKeep generations:
+			// installing more leaves exactly that many on disk.
+			for i := 0; i < snapshot.DefaultKeep+2; i++ {
 				if _, err := d.Mgr.Install(&snapshot.RunState{Phase: snapshot.PhaseTrain}); err != nil {
 					t.Fatal(err)
 				}
@@ -182,10 +173,26 @@ func TestFlagsBind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(files) != tc.keep {
-				t.Errorf("%d snapshots kept, want %d", len(files), tc.keep)
+			if len(files) != snapshot.DefaultKeep {
+				t.Errorf("%d snapshots kept, want %d", len(files), snapshot.DefaultKeep)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNegativeCounts pins that a negative count is a
+// usage error before anything is built, rather than an error after the
+// scenario is built or a silent fall back to the default.
+func TestValidateRejectsNegativeCounts(t *testing.T) {
+	for _, d := range []Defaults{MobiRescue, Experiments} {
+		for _, name := range []string{"workers", "teams", "snapshot-every"} {
+			if err := parse(t, d, "-"+name, "-1").validate(); err == nil {
+				t.Errorf("%s: -%s -1 accepted", d.Scale, name)
+			}
+			if err := parse(t, d, "-"+name, "0").validate(); err != nil {
+				t.Errorf("%s: -%s 0 rejected: %v", d.Scale, name, err)
+			}
+		}
 	}
 }
 

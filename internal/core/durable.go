@@ -152,19 +152,17 @@ func (s *System) InstallDone(method string) error {
 	}, method)
 }
 
-// evalHook returns the window hook that snapshots the evaluation run of
-// method at every due window (and at a pending graceful stop), or nil
-// when durability is off.
-func (s *System) evalHook(method string, rec *eventlog.Recorder) sim.WindowHook {
+// evalBoundary returns the window-boundary step that snapshots the
+// evaluation run of method at every due window (and at a pending
+// graceful stop), or nil when durability is off.
+func (s *System) evalBoundary(method string, rec *eventlog.Recorder) func(*sim.Simulator) error {
 	if !s.durable.enabled() {
 		return nil
 	}
-	return func(simr *sim.Simulator, window int) error {
+	return func(simr *sim.Simulator) error {
+		window := simr.Progress().Window
 		if !s.durable.stopRequested() && !s.durable.due(window) {
 			return nil
-		}
-		if window == 0 {
-			return nil // nothing has run yet; the fresh start is the snapshot
 		}
 		blob, err := simr.CaptureState()
 		if err != nil {
@@ -221,7 +219,6 @@ func (s *System) trainParallel(episodes int) ([]float64, error) {
 		Workers:    s.Config.Workers,
 		Seed:       s.Config.Seed,
 		Metrics:    s.Config.Metrics,
-		Logger:     s.Config.Logger,
 		Events:     trainRec,
 		StartRound: startRound,
 	}

@@ -49,15 +49,3 @@ func (s *System) BuildManifest(scale string, sc ScenarioConfig) eventlog.Manifes
 // and training session records typed events into it. A nil log (the default) disables recording at zero cost.
 // The caller keeps ownership of the log and must Close it.
 func (s *System) SetEventLog(l *eventlog.Log) { s.evlog = l }
-
-// recordPredCache emits the evaluation provider's cumulative
-// window-cache totals. The provider is shared across concurrent runs,
-// so the totals are scheduling-dependent — they are only recorded in
-// timing mode, which already forgoes byte-identity.
-func (s *System) recordPredCache(rec *eventlog.Recorder) {
-	if rec == nil || !rec.Timing() {
-		return
-	}
-	hits, misses := s.EvalProvider.CacheCounters()
-	rec.Emit(eventlog.Event{Type: eventlog.TypePredCache, Hits: hits, Misses: misses})
-}

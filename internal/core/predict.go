@@ -237,10 +237,6 @@ type PredictProvider struct {
 	cache map[int64]*predictEntry
 
 	met predictMetrics
-	// Local cumulative cache tallies for the flight recorder's timing
-	// mode: the obs counters are registry-global, but a pred_cache event
-	// needs this provider's own totals.
-	locHits, locMisses atomic.Int64
 
 	// rate bounds how fast any person's margin can drift per nanosecond
 	// at a fixed position (+Inf disables reuse); slack covers rounding.
@@ -360,7 +356,6 @@ func (p *PredictProvider) Predict(t time.Time) map[roadnet.SegmentID]float64 {
 	if e, ok := p.cache[key]; ok {
 		p.mu.Unlock()
 		p.met.hits.Inc()
-		p.locHits.Add(1)
 		<-e.ready
 		return e.val
 	}
@@ -369,7 +364,6 @@ func (p *PredictProvider) Predict(t time.Time) map[roadnet.SegmentID]float64 {
 	p.evictLocked(key)
 	p.mu.Unlock()
 	p.met.misses.Inc()
-	p.locMisses.Add(1)
 
 	start := time.Now()
 	// Close ready even if computeWindow panics (a panicking worker must
@@ -558,17 +552,6 @@ func (p *PredictProvider) CacheLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.cache)
-}
-
-// CacheCounters returns this provider's cumulative window-cache (hits,
-// misses) since construction. Unlike the registry counters these are
-// provider-local, so one run's flight recorder can report its own
-// provider without cross-talk from concurrent systems. Because the
-// cache is shared across concurrent runs, per-decide deltas are
-// scheduling-dependent — the recorder only emits these as a cumulative
-// timing-mode summary.
-func (p *PredictProvider) CacheCounters() (hits, misses int64) {
-	return p.locHits.Load(), p.locMisses.Load()
 }
 
 // NumPeople returns how many tracked people the provider predicts over.

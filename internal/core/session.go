@@ -89,7 +89,9 @@ func (w *SessionWorld) sessionDispatcher(method string) (sim.Dispatcher, error) 
 // NewSessionSim implements serve.World: a fresh simulator over the
 // evaluation episode's requested day, with a session-owned dispatcher
 // chain and cost provider. rec (which may be nil) receives the run's
-// event stream.
+// event stream. A requested fleet larger than the episode's population
+// is rejected: the spec comes from the network, and the fleet is
+// allocated and stepped every window.
 func (w *SessionWorld) NewSessionSim(spec serve.SessionSpec, rec *eventlog.Recorder) (*sim.Simulator, int, error) {
 	sys := w.sys
 	ep := sys.Scenario.Eval
@@ -102,6 +104,9 @@ func (w *SessionWorld) NewSessionSim(spec serve.SessionSpec, rec *eventlog.Recor
 	}
 	if day < 0 || day >= ep.Data.Config.Days {
 		return nil, 0, fmt.Errorf("core: day %d out of range [0,%d)", day, ep.Data.Config.Days)
+	}
+	if people := len(ep.Data.People); spec.Teams > people {
+		return nil, 0, fmt.Errorf("core: %d teams exceed the episode's %d people", spec.Teams, people)
 	}
 	disp, err := w.sessionDispatcher(spec.Method)
 	if err != nil {
@@ -117,23 +122,13 @@ func (w *SessionWorld) NewSessionSim(spec serve.SessionSpec, rec *eventlog.Recor
 	}
 	cfg := sys.simConfigForDay(ep, day)
 	cfg.Events = rec
-	cfg.Hook = nil
 	// One worker per session: the goroutine budget is the session
 	// worker itself. Results are byte-identical for any worker count,
 	// so serving loses nothing but per-session routing parallelism.
 	cfg.Workers = 1
-	requests := RequestsForDay(ep, day)
-	starts, err := VehicleStarts(sys.Scenario.City, teams, seed)
+	simulator, err := sys.newDaySim(ep, day, cfg, ep.Disaster(sys.Scenario.City.Graph), disp, teams, seed)
 	if err != nil {
 		return nil, 0, err
 	}
-	costProv := sim.RescueCostProvider{
-		Base:  ep.Disaster(sys.Scenario.City.Graph),
-		Crawl: cfg.CrawlFactor,
-	}
-	simulator, err := sim.New(sys.Scenario.City, costProv, disp, requests, starts, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return simulator, len(requests), nil
+	return simulator, simulator.Progress().Requests, nil
 }

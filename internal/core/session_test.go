@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mobirescue/internal/serve"
@@ -46,6 +50,48 @@ func TestSessionWorldMethods(t *testing.T) {
 	}
 	if _, err := svc.Create(serve.SessionSpec{Method: "greedy", Day: 99}); err == nil {
 		t.Fatal("out-of-range day accepted")
+	}
+}
+
+// TestSessionTeamsBoundedByPopulation pins that a session's fleet size,
+// which arrives over HTTP, cannot exceed the evaluation episode's
+// population: a larger one is a 400 that leaves no session behind
+// instead of a fleet allocated (or an out-of-memory crash) on request.
+func TestSessionTeamsBoundedByPopulation(t *testing.T) {
+	sys := testSystem(t)
+	world, err := NewSessionWorld(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := serve.NewService(world, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	people := len(sys.Scenario.Eval.Data.People)
+	create := func(teams int) int {
+		body := fmt.Sprintf(`{"method":"greedy","teams":%d}`, teams)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/api/sessions", strings.NewReader(body)))
+		return rr.Code
+	}
+	for _, teams := range []int{people + 1, 1 << 40} {
+		if code := create(teams); code != http.StatusBadRequest {
+			t.Errorf("teams %d: status %d, want %d", teams, code, http.StatusBadRequest)
+		}
+		if n := svc.SessionCount(); n != 0 {
+			t.Fatalf("teams %d: %d sessions live after a rejected create", teams, n)
+		}
+	}
+	if code := create(people); code != http.StatusCreated {
+		t.Fatalf("teams %d (the population): status %d, want %d", people, code, http.StatusCreated)
+	}
+	live, _ := svc.List()
+	if len(live) != 1 {
+		t.Fatalf("%d sessions live, want 1", len(live))
+	}
+	if _, err := svc.Close(live[0].ID); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -70,11 +70,6 @@ type SystemConfig struct {
 	// run byte-for-byte.
 	Chaos     chaos.Profile
 	ChaosSeed int64
-	// DecideTimeout overrides the dispatch.Resilient wall-clock Decide
-	// deadline for chaos-hardened runs; 0 keeps the wrapper's default
-	// (5 s). Expirations emit a typed deadline event into the flight
-	// recorder.
-	DecideTimeout time.Duration
 	// Metrics, when non-nil, wires observability through the whole stack:
 	// SVM training/prediction counters, RL training telemetry, ILP solver
 	// stats, and the simulator's per-method decision-latency histograms.
@@ -347,8 +342,11 @@ func (s *System) SetChaos(p chaos.Profile, seed int64) error {
 // dayOpts carries runDay's crash-safety options (see durable.go); the
 // zero value is a plain run.
 type dayOpts struct {
-	// hook, when non-nil, runs at every dispatch-window boundary.
-	hook sim.WindowHook
+	// boundary, when non-nil, runs at every dispatch-window boundary
+	// after the first window and before the last: the simulator is
+	// stopped there, so it may capture its state or end the run with an
+	// error.
+	boundary func(*sim.Simulator) error
 	// restore, when non-nil, rewinds the freshly built simulator (and
 	// its dispatcher chain) to a mid-run sim.CaptureState blob before
 	// running.
@@ -357,16 +355,6 @@ type dayOpts struct {
 	// restored recorder buffer already holds them, and re-emitting would
 	// duplicate them in the resumed log.
 	skipSchedule bool
-}
-
-// resilientConfig is the Resilient wrapper configuration for chaos
-// runs, with the system-level Decide deadline override applied.
-func (s *System) resilientConfig() dispatch.ResilientConfig {
-	cfg := dispatch.DefaultResilientConfig()
-	if s.Config.DecideTimeout > 0 {
-		cfg.DecideTimeout = s.Config.DecideTimeout
-	}
-	return cfg
 }
 
 // runDay simulates one episode day under the given dispatcher. With a
@@ -383,12 +371,6 @@ func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Disp
 	defer daySpan.End()
 	cfg := s.simConfigForDay(ep, day)
 	cfg.Events = rec
-	cfg.Hook = opts.hook
-	requests := RequestsForDay(ep, day)
-	starts, err := VehicleStarts(s.Scenario.City, s.Teams, s.Config.Seed)
-	if err != nil {
-		return nil, err
-	}
 	var base sim.CostProvider = ep.Disaster(s.Scenario.City.Graph)
 	if s.Config.Chaos.Enabled() {
 		inj, err := chaos.NewInjector(s.Config.Chaos, s.Config.ChaosSeed,
@@ -405,16 +387,12 @@ func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Disp
 		// stay visible to flood-aware routing as "closed".
 		base = inj.WrapCost(base)
 		cfg.VehicleFaults = inj.VehicleFaults()
-		resilient := dispatch.NewResilient(inj.WrapDispatcher(disp), s.resilientConfig())
+		resilient := dispatch.NewResilient(inj.WrapDispatcher(disp), dispatch.DefaultResilientConfig())
 		resilient.EnableMetrics(s.Config.Metrics)
 		resilient.SetEvents(rec)
 		disp = resilient
 	}
-	costProv := sim.RescueCostProvider{
-		Base:  base,
-		Crawl: cfg.CrawlFactor,
-	}
-	simulator, err := sim.New(s.Scenario.City, costProv, disp, requests, starts, cfg)
+	simulator, err := s.newDaySim(ep, day, cfg, base, disp, s.Teams, s.Config.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +401,35 @@ func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Disp
 			return nil, err
 		}
 	}
-	return simulator.RunContext(ctx)
+	// Without a boundary step the day runs in one Advance call.
+	windows := 0
+	if opts.boundary != nil {
+		windows = 1
+	}
+	for {
+		done, err := simulator.Advance(ctx, windows)
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return simulator.Result(), nil
+		}
+		if err := opts.boundary(simulator); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// newDaySim builds the simulator for ep's day: the day's ground-truth
+// requests, a fleet of teams placed by seed, and base's flood state
+// behind the rescue-crawl adapter, dispatched by disp under cfg.
+func (s *System) newDaySim(ep *Episode, day int, cfg sim.Config, base sim.CostProvider, disp sim.Dispatcher, teams int, seed int64) (*sim.Simulator, error) {
+	starts, err := VehicleStarts(s.Scenario.City, teams, seed)
+	if err != nil {
+		return nil, err
+	}
+	costProv := sim.RescueCostProvider{Base: base, Crawl: cfg.CrawlFactor}
+	return sim.New(s.Scenario.City, costProv, disp, RequestsForDay(ep, day), starts, cfg)
 }
 
 // ctx returns the context the system was built with (carrying the obs
@@ -622,11 +628,8 @@ func (s *System) runEvalDay(day int, disp sim.Dispatcher) (*sim.Result, error) {
 		opts.restore, opts.skipSchedule = st.SimState, true
 		s.resume = nil
 	}
-	opts.hook = s.evalHook(disp.Name(), rec)
+	opts.boundary = s.evalBoundary(disp.Name(), rec)
 	res, err := s.runEvalDayRec(day, disp, rec, opts)
-	if err == nil {
-		s.recordPredCache(rec)
-	}
 	// On a graceful stop the append keeps the partial log inspectable;
 	// the final snapshot's cursor predates it, so a resume truncates it
 	// away and re-executes.

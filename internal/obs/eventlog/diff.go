@@ -102,10 +102,6 @@ func sameRecord(a, b *Record, timing bool) bool {
 	}
 	ea, eb := a.Event, b.Event
 	ea.LatencyNS, eb.LatencyNS = 0, 0
-	if ea.Type == TypePredCache {
-		// Shared-cache snapshots are scheduling-dependent by nature.
-		ea.Hits, ea.Misses, eb.Hits, eb.Misses = 0, 0, 0, 0
-	}
 	return ea == eb
 }
 

@@ -147,10 +147,6 @@ func appendEvent(b []byte, e *Event) []byte {
 		b = appendFloat(b, "epsilon", e.Epsilon)
 		b = appendFloat(b, "loss", e.Loss)
 
-	case TypePredCache:
-		b = appendInt64(b, "hits", e.Hits)
-		b = appendInt64(b, "misses", e.Misses)
-
 	default:
 		// Unknown type: emit the generic counters so nothing is silently
 		// lost; keeps forward-compat for experimental emitters.

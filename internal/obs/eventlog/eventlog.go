@@ -87,7 +87,6 @@ const (
 	TypeFallback    Type = "fallback"     // Resilient served a fallback round
 	TypeReroute     Type = "reroute"      // mid-episode route repair/divert
 	TypeTrainRound  Type = "train_round"  // one actor-learner training round
-	TypePredCache   Type = "pred_cache"   // prediction-cache snapshot (timing mode)
 	TypeDeadline    Type = "deadline"     // Resilient Decide deadline expired
 )
 
@@ -195,8 +194,8 @@ type Event struct {
 	DelayMS int64 `json:"delay_ms,omitempty"` // modeled computation delay
 	DurMS   int64 `json:"dur_ms,omitempty"`   // fault/stall duration
 
-	Hits   int64 `json:"hits,omitempty"`   // tree-cache hits this window / pred-cache hits
-	Misses int64 `json:"misses,omitempty"` // tree-cache misses this window / pred-cache misses
+	Hits   int64 `json:"hits,omitempty"`   // tree-cache hits this window
+	Misses int64 `json:"misses,omitempty"` // tree-cache misses this window
 
 	Round       int     `json:"round,omitempty"`
 	Episodes    int     `json:"episodes,omitempty"`

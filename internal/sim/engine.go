@@ -183,18 +183,10 @@ func (s *Simulator) refreshCost() {
 	}
 }
 
-// Run executes the scenario and returns the collected result.
+// Run executes the scenario to completion and returns the collected
+// result.
 func (s *Simulator) Run() (*Result, error) {
-	return s.RunContext(context.Background())
-}
-
-// RunContext executes the scenario like Run, additionally recording a
-// span tree (sim.run > sim.round > dispatch.decide) when ctx carries an
-// obs tracer.
-func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
-	ctx, runSpan := obs.StartSpan(ctx, "sim.run")
-	defer runSpan.End()
-	if _, err := s.Advance(ctx, 0); err != nil {
+	if _, err := s.Advance(context.Background(), 0); err != nil {
 		return nil, err
 	}
 	return s.result, nil
@@ -219,24 +211,28 @@ func (s *Simulator) start() {
 // roundDue reports whether the simulator sits on a dispatch-window
 // boundary: the next stepOnce will run a dispatch round first. It is
 // the stop condition of a window-bounded Advance, which makes every
-// Advance stop point a valid CaptureState point (the same boundary the
-// durability layer's window hook snapshots at).
+// Advance stop point a valid CaptureState point.
 func (s *Simulator) roundDue() bool { return !s.now.Before(s.nextRound) }
 
 // Advance runs the simulation forward until `windows` more dispatch
-// rounds have completed — stopping exactly at the following window
-// boundary, before that window's hook or round runs — or until the
-// configured duration is exhausted, whichever comes first. windows <= 0
-// runs to completion. It reports done=true once the run has ended; the
-// finalized outcome is then available from Result.
+// rounds have completed or the configured duration is exhausted,
+// whichever comes first; windows <= 0 runs to completion. A
+// window-bounded call stops exactly at the next window boundary, before
+// any of that window's round work, including the cost rebind, so a
+// state captured there resumes with a router cache exactly as cold as
+// the uninterrupted run's after the rebind. Advance reports done=true
+// once the run has ended; the finalized outcome is then available from
+// Result. When ctx carries an obs tracer, each round records a
+// sim.round > dispatch.decide span tree under ctx's span. The error is
+// always nil.
 //
 // Advance is what turns the episode-scoped simulator into a resident
 // one: a scenario session advances window by window on demand, ingests
 // streamed requests between calls (InjectRequests), and — because every
 // stop point is a window boundary — can be captured (CaptureState) and
 // later resumed byte-identically. A sequence of Advance calls produces
-// exactly the same results, metrics, and event stream as one RunContext
-// over the same inputs.
+// exactly the same results, metrics, and event stream as one Run over
+// the same inputs.
 func (s *Simulator) Advance(ctx context.Context, windows int) (bool, error) {
 	if s.finished {
 		return true, nil
@@ -248,11 +244,7 @@ func (s *Simulator) Advance(ctx context.Context, windows int) (bool, error) {
 		if windows > 0 && ran >= windows && s.roundDue() {
 			return false, nil
 		}
-		roundRan, err := s.stepOnce(ctx)
-		if err != nil {
-			return false, err
-		}
-		if roundRan {
+		if s.stepOnce(ctx) {
 			ran++
 		}
 	}
@@ -264,7 +256,7 @@ func (s *Simulator) Advance(ctx context.Context, windows int) (bool, error) {
 // appeared requests, applying due faults, running the dispatch round
 // when one is due, applying matured orders, and moving vehicles. It
 // reports whether a dispatch round ran.
-func (s *Simulator) stepOnce(ctx context.Context) (bool, error) {
+func (s *Simulator) stepOnce(ctx context.Context) bool {
 	// Surface newly appeared requests.
 	for s.nextAppear < len(s.requests) && !s.requests[s.nextAppear].AppearAt.After(s.now) {
 		idx := s.nextAppear
@@ -288,22 +280,10 @@ func (s *Simulator) stepOnce(ctx context.Context) (bool, error) {
 				Vehicle: int(f.Vehicle), DurMS: f.Duration.Milliseconds(), T: s.now,
 			})
 		}
-		if s.log != nil {
-			s.log.Debug("vehicle breakdown", "vehicle", f.Vehicle, "t", s.now, "duration", f.Duration)
-		}
 	}
 	// Dispatch round.
 	roundRan := false
 	if s.roundDue() {
-		// The window hook fires before any of the round's work —
-		// including the cost rebind — so a snapshot captured here
-		// resumes into a simulator whose router cache is cold in
-		// exactly the way the uninterrupted run's is after Rebind.
-		if s.cfg.Hook != nil {
-			if err := s.cfg.Hook(s, len(s.rounds)); err != nil {
-				return false, err
-			}
-		}
 		// Window-boundary memory reading: one stop-the-world
 		// ReadMemStats per dispatch round, never per step.
 		s.met.mem.Observe()
@@ -324,7 +304,7 @@ func (s *Simulator) stepOnce(ctx context.Context) (bool, error) {
 	}
 	s.met.steps.Inc()
 	s.now = s.now.Add(s.cfg.Step)
-	return roundRan, nil
+	return roundRan
 }
 
 // complete finalizes the run: the Result is built and cached, outcome
@@ -353,7 +333,7 @@ func (s *Simulator) newResult() *Result {
 }
 
 // Result returns the finalized outcome once the run has completed
-// (Advance reported done, or RunContext returned), and nil while it is
+// (Advance reported done, or Run returned), and nil while it is
 // still in progress. A simulator restored from a finished run's
 // snapshot rebuilds the same Result without re-emitting run_end or
 // outcome metrics — the original run already did.
@@ -566,15 +546,6 @@ func (s *Simulator) round(ctx context.Context) {
 			Serving: len(servingSet), Served: s.servedCnt,
 		})
 	}
-	if s.log != nil {
-		s.log.Debug("dispatch round",
-			"method", s.disp.Name(),
-			"t", s.now,
-			"orders", len(orders),
-			"active_requests", len(snap.ActiveRequests),
-			"serving", len(servingSet),
-			"modeled_delay", delay)
-	}
 	if len(orders) > 0 {
 		s.delayed = append(s.delayed, timedOrders{at: s.now.Add(delay), orders: orders})
 	}
@@ -613,10 +584,6 @@ func (s *Simulator) sanitizeOrders(orders []Order) []Order {
 		default:
 			seen[o.Vehicle] = true
 			kept = append(kept, o)
-			continue
-		}
-		if s.log != nil {
-			s.log.Debug("order rejected", "vehicle", o.Vehicle, "target", o.Target, "to_depot", o.ToDepot)
 		}
 	}
 	return kept

@@ -233,8 +233,8 @@ type Config struct {
 	// dropoffs, per-method decision-latency histograms). Nil — the
 	// default — disables metrics at zero cost on the hot paths.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives structured per-round debug records
-	// and an end-of-run summary. Nil disables logging entirely.
+	// Logger, when non-nil, receives the end-of-run summary. Nil
+	// disables logging entirely.
 	Logger *slog.Logger
 	// Events, when non-nil, receives the run's flight-recorder event
 	// stream (window open/close, decide, order lifecycle, faults,
@@ -243,19 +243,7 @@ type Config struct {
 	// logical order. Nil — the default — disables recording at zero
 	// cost (every emit is a single nil check).
 	Events *eventlog.Recorder
-	// Hook, when non-nil, is invoked at every window boundary — just
-	// before the dispatch round runs, with the count of completed
-	// windows — and may capture the simulator's state (CaptureState)
-	// or abort the run by returning an error. The durability layer
-	// installs snapshots and requests graceful stops through it.
-	Hook WindowHook
 }
-
-// WindowHook observes window boundaries. window is the number of
-// dispatch windows already completed (0 before the first). A non-nil
-// error aborts RunContext with that error; returning
-// snapshot.ErrStopRequested is the graceful-shutdown path.
-type WindowHook func(s *Simulator, window int) error
 
 // DefaultConfig returns the paper's evaluation settings.
 func DefaultConfig(start time.Time) Config {

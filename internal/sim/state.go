@@ -10,11 +10,11 @@ import (
 )
 
 // Mid-run state capture for crash-safe snapshots (internal/snapshot).
-// CaptureState is designed to be called from a window hook — before the
-// round's cost rebind — and RestoreState rebuilds a freshly constructed
-// simulator to that exact point, so re-running RunContext continues the
-// run byte-identically (same events, same results) as if it had never
-// stopped.
+// CaptureState is designed to be called where a window-bounded Advance
+// stops — before the round's cost rebind — and RestoreState rebuilds a
+// freshly constructed simulator to that exact point, so advancing it
+// continues the run byte-identically (same events, same results) as if
+// it had never stopped.
 
 // StateCodec is implemented by dispatchers (and dispatcher wrappers)
 // that carry mutable cross-window state. The simulator captures and
@@ -89,8 +89,8 @@ type simWire struct {
 
 // CaptureState serializes the simulator's complete mid-run state,
 // including the dispatcher chain's when it implements StateCodec. Call
-// it only from a window hook — between windows is the only point where
-// the state is self-contained.
+// it only where a window-bounded Advance stopped — between windows is
+// the only point where the state is self-contained.
 func (s *Simulator) CaptureState() ([]byte, error) {
 	w := simWire{
 		Now:        s.now,
@@ -145,8 +145,8 @@ func (s *Simulator) CaptureState() ([]byte, error) {
 // RestoreState rebuilds a freshly constructed simulator (same city,
 // requests, config, dispatcher chain) to the captured mid-run point.
 // All-validate-then-commit: the blob is fully decoded and checked
-// before any simulator field changes. The next RunContext call
-// continues the run; the run_start event is not re-emitted.
+// before any simulator field changes. The next Advance call continues
+// the run; the run_start event is not re-emitted.
 func (s *Simulator) RestoreState(blob []byte) error {
 	var w simWire
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -94,8 +93,6 @@ type Config struct {
 	// counters, per-round reward, actor throughput, learner queue
 	// depth). Nil disables it at zero cost.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives per-round structured records.
-	Logger *slog.Logger
 	// Events, when non-nil, receives one flight-recorder train_round
 	// event per round (episodes, mean reward, epsilon, transitions,
 	// learner loss). The trainer emits from the learner goroutine only,
@@ -231,13 +228,6 @@ func (t *Trainer) Run(ctx context.Context) (*Stats, error) {
 		remaining -= n
 		stats.Rounds++
 		t.met.rounds.Inc()
-		if t.cfg.Logger != nil {
-			rw := stats.Rewards[len(stats.Rewards)-n:]
-			t.cfg.Logger.Debug("training round complete",
-				slog.Int("round", round),
-				slog.Int("episodes", n),
-				slog.Float64("mean_reward", mean(rw)))
-		}
 		if t.cfg.RoundHook != nil {
 			if err := t.cfg.RoundHook(round, stats); err != nil {
 				return stats, err
@@ -343,15 +333,4 @@ func (t *Trainer) runRound(ctx context.Context, round, n int, stats *Stats) erro
 		t.cfg.Events.Emit(e)
 	}
 	return nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
