@@ -40,10 +40,9 @@ var callerAllowlist = map[string]string{
 	// Accessors of at most four lines that a test reads.
 	"chaos.(*Injector).NumSurges":      "TestInjectorSchedulesDeterministic",
 	"core.(*PredictProvider).CacheLen": "TestPredictCacheEviction",
-	"core.(*PredictProvider).Source":   "TestPredictPerson",
+	"core.(*PredictProvider).Source":   "TestPredictPerson and TestProvidersShareDatasetTraces",
 	"dispatch.(*Resilient).LastError":  "TestResilientRecoversPanics and the other resilient tests",
 	"mobility.(*Streamer).ID":          "TestStreamerSourceContract and core's TestPredictMovingPeopleMemos",
-	"pop.(*Store).ID":                  "TestStoreIndexOf, TestStoreMatchesNaiveTracks and core's TestPredictPerson",
 	"rl.(*DQN).Steps":                  "TestMobiRescueTrainingObserves",
 	"serve.(*Session).ID":              "the handle serve's and core's session tests close and get sessions by",
 	"sim.(*Simulator).Run":             "the context-free entry point the sim, chaos, dispatch, eventlog and analyze tests call",
@@ -167,10 +166,19 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 }
 
-// loadCallGraph type-checks the module's non-test files (standard
-// packages come from `go list -export` data) and the benchmark module's
-// non-test files against them, and builds the reference graph.
-func loadCallGraph(root string) (*callGraph, error) {
+// modulePackage is one type-checked package of non-test files.
+type modulePackage struct {
+	files   []*ast.File
+	info    *types.Info
+	root    bool // the module's root package
+	command bool // a command or example main package
+	bench   bool // the benchmark module, which is frozen
+}
+
+// loadModule type-checks the module's non-test files (standard packages
+// come from `go list -export` data) and the benchmark module's non-test
+// files against them, dependencies first.
+func loadModule(root string) (*token.FileSet, []*modulePackage, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export",
 		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard", "./...")
 	cmd.Dir = root
@@ -178,18 +186,14 @@ func loadCallGraph(root string) (*callGraph, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
-	g := &callGraph{
-		fset:    token.NewFileSet(),
-		decls:   map[types.Object]*callDecl{},
-		methods: map[*types.TypeName][]*types.Func{},
-		byName:  map[string][]*types.Func{},
-	}
+	fset := token.NewFileSet()
+	var pkgs []*modulePackage
 	exports := map[string]string{}
 	checked := map[string]*types.Package{}
-	gc := importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok || f == "" {
 			return nil, fmt.Errorf("no export data for %s", path)
@@ -208,32 +212,34 @@ func loadCallGraph(root string) (*callGraph, error) {
 	for dec.More() {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
+			return nil, nil, fmt.Errorf("decoding go list output: %v", err)
 		}
 		if p.Standard {
 			exports[p.ImportPath] = p.Export
 			continue
 		}
-		files, err := parseFiles(g.fset, p.Dir, p.GoFiles)
+		files, err := parseFiles(fset, p.Dir, p.GoFiles)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		info := newInfo()
-		pkg, err := conf.Check(p.ImportPath, g.fset, files, info)
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		isCommand := p.Name == "main" &&
-			(strings.HasPrefix(p.ImportPath, modulePath+"/cmd/") || strings.HasPrefix(p.ImportPath, modulePath+"/examples/"))
-		g.addPackage(files, info, p.ImportPath == modulePath, isCommand)
+		pkgs = append(pkgs, &modulePackage{
+			files: files, info: info,
+			root: p.ImportPath == modulePath,
+			command: p.Name == "main" &&
+				(strings.HasPrefix(p.ImportPath, modulePath+"/cmd/") || strings.HasPrefix(p.ImportPath, modulePath+"/examples/")),
+		})
 	}
 
-	// The benchmark module is frozen: everything it uses is a root.
 	benchDir := filepath.Join(root, "bench")
 	entries, err := os.ReadDir(benchDir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var benchFiles []string
 	for _, e := range entries {
@@ -241,16 +247,39 @@ func loadCallGraph(root string) (*callGraph, error) {
 			benchFiles = append(benchFiles, n)
 		}
 	}
-	files, err := parseFiles(g.fset, benchDir, benchFiles)
+	files, err := parseFiles(fset, benchDir, benchFiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	info := newInfo()
+	if _, err := conf.Check(modulePath+"/bench", fset, files, info); err != nil {
+		return nil, nil, fmt.Errorf("type-checking bench: %v", err)
+	}
+	pkgs = append(pkgs, &modulePackage{files: files, info: info, bench: true})
+	return fset, pkgs, nil
+}
+
+// loadCallGraph builds the reference graph over the loaded module.
+func loadCallGraph(root string) (*callGraph, error) {
+	fset, pkgs, err := loadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	info := newInfo()
-	if _, err := conf.Check(modulePath+"/bench", g.fset, files, info); err != nil {
-		return nil, fmt.Errorf("type-checking bench: %v", err)
+	g := &callGraph{
+		fset:    fset,
+		decls:   map[types.Object]*callDecl{},
+		methods: map[*types.TypeName][]*types.Func{},
+		byName:  map[string][]*types.Func{},
 	}
-	for _, f := range files {
-		g.roots = append(g.roots, g.collect(f, info))
+	for _, p := range pkgs {
+		if !p.bench {
+			g.addPackage(p.files, p.info, p.root, p.command)
+			continue
+		}
+		// The benchmark module is frozen: everything it uses is a root.
+		for _, f := range p.files {
+			g.roots = append(g.roots, g.collect(f, p.info))
+		}
 	}
 	return g, nil
 }
@@ -473,9 +502,10 @@ func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 
 func newInfo() *types.Info {
 	return &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 }
 

@@ -67,7 +67,7 @@ func main() {
 		fmt.Printf("  storm:    %s, impact %s .. %s\n", ep.Storm.Name,
 			ep.Storm.Start.Format("Jan 2 15:04"), ep.Storm.End.Format("Jan 2 15:04"))
 		fmt.Printf("  people:   %d\n", len(ep.Data.People))
-		fmt.Printf("  points:   %d GPS samples\n", len(ep.Data.Points))
+		fmt.Printf("  points:   %d GPS samples\n", ep.Data.Traces.NumSamples())
 		fmt.Printf("  trips:    %d\n", len(ep.Data.Trips))
 		byDay := map[int]int{}
 		for _, r := range ep.Data.Rescues {

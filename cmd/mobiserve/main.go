@@ -30,6 +30,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -67,7 +68,10 @@ func main() {
 	build := cli.Flags{Scale: *scale, Seed: *seed, Teams: *teams, Workers: *workers}
 	cfg, err := build.ScenarioConfig()
 	if err != nil {
-		fatal(logger, err)
+		// A flag value the shared checks reject is a usage error.
+		fmt.Fprintln(flag.CommandLine.Output(), err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	sc, sys, err := build.Build(context.Background(), cfg, reg, logger)
 	if err != nil {

@@ -51,7 +51,6 @@ type surge struct {
 type Injector struct {
 	profile Profile
 	seed    int64
-	start   time.Time
 	surges  []surge
 	faults  []sim.VehicleFault
 	met     chaosMetrics
@@ -70,7 +69,7 @@ func NewInjector(p Profile, seed int64, g *roadnet.Graph, start time.Time, durat
 	if duration <= 0 {
 		return nil, fmt.Errorf("chaos: duration must be positive")
 	}
-	in := &Injector{profile: p, seed: seed, start: start}
+	in := &Injector{profile: p, seed: seed}
 	if !p.Enabled() {
 		return in, nil
 	}

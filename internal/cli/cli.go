@@ -138,7 +138,11 @@ func (f *Flags) StartProfiles(logger *slog.Logger) (stop func(), err error) {
 }
 
 // ScenarioConfig is the scenario configuration -scale and -seed select.
+// It first runs Parse's checks, for a command that fills Flags itself.
 func (f *Flags) ScenarioConfig() (core.ScenarioConfig, error) {
+	if err := f.validate(); err != nil {
+		return core.ScenarioConfig{}, err
+	}
 	cfg, err := core.ScenarioConfigForScale(f.Scale)
 	if err != nil {
 		return cfg, err

@@ -196,6 +196,23 @@ func TestValidateRejectsNegativeCounts(t *testing.T) {
 	}
 }
 
+// TestScenarioConfigValidates pins the checks on the path a command
+// that fills Flags itself takes (cmd/mobiserve): ScenarioConfig rejects
+// what Parse rejects, before any scenario is built.
+func TestScenarioConfigValidates(t *testing.T) {
+	for _, f := range []Flags{
+		{Scale: "small", Workers: -1},
+		{Scale: "small", Teams: -1},
+	} {
+		if _, err := f.ScenarioConfig(); err == nil {
+			t.Errorf("%+v accepted", f)
+		}
+	}
+	if _, err := (&Flags{Scale: "small", Teams: 3, Workers: 2}).ScenarioConfig(); err != nil {
+		t.Errorf("valid flags rejected: %v", err)
+	}
+}
+
 func TestResumeNeedsSnapshotDir(t *testing.T) {
 	for _, d := range []Defaults{MobiRescue, Experiments} {
 		if err := parse(t, d, "-resume").validate(); err == nil {

@@ -157,9 +157,7 @@ func (m *Measurement) Fig3() *stats.CDF {
 // pipeline, like the paper's.
 func (m *Measurement) Fig4() map[int]int {
 	sc := m.sc
-	cleaned := mobility.Clean(sc.Eval.Data.Points, sc.City.Graph.BBox().Pad(3000), 0)
-	deliveries := mobility.DetectDeliveries(sc.City.Graph, sc.City.Hospitals, cleaned, hospitalStayRadius, hospitalStayMin)
-	rescued := mobility.LabelRescued(deliveries, sc.Eval.Flood.InFloodZone)
+	rescued := mobility.LabelRescued(deliveries(sc.City, sc.Eval), sc.Eval.Flood.InFloodZone)
 	out := make(map[int]int)
 	for _, d := range rescued {
 		out[sc.City.RegionAt(d.PrevPos)]++
@@ -208,10 +206,8 @@ func (m *Measurement) Fig5() Fig5 {
 func (m *Measurement) Fig6() []int {
 	sc := m.sc
 	cfg := sc.Eval.Data.Config
-	cleaned := mobility.Clean(sc.Eval.Data.Points, sc.City.Graph.BBox().Pad(3000), 0)
-	deliveries := mobility.DetectDeliveries(sc.City.Graph, sc.City.Hospitals, cleaned, hospitalStayRadius, hospitalStayMin)
 	out := make([]int, cfg.Days)
-	for _, d := range deliveries {
+	for _, d := range deliveries(sc.City, sc.Eval) {
 		day := cfg.DayIndex(d.Arrive)
 		out[day]++
 	}

@@ -25,6 +25,13 @@ const hospitalStayRadius = 300
 // hospitalStayMin is the paper's 2-hour hospital-stay threshold.
 const hospitalStayMin = 2 * time.Hour
 
+// deliveries cleans an episode's traces and detects hospital stays
+// (Section III-B2), the first step of labeling rescued people.
+func deliveries(city *roadnet.City, ep *Episode) []mobility.Delivery {
+	g := city.Graph
+	return mobility.DetectDeliveries(g, city.Hospitals, ep.Data.Traces, g.BBox().Pad(3000), hospitalStayRadius, hospitalStayMin)
+}
+
 // factorLookback is the trailing window for averaged meteorological
 // factors (see weather.WindowFactors).
 const factorLookback = 24 * time.Hour
@@ -37,9 +44,7 @@ const factorLookback = 24 * time.Hour
 // sampled as negatives with factors at their home during the disaster.
 func BuildSVMTrainingSet(city *roadnet.City, ep *Episode, elev func(geo.Point) float64, seed int64) (x [][]float64, y []bool, err error) {
 	cfg := ep.Data.Config
-	cleaned := mobility.Clean(ep.Data.Points, city.Graph.BBox().Pad(3000), 0)
-	deliveries := mobility.DetectDeliveries(city.Graph, city.Hospitals, cleaned, hospitalStayRadius, hospitalStayMin)
-	rescued := mobility.LabelRescued(deliveries, ep.Flood.InFloodZone)
+	rescued := mobility.LabelRescued(deliveries(city, ep), ep.Flood.InFloodZone)
 	if len(rescued) == 0 {
 		return nil, nil, fmt.Errorf("core: no rescued people detected in the training episode")
 	}
@@ -214,7 +219,7 @@ type predictMetrics struct {
 // cap, are evicted). The provider is safe for concurrent use.
 type PredictProvider struct {
 	model   *svm.Model
-	storm   weather.Field
+	storm   weather.Field // for the test oracle PredictReference
 	factors *weather.FactorIndex
 	elev    func(geo.Point) float64
 
@@ -245,25 +250,14 @@ type PredictProvider struct {
 	epoch       atomic.Uint64
 }
 
-// NewPredictProvider builds the provider over an episode's people
-// traces, flattened into a columnar pop.Store.
+// NewPredictProvider builds the provider over an episode's traces, the
+// dataset's own pop.Store.
 func NewPredictProvider(city *roadnet.City, ep *Episode, model *svm.Model, elev func(geo.Point) float64) (*PredictProvider, error) {
-	if model == nil {
-		return nil, fmt.Errorf("core: SVM model required")
-	}
-	if len(ep.Data.Points) == 0 {
-		return nil, fmt.Errorf("core: episode has no GPS points")
-	}
-	b := pop.NewBuilder()
-	for _, pt := range ep.Data.Points {
-		b.Add(pt.PersonID, pt.Time, pt.Pos)
-	}
-	store, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("core: building population store: %w", err)
+	if ep.Data.Traces == nil {
+		return nil, fmt.Errorf("core: episode has no GPS traces")
 	}
 	horizon := time.Duration(ep.Data.Config.Days)*24*time.Hour + factorLookback
-	return NewPredictProviderFromSource(city, store, model, ep.Storm, elev, horizon)
+	return NewPredictProviderFromSource(city, ep.Data.Traces, model, ep.Storm, elev, horizon)
 }
 
 // NewPredictProviderFromSource builds the provider over any population

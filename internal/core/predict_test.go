@@ -88,10 +88,14 @@ func smallProvider(t *testing.T, sys *System, n int, windows []time.Time) *Predi
 	for _, id := range picked {
 		keep[id] = true
 	}
+	traces := sc.Eval.Data.Traces
 	b := pop.NewBuilder()
-	for _, pt := range sc.Eval.Data.Points {
-		if keep[pt.PersonID] {
-			b.Add(pt.PersonID, pt.Time, pt.Pos)
+	for i := 0; i < traces.NumPeople(); i++ {
+		if id := traces.ID(i); keep[id] {
+			times, pos := traces.Samples(i)
+			for k := range times {
+				b.Add(id, time.Unix(0, times[k]), pos[k])
+			}
 		}
 	}
 	store, err := b.Build()
@@ -268,6 +272,20 @@ func TestPredictCacheEviction(t *testing.T) {
 	again := p.Predict(base)
 	if !reflect.DeepEqual(again, p.PredictReference(base)) {
 		t.Fatal("recomputed evicted window differs from reference")
+	}
+}
+
+// TestProvidersShareDatasetTraces pins that the dataset holds the only
+// copy of the GPS traces: each prediction provider reads its episode's
+// own store rather than a rebuilt one.
+func TestProvidersShareDatasetTraces(t *testing.T) {
+	sys := testSystem(t)
+	sc := sys.Scenario
+	if got, want := sys.EvalProvider.Source(), pop.Source(sc.Eval.Data.Traces); got != want {
+		t.Error("the evaluation provider reads a copy of the evaluation traces")
+	}
+	if got, want := sys.TrainProvider.Source(), pop.Source(sc.Train.Data.Traces); got != want {
+		t.Error("the training provider reads a copy of the training traces")
 	}
 }
 

@@ -183,7 +183,7 @@ func BuildScenarioContext(ctx context.Context, cfg ScenarioConfig) (*Scenario, e
 		}
 		ep := &Episode{Storm: storm, Flood: hist}
 		_, mobSpan := obs.StartSpan(epCtx, "mobility.generate")
-		data, err := mobility.Generate(city, historyDisaster{h: hist, g: city.Graph}, elevFn, mobCfg)
+		data, err := mobility.Generate(city, historyDisaster{h: hist, g: city.Graph}, mobCfg)
 		mobSpan.End()
 		if err != nil {
 			return nil, err

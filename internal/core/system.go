@@ -355,6 +355,9 @@ type dayOpts struct {
 	// restored recorder buffer already holds them, and re-emitting would
 	// duplicate them in the resumed log.
 	skipSchedule bool
+	// quiet runs the simulator without the system's logger, whose "run
+	// complete" line would read like the evaluation's.
+	quiet bool
 }
 
 // runDay simulates one episode day under the given dispatcher. With a
@@ -371,6 +374,9 @@ func (s *System) runDay(ctx context.Context, ep *Episode, day int, disp sim.Disp
 	defer daySpan.End()
 	cfg := s.simConfigForDay(ep, day)
 	cfg.Events = rec
+	if opts.quiet {
+		cfg.Logger = nil
+	}
 	var base sim.CostProvider = ep.Disaster(s.Scenario.City.Graph)
 	if s.Config.Chaos.Enabled() {
 		inj, err := chaos.NewInjector(s.Config.Chaos, s.Config.ChaosSeed,
@@ -501,10 +507,10 @@ func (s *System) trainRollout(day int) train.Rollout {
 		}
 		disp := s.MR.ActorView(ap)
 		epCtx, epSpan := obs.StartSpan(ctx, "rl.actor_episode")
-		// Rollouts record nothing per-window: concurrent training sims
-		// would interleave nondeterministically. The trainer's own
+		// Rollouts record and log nothing per run: concurrent training
+		// sims would interleave nondeterministically. The trainer's own
 		// train_round events carry the per-round telemetry instead.
-		res, err := s.runDay(epCtx, s.Scenario.Train, day, disp, nil, dayOpts{})
+		res, err := s.runDay(epCtx, s.Scenario.Train, day, disp, nil, dayOpts{quiet: true})
 		epSpan.End()
 		if err != nil {
 			return nil, 0, err
@@ -541,7 +547,6 @@ func (s *System) TrainedEpisodes() uint64 { return s.trainedEpisodes }
 
 // Comparison holds the three methods' results on the evaluation day.
 type Comparison struct {
-	Day     int
 	Teams   int
 	Results map[string]*sim.Result // keyed by method name
 }
@@ -679,7 +684,7 @@ func (s *System) RunDispatcher(disp sim.Dispatcher) (*sim.Result, error) {
 // the comparison is byte-identical to a serial run.
 func (s *System) RunComparison() (*Comparison, error) {
 	day := s.Scenario.Eval.PeakRequestDay()
-	cmp := &Comparison{Day: day, Teams: s.Teams, Results: make(map[string]*sim.Result)}
+	cmp := &Comparison{Teams: s.Teams, Results: make(map[string]*sim.Result)}
 
 	s.MR.SetTraining(false)
 	rescue, err := s.NewRescueBaseline()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mobirescue/internal/obs"
@@ -82,6 +84,25 @@ func TestParallelTrainMatchesSerial(t *testing.T) {
 			t.Errorf("Workers=%d trained %d episodes, serial %d",
 				workers, sys.TrainedEpisodes(), serial.TrainedEpisodes())
 		}
+	}
+}
+
+// TestRolloutsLogNoRunComplete pins that training rollouts run without
+// the simulator's logger: a trained MobiRescue run logs exactly one
+// "run complete" line, the evaluation's, whatever its episode count.
+func TestRolloutsLogNoRunComplete(t *testing.T) {
+	var logBuf bytes.Buffer
+	cfg := DefaultSystemConfig()
+	cfg.Logger = slog.New(slog.NewTextHandler(&logBuf, nil))
+	sys, err := NewSystem(testScenario(t), cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	if _, err := sys.RunMethod("mr", 2); err != nil {
+		t.Fatalf("RunMethod: %v", err)
+	}
+	if n := strings.Count(logBuf.String(), `msg="run complete"`); n != 1 {
+		t.Errorf("%d \"run complete\" records, want 1 (the evaluation's):\n%s", n, logBuf.String())
 	}
 }
 

@@ -5,42 +5,88 @@ import (
 	"time"
 
 	"mobirescue/internal/geo"
+	"mobirescue/internal/pop"
 	"mobirescue/internal/roadnet"
 )
 
-func TestCleanFilters(t *testing.T) {
-	base := time.Date(2018, 9, 10, 8, 0, 0, 0, time.UTC)
-	in := geo.Point{Lat: 35.22, Lon: -80.84}
-	box := geo.NewBBox(in).Pad(5000)
-	points := []GPSPoint{
-		{PersonID: 1, Time: base, Pos: in},
-		{PersonID: 1, Time: base.Add(time.Minute), Pos: in},                                  // redundant: same spot, <dedup
-		{PersonID: 1, Time: base.Add(2 * time.Hour), Pos: geo.Point{Lat: 99, Lon: 0}},        // invalid
-		{PersonID: 1, Time: base.Add(3 * time.Hour), Pos: geo.Destination(in, 0, 100000)},    // out of bbox
-		{PersonID: 1, Time: base.Add(-time.Hour), Pos: geo.Destination(in, 90, 500)},         // out of order (sorted to front, kept)
-		{PersonID: 1, Time: base.Add(4 * time.Hour), Pos: geo.Destination(in, 90, 1000)},     // kept
-		{PersonID: 2, Time: base, Pos: in},                                                   // kept (new person)
-		{PersonID: 2, Time: base, Pos: in},                                                   // duplicate timestamp
-		{PersonID: 2, Time: base.Add(30 * time.Minute), Pos: geo.Destination(in, 180, 2000)}, // kept
+// sample is one raw GPS sample for building test traces.
+type sample struct {
+	person int
+	at     time.Time
+	pos    geo.Point
+}
+
+// traces builds a store from samples given in person order.
+func traces(t *testing.T, samples ...sample) *pop.Store {
+	t.Helper()
+	b := pop.NewBuilder()
+	for _, s := range samples {
+		b.Add(s.person, s.at, s.pos)
 	}
-	got := Clean(points, box, 10*time.Minute)
-	// Person 1: the -1h point sorts first and is kept; base kept; +4h kept.
-	// Person 2: base kept, +30m kept.
-	if len(got) != 5 {
-		t.Fatalf("Clean kept %d points, want 5: %+v", len(got), got)
+	st, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Per-person monotone timestamps.
-	for i := 1; i < len(got); i++ {
-		if got[i].PersonID == got[i-1].PersonID && !got[i].Time.After(got[i-1].Time) {
-			t.Errorf("non-monotone timestamps after Clean at %d", i)
-		}
+	return st
+}
+
+// TestDetectDeliveriesCleans pins the cleaning stage folded into
+// DetectDeliveries: invalid and out-of-area samples, and samples not
+// after the previous kept one, neither start a stay, break one, nor
+// become the pre-hospital position.
+func TestDetectDeliveriesCleans(t *testing.T) {
+	city := smallCity(t)
+	g := city.Graph
+	hPos := g.Landmark(city.Hospitals[0]).Pos
+	home := geo.Destination(hPos, 90, 3000)
+	box := g.BBox().Pad(3000)
+	base := time.Date(2018, 9, 14, 6, 0, 0, 0, time.UTC)
+	tr := traces(t,
+		sample{1, base, home}, // kept
+		sample{1, base.Add(time.Hour), geo.Point{Lat: 99, Lon: 0}},        // invalid
+		sample{1, base.Add(2 * time.Hour), geo.Destination(hPos, 0, 1e5)}, // out of bbox
+		sample{1, base.Add(3 * time.Hour), hPos},                          // arrive
+		sample{1, base.Add(3 * time.Hour), home},                          // duplicate timestamp
+		sample{1, base.Add(150 * time.Minute), home},                      // out of order
+		sample{1, base.Add(6 * time.Hour), hPos},                          // still there
+		sample{1, base.Add(7 * time.Hour), home},                          // left
+		sample{2, base, geo.Point{Lat: 99, Lon: 0}},                       // nothing kept
+		sample{2, base.Add(time.Hour), geo.Destination(hPos, 180, 1e5)},   // nothing kept
+	)
+	got := DetectDeliveries(g, city.Hospitals, tr, box, 300, 2*time.Hour)
+	if len(got) != 1 {
+		t.Fatalf("deliveries = %d, want 1: %+v", len(got), got)
+	}
+	d := got[0]
+	if d.PersonID != 1 || d.Arrive != base.Add(3*time.Hour) || d.Arrive.Location() != time.UTC {
+		t.Errorf("delivery = %+v, want person 1 arriving at %v UTC", d, base.Add(3*time.Hour))
+	}
+	if d.PrevPos != home || d.PrevTime != base {
+		t.Errorf("prev = %v at %v, want %v at %v", d.PrevPos, d.PrevTime, home, base)
 	}
 }
 
+// TestCleanEmpty pins the cleaning stage when it keeps nothing: a
+// hospital stay made only of samples the cleaning drops is no delivery.
 func TestCleanEmpty(t *testing.T) {
-	box := geo.NewBBox(geo.Point{Lat: 35, Lon: -80}).Pad(1000)
-	if got := Clean(nil, box, time.Minute); len(got) != 0 {
-		t.Errorf("Clean(nil) = %v", got)
+	city := smallCity(t)
+	g := city.Graph
+	hPos := g.Landmark(city.Hospitals[0]).Pos
+	base := time.Date(2018, 9, 14, 6, 0, 0, 0, time.UTC)
+	tr := traces(t,
+		sample{1, base, hPos},
+		sample{1, base.Add(3 * time.Hour), hPos},
+		sample{2, base, geo.Point{Lat: 99, Lon: 0}},
+		sample{2, base.Add(3 * time.Hour), geo.Point{Lat: 99, Lon: 0}},
+	)
+	// A box far from the city drops person 1's stay; person 2 is invalid.
+	away := geo.NewBBox(geo.Destination(hPos, 0, 1e5)).Pad(1000)
+	if got := DetectDeliveries(g, city.Hospitals, tr, away, 300, 2*time.Hour); got != nil {
+		t.Errorf("cleaning kept nothing, yet detected %+v", got)
+	}
+	// The same stay inside the box is a delivery, so the box did the dropping.
+	if got := DetectDeliveries(g, city.Hospitals, tr, g.BBox().Pad(3000), 300, 2*time.Hour); len(got) != 1 {
+		t.Errorf("deliveries inside the box = %d, want 1: %+v", len(got), got)
 	}
 }
 
@@ -70,27 +116,26 @@ func TestLandmarkIndexMatchesLinearScan(t *testing.T) {
 func TestDetectDeliveries(t *testing.T) {
 	city := smallCity(t)
 	g := city.Graph
-	hosp := city.Hospitals[0]
-	hPos := g.Landmark(hosp).Pos
+	hPos := g.Landmark(city.Hospitals[0]).Pos
 	home := geo.Destination(hPos, 90, 3000)
 	base := time.Date(2018, 9, 14, 6, 0, 0, 0, time.UTC)
-	pts := []GPSPoint{
-		{PersonID: 1, Time: base, Pos: home},
-		{PersonID: 1, Time: base.Add(2 * time.Hour), Pos: home},
-		{PersonID: 1, Time: base.Add(4 * time.Hour), Pos: hPos},                          // arrive
-		{PersonID: 1, Time: base.Add(6 * time.Hour), Pos: geo.Destination(hPos, 10, 50)}, // still there
-		{PersonID: 1, Time: base.Add(8 * time.Hour), Pos: hPos},                          // still there
-		{PersonID: 1, Time: base.Add(10 * time.Hour), Pos: home},                         // left
-		{PersonID: 2, Time: base, Pos: hPos},                                             // brief visit
-		{PersonID: 2, Time: base.Add(30 * time.Minute), Pos: hPos},
-		{PersonID: 2, Time: base.Add(time.Hour), Pos: home},
-	}
-	got := DetectDeliveries(g, city.Hospitals, pts, 300, 2*time.Hour)
+	tr := traces(t,
+		sample{1, base, home},
+		sample{1, base.Add(2 * time.Hour), home},
+		sample{1, base.Add(4 * time.Hour), hPos},                          // arrive
+		sample{1, base.Add(6 * time.Hour), geo.Destination(hPos, 10, 50)}, // still there
+		sample{1, base.Add(8 * time.Hour), hPos},                          // still there
+		sample{1, base.Add(10 * time.Hour), home},                         // left
+		sample{2, base, hPos},                                             // brief visit
+		sample{2, base.Add(30 * time.Minute), hPos},
+		sample{2, base.Add(time.Hour), home},
+	)
+	got := DetectDeliveries(g, city.Hospitals, tr, g.BBox().Pad(3000), 300, 2*time.Hour)
 	if len(got) != 1 {
 		t.Fatalf("deliveries = %d, want 1: %+v", len(got), got)
 	}
 	d := got[0]
-	if d.PersonID != 1 || d.Hospital != hosp {
+	if d.PersonID != 1 {
 		t.Errorf("delivery = %+v", d)
 	}
 	if !d.Arrive.Equal(base.Add(4 * time.Hour)) {
@@ -104,20 +149,21 @@ func TestDetectDeliveries(t *testing.T) {
 func TestDetectDeliveriesEdgeCases(t *testing.T) {
 	city := smallCity(t)
 	g := city.Graph
-	if got := DetectDeliveries(g, nil, []GPSPoint{{}}, 300, time.Hour); got != nil {
-		t.Errorf("no hospitals should detect nothing, got %v", got)
-	}
-	if got := DetectDeliveries(g, city.Hospitals, nil, 300, time.Hour); got != nil {
-		t.Errorf("no points should detect nothing, got %v", got)
-	}
-	// Trace starting at the hospital has no previous position.
+	box := g.BBox().Pad(3000)
 	hPos := g.Landmark(city.Hospitals[0]).Pos
 	base := time.Date(2018, 9, 14, 6, 0, 0, 0, time.UTC)
-	pts := []GPSPoint{
-		{PersonID: 3, Time: base, Pos: hPos},
-		{PersonID: 3, Time: base.Add(3 * time.Hour), Pos: hPos},
+	if got := DetectDeliveries(g, nil, traces(t, sample{1, base, hPos}), box, 300, time.Hour); got != nil {
+		t.Errorf("no hospitals should detect nothing, got %v", got)
 	}
-	got := DetectDeliveries(g, city.Hospitals, pts, 300, 2*time.Hour)
+	if got := DetectDeliveries(g, city.Hospitals, nil, box, 300, time.Hour); got != nil {
+		t.Errorf("no traces should detect nothing, got %v", got)
+	}
+	// Trace starting at the hospital has no previous position.
+	tr := traces(t,
+		sample{3, base, hPos},
+		sample{3, base.Add(3 * time.Hour), hPos},
+	)
+	got := DetectDeliveries(g, city.Hospitals, tr, box, 300, 2*time.Hour)
 	if len(got) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(got))
 	}
@@ -146,15 +192,14 @@ func TestLabelRescued(t *testing.T) {
 
 // TestPipelineRecoversGroundTruth is the end-to-end derivation test: the
 // generator's ground-truth rescues should be recoverable from the raw GPS
-// traces via Clean -> DetectDeliveries -> LabelRescued, the paper's own
-// methodology.
+// traces via DetectDeliveries (cleaning, then hospital stays) ->
+// LabelRescued, the paper's own methodology.
 func TestPipelineRecoversGroundTruth(t *testing.T) {
 	city, dis, ds := genTestDataset(t)
 	if len(ds.Rescues) < 3 {
 		t.Skipf("only %d rescues; need a few for a meaningful check", len(ds.Rescues))
 	}
-	cleaned := Clean(ds.Points, city.Graph.BBox().Pad(3000), 0)
-	deliveries := DetectDeliveries(city.Graph, city.Hospitals, cleaned, 300, 2*time.Hour)
+	deliveries := DetectDeliveries(city.Graph, city.Hospitals, ds.Traces, city.Graph.BBox().Pad(3000), 300, 2*time.Hour)
 	rescued := LabelRescued(deliveries, dis.InFloodZone)
 
 	truth := make(map[int]bool, len(ds.Rescues))

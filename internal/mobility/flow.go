@@ -10,7 +10,6 @@ import (
 // (Definition 2: vehicle flow rate is vehicles per hour through a
 // segment; a region's rate averages over its segments).
 type Flow struct {
-	start   time.Time
 	hours   int
 	numSegs int
 	counts  []int32 // hour*numSegs + segment
@@ -22,7 +21,6 @@ type Flow struct {
 // at city scale).
 func CountFlows(g *roadnet.Graph, trips []Trip, start time.Time, hours int) *Flow {
 	f := &Flow{
-		start:   start,
 		hours:   hours,
 		numSegs: g.NumSegments(),
 		counts:  make([]int32, hours*g.NumSegments()),

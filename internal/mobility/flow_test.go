@@ -135,7 +135,7 @@ func BenchmarkCountFlows(b *testing.B) {
 	city := smallCity(b)
 	cfg := smallConfig()
 	cfg.NumPeople = 100
-	ds, err := Generate(city, testDisaster(city, cfg), flatAlt, cfg)
+	ds, err := Generate(city, testDisaster(city, cfg), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mobirescue/internal/geo"
+	"mobirescue/internal/pop"
 	"mobirescue/internal/roadnet"
 )
 
@@ -77,26 +78,23 @@ type timeline struct {
 	episodes []episode
 }
 
-// positionAt returns the person's position and speed at t.
-func (tl *timeline) positionAt(t time.Time) (geo.Point, float64) {
+// positionAt returns the person's position at t.
+func (tl *timeline) positionAt(t time.Time) geo.Point {
 	idx := sort.Search(len(tl.episodes), func(i int) bool {
 		return tl.episodes[i].start.After(t)
 	}) - 1
 	if idx < 0 {
-		return tl.home, 0
+		return tl.home
 	}
 	ep := tl.episodes[idx]
 	if t.Before(ep.end) && ep.moving {
-		span := ep.end.Sub(ep.start).Seconds()
-		frac := t.Sub(ep.start).Seconds() / span
-		pos := geo.Interpolate(ep.fromPos, ep.toPos, frac)
-		speed := geo.FastDistance(ep.fromPos, ep.toPos) / span
-		return pos, speed
+		frac := t.Sub(ep.start).Seconds() / ep.end.Sub(ep.start).Seconds()
+		return geo.Interpolate(ep.fromPos, ep.toPos, frac)
 	}
 	if t.Before(ep.end) {
-		return ep.fromPos, 0
+		return ep.fromPos
 	}
-	return ep.toPos, 0
+	return ep.toPos
 }
 
 // routeCache memoizes one router per simulated day. Per-source
@@ -148,9 +146,8 @@ func (rc *routeCache) route(day int, from, to roadnet.LandmarkID) (segs []roadne
 }
 
 // Generate builds a synthetic mobility dataset over city under the given
-// disaster. elev supplies the cellphone altimeter reading; it must be
-// non-nil.
-func Generate(city *roadnet.City, dis Disaster, elev func(geo.Point) float64, cfg Config) (*Dataset, error) {
+// disaster.
+func Generate(city *roadnet.City, dis Disaster, cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -159,9 +156,6 @@ func Generate(city *roadnet.City, dis Disaster, elev func(geo.Point) float64, cf
 	}
 	if dis == nil {
 		return nil, fmt.Errorf("mobility: disaster oracle required")
-	}
-	if elev == nil {
-		return nil, fmt.Errorf("mobility: elevation function required")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := city.Graph
@@ -176,11 +170,16 @@ func Generate(city *roadnet.City, dis Disaster, elev func(geo.Point) float64, cf
 	})
 
 	ds := &Dataset{People: people, Config: cfg}
+	traces := pop.NewBuilder()
 	for i := range people {
 		tl, trips, rescues := simulatePerson(rng, &people[i], city, dis, rc, regionLMs, cfg)
 		ds.Trips = append(ds.Trips, trips...)
 		ds.Rescues = append(ds.Rescues, rescues...)
-		ds.Points = append(ds.Points, samplePoints(rng, people[i].ID, tl, elev, cfg)...)
+		samplePoints(rng, traces, people[i].ID, tl, cfg)
+	}
+	var err error
+	if ds.Traces, err = traces.Build(); err != nil {
+		return nil, err
 	}
 	return ds, nil
 }
@@ -295,7 +294,7 @@ func simulatePerson(rng *rand.Rand, p *Person, city *roadnet.City, dis Disaster,
 			start: depart, end: arrive, fromPos: fromPos, toPos: toPos, moving: true,
 		})
 		trips = append(trips, Trip{
-			PersonID: p.ID, Depart: depart, Arrive: arrive,
+			PersonID: p.ID, Depart: depart,
 			FromLM: from, ToLM: to, Segs: segs,
 		})
 		return arrive, true
@@ -344,10 +343,7 @@ func simulatePerson(rng *rand.Rand, p *Person, city *roadnet.City, dis Disaster,
 				rescues = append(rescues, RescueEvent{
 					PersonID:    p.ID,
 					RequestTime: t,
-					Pos:         p.Home,
 					Seg:         p.HomeSeg,
-					Hospital:    hospital,
-					DeliveredAt: delivered,
 				})
 				busyUntil = release.Add(30 * time.Minute)
 				rescued = true
@@ -450,24 +446,15 @@ func localLandmark(rng *rand.Rand, regionLMs map[int][]roadnet.LandmarkID, regio
 }
 
 // samplePoints walks the window sampling the person's position at the
-// paper's 0.5–2 h cadence with GPS noise.
-func samplePoints(rng *rand.Rand, personID int, tl *timeline, elev func(geo.Point) float64, cfg Config) []GPSPoint {
-	var pts []GPSPoint
+// paper's 0.5–2 h cadence with GPS noise, appending each sample to b.
+func samplePoints(rng *rand.Rand, b *pop.Builder, personID int, tl *timeline, cfg Config) {
 	span := cfg.SampleMax - cfg.SampleMin
 	for t := cfg.Start; t.Before(cfg.End()); {
-		pos, speed := tl.positionAt(t)
-		noisy := pos
+		pos := tl.positionAt(t)
 		if cfg.GPSNoise > 0 {
-			noisy = geo.Destination(pos, rng.Float64()*360, math.Abs(rng.NormFloat64())*cfg.GPSNoise)
+			pos = geo.Destination(pos, rng.Float64()*360, math.Abs(rng.NormFloat64())*cfg.GPSNoise)
 		}
-		pts = append(pts, GPSPoint{
-			PersonID: personID,
-			Time:     t,
-			Pos:      noisy,
-			Altitude: elev(noisy),
-			SpeedMS:  speed,
-		})
+		b.Add(personID, t, pos)
 		t = t.Add(cfg.SampleMin + time.Duration(rng.Float64()*float64(span)))
 	}
-	return pts
 }

@@ -1,7 +1,9 @@
 package mobility
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"mobirescue/internal/geo"
 	"mobirescue/internal/roadnet"
@@ -15,7 +17,7 @@ func genTestDataset(t testing.TB) (*roadnet.City, *fakeDisaster, *Dataset) {
 	dis := testDisaster(city, cfg)
 	// Boost the hazard so the small population still yields rescues.
 	cfg.TrapHazardPerHour = 0.02
-	ds, err := Generate(city, dis, flatAlt, cfg)
+	ds, err := Generate(city, dis, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,18 +28,15 @@ func TestGenerateValidation(t *testing.T) {
 	city := smallCity(t)
 	cfg := smallConfig()
 	dis := testDisaster(city, cfg)
-	if _, err := Generate(nil, dis, flatAlt, cfg); err == nil {
+	if _, err := Generate(nil, dis, cfg); err == nil {
 		t.Error("nil city should error")
 	}
-	if _, err := Generate(city, nil, flatAlt, cfg); err == nil {
+	if _, err := Generate(city, nil, cfg); err == nil {
 		t.Error("nil disaster should error")
-	}
-	if _, err := Generate(city, dis, nil, cfg); err == nil {
-		t.Error("nil elev should error")
 	}
 	bad := cfg
 	bad.NumPeople = 0
-	if _, err := Generate(city, dis, flatAlt, bad); err == nil {
+	if _, err := Generate(city, dis, bad); err == nil {
 		t.Error("invalid config should error")
 	}
 }
@@ -77,23 +76,21 @@ func TestGenerateDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumPeople = 60
 	dis := testDisaster(city, cfg)
-	a, err := Generate(city, dis, flatAlt, cfg)
+	a, err := Generate(city, dis, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(city, dis, flatAlt, cfg)
+	b, err := Generate(city, dis, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Points) != len(b.Points) || len(a.Trips) != len(b.Trips) || len(a.Rescues) != len(b.Rescues) {
+	if a.Traces.NumSamples() != b.Traces.NumSamples() || len(a.Trips) != len(b.Trips) || len(a.Rescues) != len(b.Rescues) {
 		t.Fatalf("sizes differ: (%d,%d,%d) vs (%d,%d,%d)",
-			len(a.Points), len(a.Trips), len(a.Rescues),
-			len(b.Points), len(b.Trips), len(b.Rescues))
+			a.Traces.NumSamples(), len(a.Trips), len(a.Rescues),
+			b.Traces.NumSamples(), len(b.Trips), len(b.Rescues))
 	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Fatalf("point %d differs", i)
-		}
+	if !reflect.DeepEqual(a.Traces, b.Traces) {
+		t.Fatal("traces differ")
 	}
 }
 
@@ -160,9 +157,6 @@ func TestGenerateTripsAreRoutable(t *testing.T) {
 		if cur != tr.ToLM {
 			t.Fatalf("trip route does not end at destination: person %d", tr.PersonID)
 		}
-		if !tr.Arrive.After(tr.Depart) {
-			t.Fatalf("trip with non-positive duration: person %d", tr.PersonID)
-		}
 	}
 }
 
@@ -174,6 +168,7 @@ func TestGenerateRescues(t *testing.T) {
 	cfg := ds.Config
 	seen := make(map[int]bool)
 	for _, r := range ds.Rescues {
+		home := ds.People[r.PersonID].Home
 		if seen[r.PersonID] {
 			t.Errorf("person %d rescued twice", r.PersonID)
 		}
@@ -181,23 +176,14 @@ func TestGenerateRescues(t *testing.T) {
 		if r.RequestTime.Before(cfg.DisasterStart) || !r.RequestTime.Before(cfg.DisasterEnd) {
 			t.Errorf("rescue request at %v outside disaster window", r.RequestTime)
 		}
-		if !dis.InFloodZone(r.Pos, r.RequestTime) {
-			t.Errorf("rescue request outside flood zone at %v", r.Pos)
-		}
-		if !r.DeliveredAt.After(r.RequestTime) {
-			t.Errorf("delivery %v not after request %v", r.DeliveredAt, r.RequestTime)
-		}
-		if d := r.DeliveredAt.Sub(r.RequestTime); d < cfg.DeliverDelayMin || d > cfg.DeliverDelayMax {
-			t.Errorf("delivery delay %v outside [%v, %v]", d, cfg.DeliverDelayMin, cfg.DeliverDelayMax)
-		}
-		if r.Hospital == roadnet.NoLandmark {
-			t.Error("rescue without hospital")
+		if !dis.InFloodZone(home, r.RequestTime) {
+			t.Errorf("rescue request outside flood zone at %v", home)
 		}
 	}
 	// Most rescues should be downtown (the flooded region).
 	downtownCount := 0
 	for _, r := range ds.Rescues {
-		if city.RegionAt(r.Pos) == roadnet.DowntownRegion {
+		if city.RegionAt(ds.People[r.PersonID].Home) == roadnet.DowntownRegion {
 			downtownCount++
 		}
 	}
@@ -209,42 +195,37 @@ func TestGenerateRescues(t *testing.T) {
 func TestGenerateGPSCadence(t *testing.T) {
 	_, _, ds := genTestDataset(t)
 	cfg := ds.Config
-	byPerson := make(map[int][]GPSPoint)
-	for _, p := range ds.Points {
-		byPerson[p.PersonID] = append(byPerson[p.PersonID], p)
+	if n := ds.Traces.NumPeople(); n != cfg.NumPeople {
+		t.Fatalf("traces cover %d people, want %d", n, cfg.NumPeople)
 	}
-	if len(byPerson) != cfg.NumPeople {
-		t.Fatalf("points cover %d people, want %d", len(byPerson), cfg.NumPeople)
-	}
-	for id, pts := range byPerson {
-		for i := 1; i < len(pts); i++ {
-			gap := pts[i].Time.Sub(pts[i-1].Time)
+	for i := 0; i < ds.Traces.NumPeople(); i++ {
+		id := ds.Traces.ID(i)
+		times, _ := ds.Traces.Samples(i)
+		for k := 1; k < len(times); k++ {
+			gap := time.Duration(times[k] - times[k-1])
 			if gap < cfg.SampleMin || gap > cfg.SampleMax {
 				t.Fatalf("person %d sample gap %v outside [%v, %v]", id, gap, cfg.SampleMin, cfg.SampleMax)
 			}
 		}
 		// Expect roughly Days*24h / mean-interval samples.
-		if len(pts) < 24*cfg.Days/4 {
-			t.Fatalf("person %d has only %d samples", id, len(pts))
+		if len(times) < 24*cfg.Days/4 {
+			t.Fatalf("person %d has only %d samples", id, len(times))
 		}
 	}
 }
 
-func TestGenerateGPSPointsPlausible(t *testing.T) {
+func TestGenerateGPSSamplesPlausible(t *testing.T) {
 	city, _, ds := genTestDataset(t)
 	box := city.Graph.BBox().Pad(3000)
-	for _, p := range ds.Points {
-		if !p.Pos.Valid() {
-			t.Fatalf("invalid GPS position %v", p.Pos)
-		}
-		if !box.Contains(p.Pos) {
-			t.Fatalf("GPS point far outside the city: %v", p.Pos)
-		}
-		if p.Altitude != 200 {
-			t.Fatalf("altitude should come from elev func, got %v", p.Altitude)
-		}
-		if p.SpeedMS < 0 || p.SpeedMS > 45 {
-			t.Fatalf("implausible speed %v", p.SpeedMS)
+	for i := 0; i < ds.Traces.NumPeople(); i++ {
+		_, pos := ds.Traces.Samples(i)
+		for _, p := range pos {
+			if !p.Valid() {
+				t.Fatalf("invalid GPS position %v", p)
+			}
+			if !box.Contains(p) {
+				t.Fatalf("GPS point far outside the city: %v", p)
+			}
 		}
 	}
 }
@@ -254,18 +235,19 @@ func TestGenerateRescuedPersonVisitsHospital(t *testing.T) {
 	if len(ds.Rescues) == 0 {
 		t.Skip("no rescues in this seed")
 	}
+	// The historical rescue delivers the person to the hospital nearest
+	// their home within the delivery delay bounds; they stay there.
 	r := ds.Rescues[0]
-	hPos := city.Graph.Landmark(r.Hospital).Pos
+	cfg := ds.Config
+	hPos := city.Graph.Landmark(city.HospitalNearest(ds.People[r.PersonID].Home)).Pos
+	from := r.RequestTime.Add(cfg.DeliverDelayMin).UnixNano()
+	to := r.RequestTime.Add(cfg.DeliverDelayMax + cfg.HospitalStay).UnixNano()
+	times, pos := ds.Traces.Samples(ds.Traces.IndexOf(r.PersonID))
 	found := false
-	for _, p := range ds.Points {
-		if p.PersonID != r.PersonID {
-			continue
-		}
-		if p.Time.After(r.DeliveredAt) && p.Time.Before(r.DeliveredAt.Add(ds.Config.HospitalStay)) {
-			if geo.FastDistance(p.Pos, hPos) < 300 {
-				found = true
-				break
-			}
+	for k, at := range times {
+		if at > from && at < to && geo.FastDistance(pos[k], hPos) < 300 {
+			found = true
+			break
 		}
 	}
 	if !found {

@@ -5,11 +5,14 @@
 // behavior shifts across the before/during/after disaster phases, people
 // caught in flooding zones become trapped and are delivered to hospitals,
 // and each person's position is sampled into noisy GPS points at the
-// paper's 0.5–2 h cadence.
+// paper's 0.5–2 h cadence. The samples go straight into a pop.Store,
+// person by person: the one copy of the traces that both hospital-stay
+// detection and the prediction stage read.
 //
 // The package also implements the paper's derivation pipeline over such
-// traces: data cleaning, vehicle flow rates (Definition 2), and
-// hospital-stay detection used to label rescued people (Section III-B2).
+// traces: vehicle flow rates (Definition 2), and data cleaning folded
+// into the hospital-stay detection used to label rescued people
+// (Section III-B2).
 package mobility
 
 import (
@@ -17,6 +20,7 @@ import (
 	"time"
 
 	"mobirescue/internal/geo"
+	"mobirescue/internal/pop"
 	"mobirescue/internal/roadnet"
 )
 
@@ -55,41 +59,31 @@ type Person struct {
 	HomeRegion int
 }
 
-// GPSPoint is a single cellphone location sample, mirroring the dataset
-// fields in Section III-A (timestamp, position, altitude, speed).
-type GPSPoint struct {
-	PersonID int
-	Time     time.Time
-	Pos      geo.Point
-	Altitude float64 // meters, from the phone's altimeter
-	SpeedMS  float64 // instantaneous speed in m/s
-}
-
 // Trip is one vehicle journey with its routed segment sequence.
 type Trip struct {
 	PersonID int
 	Depart   time.Time
-	Arrive   time.Time
 	FromLM   roadnet.LandmarkID
 	ToLM     roadnet.LandmarkID
 	Segs     []roadnet.SegmentID
 }
 
-// RescueEvent is ground truth for one trapped person: where and when the
-// rescue request appeared and how the historical rescue resolved.
+// RescueEvent is ground truth for one trapped person: when and on which
+// road segment the rescue request appeared. The historical rescue then
+// delivers them to the hospital nearest their home.
 type RescueEvent struct {
 	PersonID    int
 	RequestTime time.Time
-	Pos         geo.Point
-	Seg         roadnet.SegmentID  // road segment the request appears on
-	Hospital    roadnet.LandmarkID // hospital the person was delivered to
-	DeliveredAt time.Time          // historical delivery time
+	Seg         roadnet.SegmentID // road segment the request appears on
 }
 
 // Dataset bundles everything the generator produces.
 type Dataset struct {
-	People  []Person
-	Points  []GPSPoint // time-ordered per person
+	People []Person
+	// Traces holds the raw, uncleaned GPS samples (timestamp and
+	// position, Section III-A), each person's time-ordered, people in ID
+	// order.
+	Traces  *pop.Store
 	Trips   []Trip
 	Rescues []RescueEvent
 	Config  Config

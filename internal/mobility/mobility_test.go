@@ -70,8 +70,6 @@ func testDisaster(city *roadnet.City, cfg Config) *fakeDisaster {
 	}
 }
 
-func flatAlt(geo.Point) float64 { return 200 }
-
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name string
@@ -154,22 +152,16 @@ func TestTimelinePositionAt(t *testing.T) {
 			{start: t0, end: t0.Add(time.Hour), fromPos: home, toPos: work, moving: true},
 		},
 	}
-	// Before any episode: at home, stationary.
-	pos, speed := tl.positionAt(t0.Add(-time.Hour))
-	if pos != home || speed != 0 {
-		t.Errorf("pre-episode = %v, %v", pos, speed)
+	// Before any episode: at home.
+	if pos := tl.positionAt(t0.Add(-time.Hour)); pos != home {
+		t.Errorf("pre-episode = %v", pos)
 	}
-	// Mid-episode: between home and work, moving.
-	pos, speed = tl.positionAt(t0.Add(30 * time.Minute))
-	if speed <= 0 {
-		t.Errorf("mid-trip speed = %v", speed)
-	}
-	if d := geo.FastDistance(pos, geo.Interpolate(home, work, 0.5)); d > 10 {
+	// Mid-episode: between home and work.
+	if d := geo.FastDistance(tl.positionAt(t0.Add(30*time.Minute)), geo.Interpolate(home, work, 0.5)); d > 10 {
 		t.Errorf("mid-trip position off by %v m", d)
 	}
 	// After the episode: at work.
-	pos, speed = tl.positionAt(t0.Add(2 * time.Hour))
-	if pos != work || speed != 0 {
-		t.Errorf("post-episode = %v, %v", pos, speed)
+	if pos := tl.positionAt(t0.Add(2 * time.Hour)); pos != work {
+		t.Errorf("post-episode = %v", pos)
 	}
 }

@@ -16,7 +16,8 @@ type Divergence struct {
 	Window int // window of the first divergent event (0 = pre-window)
 	Line   int // line number in log A (or B when A is exhausted)
 	A, B   string
-	// Why distinguishes "different bytes" from "one log ended early".
+	// Why distinguishes "different bytes" from "one log ended early"
+	// and "one log ends in a torn record".
 	Why string
 }
 
@@ -88,6 +89,20 @@ func Diff(a, b *RunLog) *DiffResult {
 			r.First = &Divergence{Window: tail.W, Line: tail.Line, B: tail.Raw, Why: why}
 		}
 		divergedWindows[tail.W] = true
+	}
+	if a.Truncated != b.Truncated && r.First == nil {
+		// Every complete record matches, but one run was cut mid-write:
+		// its torn last record is missing from the other's stream.
+		torn, why := b, "log B ends in a torn record"
+		if a.Truncated {
+			torn, why = a, "log A ends in a torn record"
+		}
+		d := &Divergence{Why: why}
+		if n := len(torn.Events); n > 0 {
+			d.Window, d.Line = torn.Events[n-1].W, torn.Events[n-1].Line+1
+		}
+		r.First = d
+		divergedWindows[d.Window] = true
 	}
 	r.WindowsDiffer = len(divergedWindows)
 	r.Identical = r.First == nil

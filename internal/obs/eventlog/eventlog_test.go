@@ -247,6 +247,45 @@ func TestDiffTruncation(t *testing.T) {
 	}
 }
 
+// TestDiffTornTail pins that a log cut mid-write is not identical to
+// the complete log, even when every complete record matches, and that
+// the timeline says the torn record was left out.
+func TestDiffTornTail(t *testing.T) {
+	full := buildLog(t, Options{}, 30)
+	torn := append(append([]byte(nil), full...), `{"ev":"pickup","w":3,"veh`...)
+	ra, err := Read(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := Read(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rb.Events) != len(ra.Events) {
+		t.Fatalf("torn log kept %d complete records, want %d", len(rb.Events), len(ra.Events))
+	}
+	for _, c := range []struct {
+		a, b *RunLog
+		why  string
+	}{
+		{ra, rb, "log B ends in a torn record"},
+		{rb, ra, "log A ends in a torn record"},
+	} {
+		d := Diff(c.a, c.b)
+		if d.Identical || d.First == nil || d.First.Why != c.why {
+			t.Errorf("diff = identical %v, first %+v; want %q", d.Identical, d.First, c.why)
+		}
+	}
+	if d := Diff(rb, rb); !d.Identical {
+		t.Errorf("a torn log differs from itself: %+v", d.First)
+	}
+	var buf bytes.Buffer
+	WriteTimeline(&buf, rb, BuildTimelines(rb))
+	if !strings.Contains(buf.String(), "torn record") {
+		t.Errorf("timeline does not mention the torn record:\n%s", buf.String())
+	}
+}
+
 func TestDiffSemanticDeltaStillDiffs(t *testing.T) {
 	a := buildLog(t, Options{}, 30)
 	var buf bytes.Buffer

@@ -11,21 +11,21 @@ import (
 
 // WindowStat aggregates one (run, window) cell of the timeline.
 type WindowStat struct {
-	Run     string
 	W       int
 	Active  int // active requests when the window opened
 	Orders  int // orders kept this window
 	Serving int // teams serving at window close
 	Served  int // cumulative requests served at window close
 	Pickups int
-	Drops   int // dropoff events (deliveries)
-	Faults  int // chaos faults landing in this window
-	Rejects int
-	Reward  float64 // windowed reward (Eq. 5 shape): α·served_Δ + β·timely_share − γ·active
+	Drops   int     // dropoff events (deliveries)
+	Faults  int     // chaos faults landing in this window
+	Reward  float64 // windowed reward in Eq. 5's shape: rewardAlpha·served_Δ − rewardGamma·active
 }
 
-// Reward weights mirror core's defaults for Eq. 5 so timeline curves
-// line up with RewardPerHour without importing the sim layer.
+// Reward weights of the timeline's windowed reward. They only shape
+// that curve: they are not MobiRescue's Eq. 5 defaults (50, 0.3 and
+// 0.01 in dispatch.DefaultMRConfig), and the curve is not
+// comparable with RewardPerHour.
 const (
 	rewardAlpha = 1.0
 	rewardGamma = 0.05
@@ -75,7 +75,7 @@ func BuildTimelines(rl *RunLog) []*RunTimeline {
 			w = 1
 		}
 		for len(t.Windows) < w {
-			t.Windows = append(t.Windows, WindowStat{Run: t.Run, W: len(t.Windows) + 1})
+			t.Windows = append(t.Windows, WindowStat{W: len(t.Windows) + 1})
 		}
 		return &t.Windows[w-1]
 	}
@@ -105,8 +105,6 @@ func BuildTimelines(rl *RunLog) []*RunTimeline {
 			cell(t, e.W).Drops++
 		case TypeFault:
 			cell(t, e.W).Faults++
-		case TypeOrderReject:
-			cell(t, e.W).Rejects++
 		}
 	}
 
@@ -185,6 +183,9 @@ func WriteTimeline(w io.Writer, rl *RunLog, tls []*RunTimeline) {
 	m := rl.Manifest
 	fmt.Fprintf(w, "manifest: scale=%s seed=%d config=%s chaos=%s timing=%v\n",
 		orDash(m.Scale), m.Seed, orDash(m.ConfigHash), orDash(m.Chaos), m.Timing)
+	if rl.Truncated {
+		fmt.Fprintf(w, "note: the log ends in a torn record (the run was cut mid-write); it is left out\n")
+	}
 	for _, t := range tls {
 		fmt.Fprintf(w, "\nrun %s", t.Run)
 		if t.Method != "" {

@@ -103,7 +103,6 @@ type agg struct {
 	name     string
 	count    int
 	total    time.Duration
-	order    int // first-seen order for stable rendering
 	children map[string]*agg
 	childSeq []string
 }

@@ -1,14 +1,14 @@
-// Package pop is the metro-scale population data model: a columnar
+// Package pop is the population data model: a columnar
 // (struct-of-arrays) store of per-person GPS trajectories behind the
 // Source interface the prediction stage reads positions through.
 //
-// The seed pipeline keeps one Go object per person and one slice per
-// trajectory — fine at the paper's 8,590 people, hostile at a million:
-// pointer-chasing per person, a map lookup per ID, and O(people)
-// allocator pressure every window. Store flattens everything into a
-// handful of parallel arrays (CSR layout for trajectories, dense
-// indices for IDs), so the per-window hot loop walks contiguous memory
-// and allocates nothing in steady state.
+// Store is the dataset's only trace format. mobility.Generate appends
+// each person's samples to a Builder in person order, and both the
+// hospital-stay stage (mobility.DetectDeliveries) and prediction read
+// the one Store it builds. A handful of parallel arrays (CSR layout for
+// trajectories, dense indices for IDs) keep the per-window hot loop on
+// contiguous memory, with no map lookup and no allocation in steady
+// state.
 //
 // Store is one implementation of Source — the interface the prediction
 // provider consumes. mobility.Streamer is the other: it synthesizes
@@ -42,9 +42,9 @@ type Source interface {
 
 // Store is an immutable columnar trajectory store: person i's samples
 // are times[off[i]:off[i+1]] / pos[off[i]:off[i+1]], time-ordered. IDs
-// are kept sorted ascending; when they happen to be dense (ids[i] == i,
-// which the synthetic population generator guarantees) IndexOf is a
-// bounds check instead of a search.
+// ascend; when they happen to be dense (ids[i] == i, which the
+// synthetic population generator guarantees) IndexOf is a bounds check
+// instead of a search.
 type Store struct {
 	ids   []int
 	dense bool
@@ -55,65 +55,49 @@ type Store struct {
 
 var _ Source = (*Store)(nil)
 
-// Builder accumulates samples grouped by person ID. Per-person sample
-// order is preserved exactly as added (callers add time-ordered
-// samples); person order is normalized to ascending ID at Build.
+// Builder appends samples in person order: people are added in
+// ascending ID order, each person's samples consecutively and
+// time-ordered, which is how mobility.Generate emits them. A sample for
+// a person other than the last one added starts that person's
+// trajectory.
 type Builder struct {
-	idx   map[int]int // person ID -> position in people
-	ppl   []builderPerson
-	count int
-}
-
-type builderPerson struct {
-	id    int
-	times []int64
-	pos   []geo.Point
+	s Store
 }
 
 // NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{idx: make(map[int]int)}
-}
+func NewBuilder() *Builder { return &Builder{} }
 
 // Add appends one sample to a person's trajectory.
 func (b *Builder) Add(personID int, t time.Time, p geo.Point) {
-	i, ok := b.idx[personID]
-	if !ok {
-		i = len(b.ppl)
-		b.idx[personID] = i
-		b.ppl = append(b.ppl, builderPerson{id: personID})
+	s := &b.s
+	if n := len(s.ids); n == 0 || s.ids[n-1] != personID {
+		s.ids = append(s.ids, personID)
+		s.off = append(s.off, int64(len(s.times)))
 	}
-	b.ppl[i].times = append(b.ppl[i].times, t.UnixNano())
-	b.ppl[i].pos = append(b.ppl[i].pos, p)
-	b.count++
+	s.times = append(s.times, t.UnixNano())
+	s.pos = append(s.pos, p)
 }
 
-// Build flattens the accumulated samples into a Store. It returns an
-// error when no samples were added.
+// Build hands the appended samples to a Store and leaves the builder
+// empty. It returns an error when no samples were added or when a
+// person ID descends.
 func (b *Builder) Build() (*Store, error) {
-	if len(b.ppl) == 0 {
+	s := b.s
+	b.s = Store{}
+	if len(s.ids) == 0 {
 		return nil, fmt.Errorf("pop: no samples")
 	}
-	ppl := b.ppl
-	sort.Slice(ppl, func(i, j int) bool { return ppl[i].id < ppl[j].id })
-	s := &Store{
-		ids:   make([]int, len(ppl)),
-		off:   make([]int64, len(ppl)+1),
-		times: make([]int64, 0, b.count),
-		pos:   make([]geo.Point, 0, b.count),
-	}
 	s.dense = true
-	for i, p := range ppl {
-		s.ids[i] = p.id
-		if p.id != i {
+	for i, id := range s.ids {
+		if i > 0 && id < s.ids[i-1] {
+			return nil, fmt.Errorf("pop: person %d added after person %d; IDs must ascend", id, s.ids[i-1])
+		}
+		if id != i {
 			s.dense = false
 		}
-		s.off[i] = int64(len(s.times))
-		s.times = append(s.times, p.times...)
-		s.pos = append(s.pos, p.pos...)
 	}
-	s.off[len(ppl)] = int64(len(s.times))
-	return s, nil
+	s.off = append(s.off, int64(len(s.times)))
+	return &s, nil
 }
 
 // NumPeople implements Source.
@@ -121,6 +105,17 @@ func (s *Store) NumPeople() int { return len(s.ids) }
 
 // ID returns the external person ID of dense index i.
 func (s *Store) ID(i int) int { return s.ids[i] }
+
+// NumSamples returns the number of samples over all people.
+func (s *Store) NumSamples() int { return len(s.times) }
+
+// Samples returns person i's samples, time-ordered: their instants
+// (UnixNano) and positions. The slices share the store's memory and
+// must not be modified.
+func (s *Store) Samples(i int) (times []int64, pos []geo.Point) {
+	lo, hi := s.off[i], s.off[i+1]
+	return s.times[lo:hi:hi], s.pos[lo:hi:hi]
+}
 
 // IndexOf implements Source: O(1) when IDs are dense, binary search
 // otherwise — never a map, so lookup memory is O(1).

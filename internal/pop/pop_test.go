@@ -86,7 +86,7 @@ func TestStoreMatchesNaiveTracks(t *testing.T) {
 func TestStoreIndexOf(t *testing.T) {
 	b := NewBuilder()
 	at := time.Unix(1000, 0)
-	for _, id := range []int{40, 10, 30} { // sparse, out of order
+	for _, id := range []int{10, 30, 40} { // sparse
 		b.Add(id, at, geo.Point{Lat: float64(id)})
 	}
 	s, err := b.Build()
@@ -125,6 +125,45 @@ func TestStoreIndexOf(t *testing.T) {
 func TestBuilderEmpty(t *testing.T) {
 	if _, err := NewBuilder().Build(); err == nil {
 		t.Fatalf("empty builder should error")
+	}
+}
+
+// TestBuilderRejectsDescendingIDs pins the appender's one ordering
+// rule: a person ID below the last one added (a new person out of
+// order, or an earlier person resumed after another) is an error.
+func TestBuilderRejectsDescendingIDs(t *testing.T) {
+	at := time.Unix(1000, 0)
+	for _, ids := range [][]int{{40, 10}, {1, 2, 1}} {
+		b := NewBuilder()
+		for _, id := range ids {
+			b.Add(id, at, geo.Point{Lat: float64(id)})
+		}
+		if _, err := b.Build(); err == nil {
+			t.Errorf("IDs %v accepted", ids)
+		}
+	}
+}
+
+// TestStoreSamples pins the per-person columns DetectDeliveries walks:
+// each person's samples in the order added, and their total.
+func TestStoreSamples(t *testing.T) {
+	s, ref := buildRandom(t, 5, 30)
+	total := 0
+	for i := 0; i < s.NumPeople(); i++ {
+		times, pos := s.Samples(i)
+		tr := ref[s.ID(i)]
+		if len(times) != len(tr.times) || len(pos) != len(tr.pos) {
+			t.Fatalf("person %d: %d/%d samples, want %d", i, len(times), len(pos), len(tr.times))
+		}
+		for k := range times {
+			if times[k] != tr.times[k].UnixNano() || pos[k] != tr.pos[k] {
+				t.Fatalf("person %d sample %d differs", i, k)
+			}
+		}
+		total += len(times)
+	}
+	if s.NumSamples() != total {
+		t.Fatalf("NumSamples = %d, want %d", s.NumSamples(), total)
 	}
 }
 

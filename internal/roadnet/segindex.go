@@ -36,7 +36,6 @@ import (
 // heuristic (an out-segment of the nearest landmark) and is retained
 // where the seed pipeline's behavior depends on it.
 type SegmentIndex struct {
-	g            *Graph
 	bbox         geo.BBox
 	n            int
 	cellH, cellW float64 // degrees per cell
@@ -61,7 +60,7 @@ func NewSegmentIndex(g *Graph) *SegmentIndex {
 	if n > 512 {
 		n = 512
 	}
-	idx := &SegmentIndex{g: g, bbox: g.BBox().Pad(500), n: n}
+	idx := &SegmentIndex{bbox: g.BBox().Pad(500), n: n}
 	idx.cellH = (idx.bbox.MaxLat - idx.bbox.MinLat) / float64(n)
 	idx.cellW = (idx.bbox.MaxLon - idx.bbox.MinLon) / float64(n)
 	maxAbsLat := math.Max(math.Abs(idx.bbox.MinLat), math.Abs(idx.bbox.MaxLat))

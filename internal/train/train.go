@@ -117,11 +117,9 @@ type Stats struct {
 	// Rewards holds one entry per episode in deterministic (round, actor)
 	// order — identical for any Workers value.
 	Rewards []float64
-	// Episodes and Rounds count completed work; Transitions counts
+	// Episodes counts completed episodes; Transitions counts
 	// learner-absorbed transitions.
-	Episodes, Rounds, Transitions int
-	// Elapsed is the wall-clock training time.
-	Elapsed time.Duration
+	Episodes, Transitions int
 }
 
 // trainMetrics holds optional telemetry handles; the zero value is a
@@ -209,9 +207,7 @@ func (t *Trainer) Run(ctx context.Context) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
 	stats := &Stats{Rewards: make([]float64, 0, t.cfg.Episodes)}
-	defer func() { stats.Elapsed = time.Since(start) }()
 
 	remaining := t.cfg.Episodes
 	for round := t.cfg.StartRound; remaining > 0; round++ {
@@ -226,7 +222,6 @@ func (t *Trainer) Run(ctx context.Context) (*Stats, error) {
 			return stats, fmt.Errorf("train: round %d: %w", round, err)
 		}
 		remaining -= n
-		stats.Rounds++
 		t.met.rounds.Inc()
 		if t.cfg.RoundHook != nil {
 			if err := t.cfg.RoundHook(round, stats); err != nil {
