@@ -46,11 +46,13 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/svm ./internal/nn ./internal/weather
 	$(GO) test -run '^$$' -bench PredictStreamer -cpu 1,2 ./internal/core
 
-# One-iteration pass over the same micro-benchmarks plus core's
-# BenchmarkTrainEpisodes — the only run of the benchmark bodies, which
+# One-iteration pass over the same micro-benchmarks, core's
+# BenchmarkTrainEpisodes, and the root package's figure, ablation,
+# dispatch-latency and simulate-day benchmarks (the regenerators
+# DESIGN §4 lists) — the only run of the benchmark bodies, which
 # `make test` skips — so their code cannot rot between commits.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/weather ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/weather ./internal/core
 
 # Short fuzz pass over the city loader, the checkpoint loader, and the
 # session API handlers (the corpus seeds always run as part of `make

@@ -38,15 +38,16 @@ var callerAllowlist = map[string]string{
 	"weather.Calm":   "storm-free field for the flood tests and core's TestPredictReuseCounted",
 
 	// Accessors of at most four lines that a test reads.
-	"chaos.(*Injector).NumSurges":      "TestInjectorSchedulesDeterministic",
-	"core.(*PredictProvider).CacheLen": "TestPredictCacheEviction",
-	"core.(*PredictProvider).Source":   "TestPredictPerson and TestProvidersShareDatasetTraces",
-	"dispatch.(*Resilient).LastError":  "TestResilientRecoversPanics and the other resilient tests",
-	"mobility.(*Streamer).ID":          "TestStreamerSourceContract and core's TestPredictMovingPeopleMemos",
-	"rl.(*DQN).Steps":                  "TestMobiRescueTrainingObserves",
-	"serve.(*Session).ID":              "the handle serve's and core's session tests close and get sessions by",
-	"sim.(*Simulator).Run":             "the context-free entry point the sim, chaos, dispatch, eventlog and analyze tests call",
-	"tsa.(*Predictor).Keys":            "TestObserveAccumulates",
+	"chaos.(*Injector).NumSurges":       "TestInjectorSchedulesDeterministic",
+	"core.(*PredictProvider).CacheLen":  "TestPredictCacheEviction",
+	"core.(*PredictProvider).NumPeople": "the benchmark module's TestMetroSmoke (bench/bench_test.go) and TestPredictProviderFromSourceSparseIDs",
+	"core.(*PredictProvider).Source":    "TestPredictPerson and TestProvidersShareDatasetTraces",
+	"dispatch.(*Resilient).LastError":   "TestResilientRecoversPanics and the other resilient tests",
+	"mobility.(*Streamer).ID":           "TestStreamerSourceContract and core's TestPredictMovingPeopleMemos",
+	"rl.(*DQN).Steps":                   "TestMobiRescueTrainingObserves",
+	"serve.(*Session).ID":               "the handle serve's and core's session tests close and get sessions by",
+	"sim.(*Simulator).Run":              "the context-free entry point the sim, chaos, dispatch, eventlog and analyze tests call",
+	"tsa.(*Predictor).Keys":             "TestObserveAccumulates",
 }
 
 // stdInterfaceMethods are the method names of the standard interfaces
@@ -86,7 +87,7 @@ type callDecl struct {
 	obj   types.Object // nil for a root pseudo-declaration
 	pos   token.Position
 	uses  []types.Object // package-level objects and methods named in the body
-	names []string       // module interface methods the body calls
+	calls []*types.Func  // module interface methods the body calls
 	group []types.Object // the other constants of its iota block
 }
 
@@ -108,9 +109,10 @@ type callGraph struct {
 // uses. An identifier used
 // in a declaration is an edge; a reached method reaches its receiver
 // type; a reached type reaches each of its methods that reached code
-// calls through one of the module's interfaces, or that a standard
-// interface names which reflection or the runtime calls
-// (stdInterfaceMethods). Declaring an interface method calls nothing. The constants of an iota block are
+// calls through one of the module's interfaces that the type, or a
+// pointer to it, implements, or that a standard interface names which
+// reflection or the runtime calls (stdInterfaceMethods). Declaring an
+// interface method calls nothing. The constants of an iota block are
 // reached together, and a blank `var _ I = T{}` assertion is not a
 // root. Declarations that stay without a caller are listed, with their
 // reasons, in callerAllowlist; the test also fails on an entry that is
@@ -338,7 +340,7 @@ func (g *callGraph) addGenDecl(d *ast.GenDecl, info *types.Info, rootPkg bool) {
 				for _, v := range s.Values {
 					sub := g.collect(v, info)
 					initRoot.uses = append(initRoot.uses, sub.uses...)
-					initRoot.names = append(initRoot.names, sub.names...)
+					initRoot.calls = append(initRoot.calls, sub.calls...)
 				}
 				g.roots = append(g.roots, initRoot)
 			}
@@ -381,12 +383,12 @@ func (g *callGraph) collect(n ast.Node, info *types.Info) *callDecl {
 			if fn, ok := obj.(*types.Func); ok {
 				fn = fn.Origin()
 				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-					// A call through one of the module's interfaces names
-					// the method; a call through a standard one (ctx.Err)
+					// A call through one of the module's interfaces is
+					// recorded; a call through a standard one (ctx.Err)
 					// reaches no module method unless stdInterfaceMethods
 					// lists it.
 					if inModule(fn.Pkg()) {
-						cd.names = append(cd.names, fn.Name())
+						cd.calls = append(cd.calls, fn)
 					}
 					return true
 				}
@@ -405,7 +407,11 @@ func (g *callGraph) collect(n ast.Node, info *types.Info) *callDecl {
 // reach returns the declarations that the roots and extra reach.
 func (g *callGraph) reach(extra []types.Object) map[types.Object]bool {
 	reached := map[types.Object]bool{}
-	names := map[string]bool{}
+	std := map[string]bool{}
+	for _, n := range stdInterfaceMethods {
+		std[n] = true
+	}
+	called := map[string][]*types.Func{} // module interface methods called, by name
 	var queue []*callDecl
 	visit := func(obj types.Object) {
 		if d, ok := g.decls[obj]; ok && !reached[obj] {
@@ -413,19 +419,31 @@ func (g *callGraph) reach(extra []types.Object) map[types.Object]bool {
 			queue = append(queue, d)
 		}
 	}
-	addName := func(name string) {
-		if names[name] {
-			return
+	// callable reports whether a call already made reaches method m of
+	// a reached type.
+	callable := func(m *types.Func) bool {
+		if std[m.Name()] {
+			return true
 		}
-		names[name] = true
-		for _, m := range g.byName[name] {
-			if reached[recvTypeName(m)] {
+		for _, f := range called[m.Name()] {
+			if implements(m, f) {
+				return true
+			}
+		}
+		return false
+	}
+	call := func(f *types.Func) {
+		for _, prev := range called[f.Name()] {
+			if prev == f {
+				return
+			}
+		}
+		called[f.Name()] = append(called[f.Name()], f)
+		for _, m := range g.byName[f.Name()] {
+			if reached[recvTypeName(m)] && implements(m, f) {
 				visit(m)
 			}
 		}
-	}
-	for _, n := range stdInterfaceMethods {
-		addName(n)
 	}
 	for _, d := range g.roots {
 		if d.obj != nil {
@@ -445,18 +463,29 @@ func (g *callGraph) reach(extra []types.Object) map[types.Object]bool {
 		for _, o := range d.uses {
 			visit(o)
 		}
-		for _, n := range d.names {
-			addName(n)
+		for _, f := range d.calls {
+			call(f)
 		}
 		if tn, ok := d.obj.(*types.TypeName); ok {
 			for _, m := range g.methods[tn] {
-				if names[m.Name()] {
+				if callable(m) {
 					visit(m)
 				}
 			}
 		}
 	}
 	return reached
+}
+
+// implements reports whether the type declaring method m, or a pointer
+// to it, implements the interface that declares method f.
+func implements(m, f *types.Func) bool {
+	iface, ok := f.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return false
+	}
+	t := recvTypeName(m).Type()
+	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
 // declKey names a declaration as the test reports it: the package path

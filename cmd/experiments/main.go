@@ -128,8 +128,12 @@ func main() {
 		if trainRewards, err = sys.TrainRLParallel(f.Episodes); err != nil {
 			run.Exit(err)
 		}
-		fmt.Printf("# trained RL for %d episodes in %v (timely served per episode: %v)\n",
-			len(trainRewards), time.Since(start).Round(time.Second), trainRewards)
+		// The wall time goes to the log so stdout stays byte-comparable
+		// between runs.
+		logger.Info("RL training complete", slog.Int("episodes", len(trainRewards)),
+			slog.Duration("elapsed", time.Since(start).Round(time.Millisecond)))
+		fmt.Printf("# trained RL for %d episodes (timely served per episode: %v)\n",
+			len(trainRewards), trainRewards)
 	}
 	if f.SavePolicy != "" {
 		if err := sys.SavePolicy(f.SavePolicy); err != nil {

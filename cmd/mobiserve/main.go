@@ -49,7 +49,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "serve the session API, /metrics, /healthz and /debug/pprof on this address")
 		scale    = flag.String("scale", "small", "scenario scale: "+core.ScaleNames)
 		seed     = flag.Int64("seed", 1, "scenario/model seed")
-		teams    = flag.Int("teams", 0, "default fleet size for sessions that do not choose one (0 = max daily requests)")
+		teams    = flag.Int("teams", 0, "default fleet size for sessions that do not choose one (0 = one team per four peak-day requests, at least 6)")
 		episodes = flag.Int("episodes", 0, "RL training episodes before serving (0 = serve the policy as loaded/initialized)")
 		loadPol  = flag.String("load-policy", "", "warm-start the MR policy from a checkpoint before serving")
 		maxSess  = flag.Int("max-sessions", 0, "live session cap (0 = 4096)")

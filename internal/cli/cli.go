@@ -69,7 +69,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Scale, "scale", d.Scale, "scenario scale: "+core.ScaleNames)
 	fs.IntVar(&f.Episodes, "episodes", d.Episodes, d.EpisodesUsage)
-	fs.IntVar(&f.Teams, "teams", 0, "fleet size (0 = max daily requests, like the paper)")
+	fs.IntVar(&f.Teams, "teams", 0, "fleet size (0 = one team per four peak-day requests, at least 6)")
 	fs.Int64Var(&f.Seed, "seed", 1, "random seed")
 	fs.StringVar(&f.Chaos, "chaos", "off", "chaos profile: "+chaos.ProfileNames)
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "chaos fault-schedule seed")

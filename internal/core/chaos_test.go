@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"mobirescue/internal/chaos"
+	"mobirescue/internal/obs/eventlog"
 )
 
 // TestChaosDegradationBounded is the PR's acceptance gate: under the
@@ -60,5 +62,59 @@ func TestChaosDegradationBounded(t *testing.T) {
 	if again.TotalServed() != served || again.Resilience != faulty.Resilience {
 		t.Errorf("same seed, different outcome: served %d vs %d, resilience %+v vs %+v",
 			again.TotalServed(), served, again.Resilience, faulty.Resilience)
+	}
+}
+
+// TestChaosRejectionsReachResult pins that the simulator sees, rejects
+// and counts every malformed order a chaotic dispatcher emits: the
+// Resilient wrapper passes them through, so the run's resilience stats
+// equal the evaluation run's order_reject events kind by kind.
+func TestChaosRejectionsReachResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full chaotic sim day")
+	}
+	sc := testScenario(t)
+	sys, err := NewSystem(sc, DefaultSystemConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetChaos(chaos.DefaultProfile(), 7); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	l, err := eventlog.New(&buf, sys.BuildManifest("small", sc.Config), eventlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetEventLog(l)
+	res, err := sys.RunMethod("mr", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := eventlog.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejects := map[string]int{}
+	for _, e := range log.Events {
+		if e.Type == eventlog.TypeOrderReject {
+			rejects[e.Kind]++
+		}
+	}
+	got := res.Resilience
+	if got.TotalRejected() == 0 {
+		t.Fatalf("the run counts no rejected orders; its event log has %v", rejects)
+	}
+	for kind, n := range map[string]int{
+		"bad_vehicle": got.OrdersRejectedBadVehicle,
+		"bad_target":  got.OrdersRejectedBadTarget,
+		"duplicate":   got.OrdersRejectedDuplicate,
+	} {
+		if rejects[kind] != n {
+			t.Errorf("%s: result counts %d, event log %d", kind, n, rejects[kind])
+		}
 	}
 }

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
-	"time"
 
 	"mobirescue/internal/dispatch"
+	"mobirescue/internal/nn"
 	"mobirescue/internal/obs/eventlog"
-	"mobirescue/internal/roadnet"
+	"mobirescue/internal/rl"
 	"mobirescue/internal/serve"
 	"mobirescue/internal/sim"
 )
@@ -17,11 +16,16 @@ import (
 // serve.World that constructs one fresh, session-owned simulator (and
 // dispatcher chain) per scenario session. The heavy shared state — the
 // scenario, the trained SVM, the prediction provider (concurrent-safe
-// and deterministic), the trained MR policy — is read-only at serving
-// time; everything mutable (the simulator, the dispatcher's per-run
-// assignment state, the Rescue baseline's online demand history) is
-// built per session, so thousands of sessions advance concurrently
-// without sharing a single mutable word.
+// and deterministic), the frozen MR policy network — is read-only at
+// serving time; everything mutable (the simulator, the dispatcher's
+// per-run assignment state, the Rescue baseline's online demand
+// history) is built per session, so thousands of sessions advance
+// concurrently without sharing a single mutable word.
+//
+// An "mr" session is a view of the system's MR dispatcher (see
+// dispatch.MobiRescue.ActorView): it shares the system's prediction and
+// demand sources, so its prediction follows SetChaos, which nothing
+// that serves sessions calls.
 //
 // Construction is deterministic: the same spec always yields an
 // identical simulator, which is what lets a drained server rebuild a
@@ -29,9 +33,9 @@ import (
 type SessionWorld struct {
 	sys *System
 	// policy is the MR dispatcher's policy network, frozen at world
-	// construction: every "mr" session serves this exact policy even if
+	// construction: every "mr" session reads this one network even if
 	// the system's learner trains on afterwards.
-	policy []byte
+	policy *nn.Network
 }
 
 // SessionMethods lists the dispatch methods a session can request.
@@ -44,11 +48,7 @@ func NewSessionWorld(sys *System) (*SessionWorld, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("core: system required")
 	}
-	var buf bytes.Buffer
-	if err := sys.MR.SavePolicy(&buf); err != nil {
-		return nil, fmt.Errorf("core: freezing MR policy: %w", err)
-	}
-	return &SessionWorld{sys: sys, policy: buf.Bytes()}, nil
+	return &SessionWorld{sys: sys, policy: sys.MR.Agent().SnapshotPolicy()}, nil
 }
 
 // sessionDispatcher builds the session-owned dispatcher chain for a
@@ -64,22 +64,14 @@ func (w *SessionWorld) sessionDispatcher(method string) (sim.Dispatcher, error) 
 	case "rescue":
 		return sys.NewRescueBaseline()
 	case "mr", "mobirescue":
-		mrCfg := sys.Config.MR
-		mrCfg.Capacity = cfgCapacity(sys.Config.Sim)
-		mrCfg.Agent.Seed = sys.Config.Seed
-		mr, err := dispatch.NewMobiRescue(sys.Scenario.City.NumRegions(), func(t time.Time) map[roadnet.SegmentID]float64 {
-			return sys.EvalProvider.Predict(t)
-		}, mrCfg)
+		// With training off the view decides greedily and never draws
+		// from the actor's exploration stream.
+		actor, err := rl.NewActor(w.policy, 0, sys.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if err := mr.LoadPolicy(bytes.NewReader(w.policy)); err != nil {
-			return nil, err
-		}
+		mr := sys.MR.ActorView(actor)
 		mr.SetTraining(false)
-		mr.SetDemandSource(func(t time.Time) []float64 {
-			return sys.EvalProvider.RegionTotals(t)
-		})
 		return mr, nil
 	default:
 		return nil, fmt.Errorf("core: unknown session method %q (want %s)", method, strings.Join(SessionMethods, ", "))

@@ -37,8 +37,9 @@ const (
 type SystemConfig struct {
 	// Seed drives training randomness and fleet placement.
 	Seed int64
-	// Teams is the fleet size; 0 sizes it like the paper (the maximum
-	// daily number of requests, 100 in their evaluation).
+	// Teams is the fleet size; 0 sizes it at one team per four requests
+	// on the evaluation episode's peak day, and at least 6 (EXPERIMENTS
+	// "Fleet sizing").
 	Teams int
 	// TrainEpisodes is how many simulated training days the RL dispatcher
 	// learns for.

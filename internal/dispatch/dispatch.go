@@ -119,23 +119,19 @@ func rankedSegmentsInRegion(snap *sim.Snapshot, region int, pred map[roadnet.Seg
 	return out
 }
 
-// bestSegmentInRegion picks the open segment in the region with the
-// highest predicted demand; with no demand it falls back to the segment
-// whose midpoint is nearest the region center.
-func bestSegmentInRegion(snap *sim.Snapshot, region int, pred map[roadnet.SegmentID]float64) roadnet.SegmentID {
-	if ranked := rankedSegmentsInRegion(snap, region, pred); len(ranked) > 0 {
-		return ranked[0]
-	}
+// nearestOpenInRegion returns the region's segment nearest the region
+// center that is open under cost, or NoSegment when cost closes the
+// whole region.
+func nearestOpenInRegion(snap *sim.Snapshot, cost roadnet.CostModel, region int) roadnet.SegmentID {
 	g := snap.City.Graph
-	best := roadnet.NoSegment
-	// Patrol fallback: open segment nearest the region center.
 	center := snap.City.Regions[region].Center
+	best := roadnet.NoSegment
 	bestD := math.Inf(1)
 	g.Segments(func(s roadnet.Segment) {
 		if s.Region != region {
 			return
 		}
-		if _, open := snap.Cost.SegmentTime(s); !open {
+		if w, open := cost.SegmentTime(s); !open || math.IsInf(w, 1) {
 			return
 		}
 		if d := geo.FastDistance(g.SegmentMidpoint(s.ID), center); d < bestD {
@@ -146,25 +142,13 @@ func bestSegmentInRegion(snap *sim.Snapshot, region int, pred map[roadnet.Segmen
 	return best
 }
 
-// bestOpenSegmentInRegion returns the region's civilian-open segment
-// nearest the region center, or NoSegment when the whole region is under
-// water.
-func bestOpenSegmentInRegion(snap *sim.Snapshot, baseCost roadnet.CostModel, region int) roadnet.SegmentID {
-	g := snap.City.Graph
-	center := snap.City.Regions[region].Center
-	best := roadnet.NoSegment
-	bestD := math.Inf(1)
-	g.Segments(func(s roadnet.Segment) {
-		if s.Region != region {
-			return
-		}
-		if w, open := baseCost.SegmentTime(s); !open || math.IsInf(w, 1) {
-			return
-		}
-		if d := geo.FastDistance(g.SegmentMidpoint(s.ID), center); d < bestD {
-			bestD = d
-			best = s.ID
-		}
-	})
-	return best
+// arrival is the time a team at pos needs to reach the end of segment
+// s, which takes w seconds to drive, given the shortest-path tree and
+// head time Router.TreeFromPosition returned for pos: head when the team
+// is already on s, +Inf when s.From is unreachable.
+func arrival(tree *roadnet.Tree, head float64, pos roadnet.Position, s roadnet.Segment, w float64) float64 {
+	if pos.Seg == s.ID {
+		return head
+	}
+	return head + tree.TimeTo(s.From) + w
 }

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -82,11 +83,11 @@ func TestBestSegmentInRegion(t *testing.T) {
 		byRegion[2][0]: 1,
 		byRegion[2][1]: 9,
 	}
-	if got := bestSegmentInRegion(snap, 2, pred); got != byRegion[2][1] {
+	if got := rankedSegmentsInRegion(snap, 2, pred)[0]; got != byRegion[2][1] {
 		t.Errorf("best = %v, want the higher-demand segment %v", got, byRegion[2][1])
 	}
 	// No demand: patrol fallback near the region center.
-	got := bestSegmentInRegion(snap, 5, nil)
+	got := nearestOpenInRegion(snap, snap.Cost, 5)
 	if got == roadnet.NoSegment {
 		t.Fatal("fallback returned no segment")
 	}
@@ -94,6 +95,36 @@ func TestBestSegmentInRegion(t *testing.T) {
 		t.Errorf("fallback segment in region %d, want 5", city.Graph.Segment(got).Region)
 	}
 }
+
+func TestArrival(t *testing.T) {
+	city := testCity(t)
+	g := city.Graph
+	pos, err := g.AtLandmark(city.Depot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, head := roadnet.NewRouter(g, roadnet.FreeFlow{}).TreeFromPosition(pos)
+	here := g.Segment(pos.Seg)
+	if got := arrival(tree, head, pos, here, 1e6); got != head {
+		t.Errorf("own segment: arrival = %v, want head %v", got, head)
+	}
+	far := g.Segment(g.Out(city.Hospitals[3])[0])
+	w := far.FreeFlowTime()
+	if got, want := arrival(tree, head, pos, far, w), head+tree.TimeTo(far.From)+w; got != want || math.IsInf(got, 1) {
+		t.Errorf("other segment: arrival = %v, want %v", got, want)
+	}
+	// With every road closed, nothing past the team's own segment is
+	// reachable.
+	closed, head := roadnet.NewRouter(g, closedAll{}).TreeFromPosition(pos)
+	if got := arrival(closed, head, pos, far, w); !math.IsInf(got, 1) {
+		t.Errorf("unreachable segment: arrival = %v, want +Inf", got)
+	}
+}
+
+// closedAll closes every segment.
+type closedAll struct{}
+
+func (closedAll) SegmentTime(roadnet.Segment) (float64, bool) { return 0, false }
 
 func constPredict(pred map[roadnet.SegmentID]float64) PredictFn {
 	return func(time.Time) map[roadnet.SegmentID]float64 { return pred }

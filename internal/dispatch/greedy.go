@@ -60,15 +60,7 @@ func (Greedy) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 			if !open || math.IsInf(w, 1) {
 				continue
 			}
-			var t float64
-			if rq.Seg == v.Pos.Seg {
-				t = head
-			} else if tree.Reachable(s.From) {
-				t = head + tree.TimeTo(s.From) + w
-			} else {
-				continue
-			}
-			if t < bestT {
+			if t := arrival(tree, head, v.Pos, s, w); t < bestT {
 				bestT = t
 				best = rq.Seg
 			}

@@ -153,9 +153,11 @@ func NewMobiRescue(numRegions int, predict PredictFn, cfg MRConfig) (*MobiRescue
 // concurrency-safe and the policy snapshot is only read, so any number of
 // views can replay days at once while the learner stays untouched.
 //
-// The view is always in training mode (transitions flow to p.Observe);
-// learner-only methods (Agent, SavePolicy, LoadPolicy, EnableMetrics)
-// must not be called on it.
+// The view starts in training mode (transitions flow to p.Observe);
+// with SetTraining(false) it decides with p.Greedy and observes nothing,
+// which is how serving sessions run a frozen policy. Learner-only
+// methods (Agent, SavePolicy, LoadPolicy, EnableMetrics) must not be
+// called on it.
 func (m *MobiRescue) ActorView(p rl.Policy) *MobiRescue {
 	return &MobiRescue{
 		cfg:        m.cfg,
@@ -286,21 +288,16 @@ func (m *MobiRescue) RestoreState(blob []byte) error {
 	return nil
 }
 
-// buildState assembles one vehicle's state vector: per-region normalized
-// predicted demand, per-region travel time from the vehicle, onboard
-// fraction, and serving flag. Wall-clock time is deliberately excluded:
-// the demand distribution is the signal, and hour-of-day features make
-// the policy memorize the training day's temporal pattern (e.g. "nobody
+// buildState assembles one vehicle's state vector: per-region
+// normalized predicted demand (shares), per-region travel time from the
+// vehicle, onboard fraction, serving flag, and the fleet-coverage
+// feature (coverage). Wall-clock time is deliberately excluded: the
+// demand distribution is the signal, and hour-of-day features make the
+// policy memorize the training day's temporal pattern (e.g. "nobody
 // needs rescue overnight"), which does not transfer across storms.
-func (m *MobiRescue) buildState(snap *sim.Snapshot, v sim.VehicleState, demand []float64, times []float64) []float64 {
+func (m *MobiRescue) buildState(v sim.VehicleState, shares, times []float64, coverage float64) []float64 {
 	state := make([]float64, 0, 2*m.numRegions+3)
-	total := 0.0
-	for r := 1; r <= m.numRegions; r++ {
-		total += demand[r]
-	}
-	for r := 1; r <= m.numRegions; r++ {
-		state = append(state, demand[r]/(1+total))
-	}
+	state = append(state, shares...)
 	for r := 0; r < m.numRegions; r++ {
 		t := times[r]
 		if math.IsInf(t, 1) {
@@ -317,17 +314,7 @@ func (m *MobiRescue) buildState(snap *sim.Snapshot, v sim.VehicleState, demand [
 		serving = 1
 	}
 	state = append(state, serving)
-	// Fleet coverage: fraction of teams already out working. This lets
-	// the policy learn "enough teams are deployed" as a stable signal
-	// instead of every team flipping between serve and depot together.
-	working := 0
-	for _, o := range snap.Vehicles {
-		if o.Phase == sim.PhaseServing || o.Phase == sim.PhaseDelivering || o.Phase == sim.PhaseDwell {
-			working++
-		}
-	}
-	state = append(state, float64(working)/float64(len(snap.Vehicles)))
-	return state
+	return append(state, coverage)
 }
 
 // demandVector derives the per-region demand vector for the RL state.
@@ -371,15 +358,23 @@ func (m *MobiRescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 		pred[rq.Seg] += 10
 	}
 	demand := m.demandVector(snap, pred)
+	// The state's demand shares are the same for every team.
+	total := 0.0
+	for r := 1; r <= m.numRegions; r++ {
+		total += demand[r]
+	}
+	shares := make([]float64, m.numRegions)
+	for r := 1; r <= m.numRegions; r++ {
+		shares[r-1] = demand[r] / (1 + total)
+	}
 	// The civilian-operability view distinguishes genuinely open roads
 	// from flooded ones the rescue cost model merely crawls through.
-	var baseCost roadnet.CostModel = snap.Cost
-	if rc, ok := snap.Cost.(sim.RescueCost); ok && rc.Base != nil {
-		baseCost = rc.Base
-	}
+	baseCost := sim.Civilian(snap.Cost)
 	// Per-region ranked target segments under the current flood state;
 	// the per-team selection below spreads same-round teams across a
-	// region's demand segments instead of piling onto one.
+	// region's demand segments instead of piling onto one. A region
+	// without predicted demand on open roads falls back to a patrol post
+	// near its center.
 	targets := make([]roadnet.SegmentID, m.numRegions+1)
 	targetLists := make([][]roadnet.SegmentID, m.numRegions+1)
 	loaded := make(map[roadnet.SegmentID]int) // targets taken this round
@@ -388,7 +383,7 @@ func (m *MobiRescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 		if len(targetLists[r]) > 0 {
 			targets[r] = targetLists[r][0]
 		} else {
-			targets[r] = bestSegmentInRegion(snap, r, pred)
+			targets[r] = nearestOpenInRegion(snap, snap.Cost, r)
 		}
 	}
 
@@ -396,37 +391,34 @@ func (m *MobiRescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	// outstanding assignment anymore.
 	working := 0
 	for _, v := range snap.Vehicles {
-		switch v.Phase {
-		case sim.PhaseServing, sim.PhaseDelivering, sim.PhaseDwell:
+		if v.Phase.Working() {
 			working++
-		default:
+		} else {
 			delete(m.assigned, v.ID)
 		}
 	}
+	// Fleet coverage: fraction of teams already out working. This lets
+	// the policy learn "enough teams are deployed" as a stable signal
+	// instead of every team flipping between serve and depot together.
+	coverage := float64(working) / float64(len(snap.Vehicles))
 
-	// Warm the shared tree cache for every free team in parallel before
-	// the sequential decision loop: co-located teams share one Dijkstra
-	// and the loop below runs on cache hits.
+	// Only free teams are redirected: teams already driving to a target,
+	// picking up, or delivering keep working — reassigning the whole
+	// fleet every round would churn routes so much that nobody ever
+	// arrives.
 	free := make([]sim.VehicleState, 0, len(snap.Vehicles))
 	for _, v := range snap.Vehicles {
-		if (v.Phase == sim.PhaseIdle || v.Phase == sim.PhaseToDepot) && v.Onboard < m.cfg.Capacity {
+		if v.Phase.Free() && v.Onboard < m.cfg.Capacity {
 			free = append(free, v)
 		}
 	}
+	// Warm the shared tree cache for every free team in parallel before
+	// the sequential decision loop: co-located teams share one Dijkstra
+	// and the loop below runs on cache hits.
 	prefetchTrees(snap.Router, free)
 
 	var orders []sim.Order
-	for _, v := range snap.Vehicles {
-		// Only redirect teams that are free: teams already driving to a
-		// target, picking up, or delivering keep working — reassigning
-		// the whole fleet every round would churn routes so much that
-		// nobody ever arrives.
-		if v.Phase != sim.PhaseIdle && v.Phase != sim.PhaseToDepot {
-			continue
-		}
-		if v.Onboard >= m.cfg.Capacity {
-			continue
-		}
+	for _, v := range free {
 		// One Dijkstra per vehicle; per-region times derive from it.
 		tree, head := snap.Router.TreeFromPosition(v.Pos)
 		times := make([]float64, m.numRegions)
@@ -443,16 +435,12 @@ func (m *MobiRescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 				times[r-1] = math.Inf(1)
 				continue
 			}
-			if v.Pos.Seg == seg {
-				times[r-1] = head
-			} else {
-				times[r-1] = head + tree.TimeTo(s.From) + w
-			}
+			times[r-1] = arrival(tree, head, v.Pos, s, w)
 			mask[r-1] = !math.IsInf(times[r-1], 1)
 		}
 		mask[m.depotAction()] = tree.Reachable(snap.City.Depot)
 
-		state := m.buildState(snap, v, demand, times)
+		state := m.buildState(v, shares, times, coverage)
 
 		// Close out the previous decision's transition.
 		if prev, ok := m.last[v.ID]; ok && m.training {
@@ -521,10 +509,7 @@ func (m *MobiRescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 				if bw, baseOpen := baseCost.SegmentTime(s); !baseOpen || math.IsInf(bw, 1) {
 					continue
 				}
-				t := head + tree.TimeTo(s.From) + w
-				if v.Pos.Seg == seg {
-					t = head
-				}
+				t := arrival(tree, head, v.Pos, s, w)
 				// Load-balance across same-round teams with a mild bias
 				// toward heavier demand; the coverage pass below handles
 				// waiting requests optimally, so positioning should stay
@@ -539,7 +524,7 @@ func (m *MobiRescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 			if math.IsInf(best, 1) {
 				// Every demand segment in the region is under water: stage
 				// at the open segment nearest the region center instead.
-				if seg := bestOpenSegmentInRegion(snap, baseCost, region); seg != roadnet.NoSegment {
+				if seg := nearestOpenInRegion(snap, baseCost, region); seg != roadnet.NoSegment {
 					target = seg
 				}
 			}
@@ -620,10 +605,8 @@ func (m *MobiRescue) coverWaitingRequests(snap *sim.Snapshot, orders []sim.Order
 	}
 	var cands []candidate
 	posOf := make(map[sim.VehicleID]roadnet.Position)
-	busy := make(map[sim.VehicleID]sim.VehiclePhase)
 	for _, v := range snap.Vehicles {
 		posOf[v.ID] = v.Pos
-		busy[v.ID] = v.Phase
 	}
 	for i, o := range orders {
 		if o.ToDepot || perSeg[o.Target] == 0 {
@@ -652,12 +635,8 @@ func (m *MobiRescue) coverWaitingRequests(snap *sim.Snapshot, orders []sim.Order
 		tree, head := snap.Router.TreeFromPosition(c.from)
 		for di, seg := range deficits {
 			s := g.Segment(seg)
-			if c.from.Seg == seg {
-				cost[ci][di] = head
-				continue
-			}
 			w, _ := snap.Cost.SegmentTime(s)
-			t := head + tree.TimeTo(s.From) + w
+			t := arrival(tree, head, c.from, s, w)
 			if math.IsInf(t, 1) {
 				t = ilp.Infeasible
 			}

@@ -78,10 +78,9 @@ func (r *Rescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	// whole fleet every round churns routes and nobody ever arrives).
 	var avail []sim.VehicleState
 	for _, v := range snap.Vehicles {
-		if v.Phase != sim.PhaseIdle && v.Phase != sim.PhaseToDepot {
-			continue
+		if v.Phase.Free() {
+			avail = append(avail, v)
 		}
-		avail = append(avail, v)
 	}
 	if len(avail) == 0 {
 		return nil, r.latency.Latency(0)
@@ -95,7 +94,7 @@ func (r *Rescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	// simulator's rescue-crawl adapter every segment reads "open" (at
 	// crawl cost), which would silently defeat this method's advertised
 	// flood-awareness.
-	base := civilianBase(snap.Cost)
+	base := sim.Civilian(snap.Cost)
 	type segDemand struct {
 		seg roadnet.SegmentID
 		n   float64
@@ -144,11 +143,7 @@ func (r *Rescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 					cost[i][j] = ilp.Infeasible
 					continue
 				}
-				if v.Pos.Seg == seg {
-					cost[i][j] = head
-				} else {
-					cost[i][j] = head + tree.TimeTo(s.From) + w
-				}
+				cost[i][j] = arrival(tree, head, v.Pos, s, w)
 			}
 		}
 		if assignment, _, err := ilp.Hungarian(cost); err == nil || assignment != nil {
@@ -166,7 +161,7 @@ func (r *Rescue) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	// Standby posts must also sit on civilian-open roads.
 	var standby []roadnet.SegmentID
 	for reg := 1; reg <= snap.City.NumRegions(); reg++ {
-		if seg := bestOpenSegmentInRegion(snap, base, reg); seg != roadnet.NoSegment {
+		if seg := nearestOpenInRegion(snap, base, reg); seg != roadnet.NoSegment {
 			standby = append(standby, seg)
 		}
 	}

@@ -57,15 +57,12 @@ func DefaultResilientConfig() ResilientConfig {
 
 // resilientMetrics holds the wrapper's nil-safe counter handles.
 type resilientMetrics struct {
-	panics      *obs.Counter
-	timeouts    *obs.Counter
-	fallbacks   *obs.Counter
-	recoveries  *obs.Counter
-	dropVehicle *obs.Counter
-	dropTarget  *obs.Counter
-	dropDup     *obs.Counter
-	dropClosed  *obs.Counter
-	remapped    *obs.Counter
+	panics     *obs.Counter
+	timeouts   *obs.Counter
+	fallbacks  *obs.Counter
+	recoveries *obs.Counter
+	dropClosed *obs.Counter
+	remapped   *obs.Counter
 }
 
 // decideResult carries one primary Decide outcome across the goroutine
@@ -79,12 +76,11 @@ type decideResult struct {
 
 // Resilient hardens any sim.Dispatcher: it recovers injected or
 // accidental panics in Decide, bounds each call with a wall-clock
-// deadline, validates and sanitizes the returned orders (unknown
-// vehicles, out-of-range or flood-closed targets, duplicates), and
-// after MaxFailures consecutive primary failures serves rounds from a
-// cheap Greedy fallback, retrying the primary with exponential backoff.
-// Every event is counted through internal/obs when EnableMetrics is
-// called.
+// deadline, remaps or drops the returned orders that target
+// flood-closed roads (see Sanitize), and after MaxFailures consecutive
+// primary failures serves rounds from a cheap Greedy fallback, retrying
+// the primary with exponential backoff. Every event is counted through
+// internal/obs when EnableMetrics is called.
 //
 // Decide is not safe for concurrent use — like every dispatcher in this
 // repo it is driven by the single-threaded simulator. When a primary
@@ -153,12 +149,6 @@ func (r *Resilient) EnableMetrics(reg *obs.Registry) {
 		timeouts:   reg.Counter(MetricResilientTimeouts, "Primary Decide deadline expirations.", m),
 		fallbacks:  reg.Counter(MetricResilientFallbacks, "Rounds served by the fallback policy.", m),
 		recoveries: reg.Counter(MetricResilientRecoveries, "Primary recoveries after failures.", m),
-		dropVehicle: reg.Counter(MetricResilientDropped,
-			"Orders dropped by sanitization.", m, obs.L("reason", "bad_vehicle")),
-		dropTarget: reg.Counter(MetricResilientDropped,
-			"Orders dropped by sanitization.", m, obs.L("reason", "bad_target")),
-		dropDup: reg.Counter(MetricResilientDropped,
-			"Orders dropped by sanitization.", m, obs.L("reason", "duplicate")),
 		dropClosed: reg.Counter(MetricResilientDropped,
 			"Orders dropped by sanitization.", m, obs.L("reason", "closed_no_remap")),
 		remapped: reg.Counter(MetricResilientRemapped,
@@ -326,64 +316,37 @@ func (r *Resilient) RestoreState(blob []byte) error {
 	return nil
 }
 
-// civilianBase unwraps the rescue-crawl adapter so closures are judged
-// on the civilian flood model (under sim.RescueCost every segment reads
-// "open").
-func civilianBase(cost roadnet.CostModel) roadnet.CostModel {
-	if rc, ok := cost.(sim.RescueCost); ok && rc.Base != nil {
-		return rc.Base
-	}
-	return cost
-}
-
-// Sanitize validates one order batch against the snapshot: orders
-// naming unknown vehicles or out-of-range segments are dropped,
-// same-round duplicates for a vehicle are dropped (first wins), and
-// anticipatory orders targeting a civilian-closed segment are remapped
-// to the open segment nearest that segment's region center (dropping
-// the stale route) or dropped when the whole region is under water. A
-// closed target that holds an active waiting request is left alone:
-// crawling a team into the water to reach a known victim is the
-// mission, not a fault. The simulator independently re-validates, so
-// this is defense in depth — it keeps a faulty primary's garbage out of
-// the modeled radio channel and makes the rejection observable at the
-// dispatcher.
+// Sanitize applies the wrapper's own order rule: an anticipatory order
+// whose target is closed to civilians is remapped to the open segment
+// nearest that segment's region center (dropping the stale route), or
+// dropped when the whole region is under water. A closed target that
+// holds an active waiting request is left alone: crawling a team into
+// the water to reach a known victim is the mission, not a fault. Orders
+// that sim.OrderFault flags pass through untouched, so the simulator,
+// the one order validator, rejects and counts them.
 func (r *Resilient) Sanitize(snap *sim.Snapshot, orders []sim.Order) []sim.Order {
 	if len(orders) == 0 {
 		return orders
-	}
-	valid := make(map[sim.VehicleID]bool, len(snap.Vehicles))
-	for _, v := range snap.Vehicles {
-		valid[v.ID] = true
 	}
 	requested := make(map[roadnet.SegmentID]bool, len(snap.ActiveRequests))
 	for _, rq := range snap.ActiveRequests {
 		requested[rq.Seg] = true
 	}
 	g := snap.City.Graph
-	base := civilianBase(snap.Cost)
+	base := sim.Civilian(snap.Cost)
+	// seen tracks the simulator's view: the vehicles of the orders kept
+	// so far, so a pass-through duplicate stays a duplicate there.
 	seen := make(map[sim.VehicleID]bool, len(orders))
 	out := orders[:0:0] // fresh backing array, same capacity hint
 	for _, o := range orders {
-		if !valid[o.Vehicle] {
-			r.met.dropVehicle.Inc()
-			r.reject("bad_vehicle", o.Vehicle)
-			continue
-		}
-		if seen[o.Vehicle] {
-			r.met.dropDup.Inc()
-			r.reject("duplicate", o.Vehicle)
+		if sim.OrderFault(o, len(snap.Vehicles), g.NumSegments(), seen) != "" {
+			out = append(out, o)
 			continue
 		}
 		if !o.ToDepot {
-			if int(o.Target) < 0 || int(o.Target) >= g.NumSegments() {
-				r.met.dropTarget.Inc()
-				r.reject("bad_target", o.Vehicle)
-				continue
-			}
 			s := g.Segment(o.Target)
 			if w, open := base.SegmentTime(s); !requested[o.Target] && (!open || math.IsInf(w, 1)) {
-				remap := bestOpenSegmentInRegion(snap, base, s.Region)
+				remap := nearestOpenInRegion(snap, base, s.Region)
 				if remap == roadnet.NoSegment {
 					r.met.dropClosed.Inc()
 					r.reject("closed_no_remap", o.Vehicle)

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,13 +167,17 @@ func TestResilientSanitize(t *testing.T) {
 		{Vehicle: 1, Target: closedSeg, Route: []roadnet.SegmentID{closedSeg}}, // closed: remap
 	}
 	out := r.Sanitize(snap, in)
-	if len(out) != 2 {
-		t.Fatalf("sanitized to %d orders, want 2: %+v", len(out), out)
+	if len(out) != len(in) {
+		t.Fatalf("sanitized to %d orders, want %d: %+v", len(out), len(in), out)
 	}
-	if out[0].Vehicle != 0 || out[0].Target != openSeg {
-		t.Errorf("first surviving order = %+v", out[0])
+	// Malformed orders pass through untouched for the simulator to
+	// reject and count; the good order stays as it is.
+	for i := 0; i < 4; i++ {
+		if !reflect.DeepEqual(out[i], in[i]) {
+			t.Errorf("order %d = %+v, want %+v untouched", i, out[i], in[i])
+		}
 	}
-	remapped := out[1]
+	remapped := out[4]
 	if remapped.Vehicle != 1 {
 		t.Fatalf("second surviving order = %+v", remapped)
 	}

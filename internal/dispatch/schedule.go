@@ -47,46 +47,6 @@ func (s *Schedule) Name() string { return "Schedule" }
 // never changes the orders produced. Call before the first Decide.
 func (s *Schedule) SetWorkers(n int) { s.freeRouter.SetWorkers(n) }
 
-// vehiclePlan caches one vehicle's free-flow shortest-path tree so the
-// cost matrix and the final routes come from a single Dijkstra per
-// vehicle.
-type vehiclePlan struct {
-	pos  roadnet.Position
-	tree *roadnet.Tree
-	head float64
-}
-
-// timeTo returns the free-flow travel time from the plan's position to
-// the end of seg.
-func (vp *vehiclePlan) timeTo(g *roadnet.Graph, seg roadnet.SegmentID) float64 {
-	if vp.pos.Seg == seg {
-		return vp.head
-	}
-	s := g.Segment(seg)
-	return vp.head + vp.tree.TimeTo(s.From) + s.FreeFlowTime()
-}
-
-// routeTo reconstructs the free-flow route from the plan's position to
-// the end of seg, or nil when unreachable.
-func (vp *vehiclePlan) routeTo(g *roadnet.Graph, seg roadnet.SegmentID) []roadnet.SegmentID {
-	if vp.pos.Seg == seg {
-		return []roadnet.SegmentID{seg}
-	}
-	s := g.Segment(seg)
-	if !vp.tree.Reachable(s.From) {
-		return nil
-	}
-	path, err := vp.tree.PathTo(s.From)
-	if err != nil {
-		return nil
-	}
-	route := make([]roadnet.SegmentID, 0, len(path)+2)
-	route = append(route, vp.pos.Seg)
-	route = append(route, path...)
-	route = append(route, seg)
-	return route
-}
-
 // Decide implements sim.Dispatcher.
 func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	g := snap.City.Graph
@@ -95,10 +55,9 @@ func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	// whole fleet every round churns routes and nobody ever arrives).
 	var avail []sim.VehicleState
 	for _, v := range snap.Vehicles {
-		if v.Phase != sim.PhaseIdle && v.Phase != sim.PhaseToDepot {
-			continue
+		if v.Phase.Free() {
+			avail = append(avail, v)
 		}
-		avail = append(avail, v)
 	}
 	delay := s.latency.Latency(len(avail) + len(snap.ActiveRequests))
 	if len(avail) == 0 {
@@ -109,20 +68,17 @@ func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 	// recurring positions (the hospitals teams hold between calls) are
 	// hits across the whole run, not just within a round.
 	prefetchTrees(s.freeRouter, avail)
-	plans := make([]vehiclePlan, len(avail))
-	for i, v := range avail {
-		tree, head := s.freeRouter.TreeFromPosition(v.Pos)
-		plans[i] = vehiclePlan{pos: v.Pos, tree: tree, head: head}
-	}
 
 	orders := make([]sim.Order, 0, len(avail))
 	assigned := make(map[int]bool) // avail index -> has order
 	if len(snap.ActiveRequests) > 0 {
 		cost := make([][]float64, len(avail))
-		for i := range avail {
+		for i, v := range avail {
+			tree, head := s.freeRouter.TreeFromPosition(v.Pos)
 			cost[i] = make([]float64, len(snap.ActiveRequests))
 			for j, rq := range snap.ActiveRequests {
-				t := plans[i].timeTo(g, rq.Seg)
+				seg := g.Segment(rq.Seg)
+				t := arrival(tree, head, v.Pos, seg, seg.FreeFlowTime())
 				if math.IsInf(t, 1) {
 					t = ilp.Infeasible
 				}
@@ -138,7 +94,7 @@ func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 				orders = append(orders, sim.Order{
 					Vehicle: avail[i].ID,
 					Target:  target,
-					Route:   plans[i].routeTo(g, target),
+					Route:   s.route(avail[i].Pos, target),
 				})
 				assigned[i] = true
 			}
@@ -167,8 +123,19 @@ func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 		orders = append(orders, sim.Order{
 			Vehicle: v.ID,
 			Target:  target,
-			Route:   plans[i].routeTo(g, target),
+			Route:   s.route(v.Pos, target),
 		})
 	}
 	return orders, delay
+}
+
+// route is the free-flow route from pos to the end of target, or nil
+// when the free-flow map has none; the simulator then routes the team
+// itself. It reads the tree Decide prefetched for pos.
+func (s *Schedule) route(pos roadnet.Position, target roadnet.SegmentID) []roadnet.SegmentID {
+	rt, err := s.freeRouter.RouteToSegmentEnd(pos, target)
+	if err != nil {
+		return nil
+	}
+	return rt.Segs
 }

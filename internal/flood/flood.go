@@ -200,20 +200,6 @@ func patchiness(cell int) float64 {
 	return 0.55 + 0.9*float64(h%1000)/999.0
 }
 
-// DepthAt returns the water depth in meters at p at the model's current
-// time.
-func (m *Model) DepthAt(p geo.Point) float64 {
-	cell := m.cellIndex(p)
-	return m.depthFor(m.accum[cell], m.elev(p)) * patchiness(cell)
-}
-
-// InFloodZone reports whether p lies inside a flooding zone (depth above
-// the zone threshold), the question the paper answers with satellite
-// imaging.
-func (m *Model) InFloodZone(p geo.Point) bool {
-	return m.DepthAt(p) >= m.params.ZoneDepth
-}
-
 // RoadState is an immutable per-segment operability snapshot: the
 // surviving road network Ẽ at a moment in time. It implements
 // roadnet.CostModel.

@@ -2,6 +2,7 @@ package flood
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -77,24 +78,22 @@ func TestNewModelRequiresFieldAndElev(t *testing.T) {
 }
 
 func TestDryWithoutRain(t *testing.T) {
-	m := newTestModel(t, weather.Calm{}, flatElev(190))
-	m.AdvanceTo(t0.Add(24 * time.Hour))
-	if d := m.DepthAt(downtown); d != 0 {
+	h := historyOf(t, newTestModel(t, weather.Calm{}, flatElev(190)), 24)
+	at := t0.Add(24 * time.Hour)
+	if d := h.DepthAt(downtown, at); d != 0 {
 		t.Errorf("depth without rain = %v", d)
 	}
-	if m.InFloodZone(downtown) {
+	if h.InFloodZone(downtown, at) {
 		t.Error("flood zone without rain")
 	}
 }
 
 func TestDepthGrowsWithRainAndLowGround(t *testing.T) {
-	low := newTestModel(t, constRain{50}, flatElev(190))
-	high := newTestModel(t, constRain{50}, flatElev(230))
-	dry := newTestModel(t, constRain{50}, flatElev(240)) // above RefAltitude
-	for _, m := range []*Model{low, high, dry} {
-		m.AdvanceTo(t0.Add(12 * time.Hour))
+	depth := func(alt float64) float64 {
+		h := historyOf(t, newTestModel(t, constRain{50}, flatElev(alt)), 12)
+		return h.DepthAt(downtown, t0.Add(12*time.Hour))
 	}
-	dLow, dHigh, dDry := low.DepthAt(downtown), high.DepthAt(downtown), dry.DepthAt(downtown)
+	dLow, dHigh, dDry := depth(190), depth(230), depth(240) // 240 m: above RefAltitude
 	if !(dLow > dHigh) {
 		t.Errorf("low ground should flood deeper: low=%v high=%v", dLow, dHigh)
 	}
@@ -107,13 +106,12 @@ func TestDepthGrowsWithRainAndLowGround(t *testing.T) {
 }
 
 func TestDepthMonotoneInTimeDuringRain(t *testing.T) {
-	m := newTestModel(t, constRain{30}, flatElev(195))
+	h := historyOf(t, newTestModel(t, constRain{30}, flatElev(195)), 10)
 	var prev float64
-	for h := 1; h <= 10; h++ {
-		m.AdvanceTo(t0.Add(time.Duration(h) * time.Hour))
-		d := m.DepthAt(downtown)
+	for hour := 1; hour <= 10; hour++ {
+		d := h.DepthAt(downtown, t0.Add(time.Duration(hour)*time.Hour))
 		if d < prev {
-			t.Fatalf("depth decreased during steady rain at hour %d: %v -> %v", h, prev, d)
+			t.Fatalf("depth decreased during steady rain at hour %d: %v -> %v", hour, prev, d)
 		}
 		prev = d
 	}
@@ -121,14 +119,13 @@ func TestDepthMonotoneInTimeDuringRain(t *testing.T) {
 
 func TestDrainageAfterStorm(t *testing.T) {
 	storm := weather.FlorencePreset(t0, downtown)
-	m := newTestModel(t, storm, flatElev(192))
-	m.AdvanceTo(storm.End)
-	peak := m.DepthAt(downtown)
+	drained := storm.End.Add(5 * 24 * time.Hour)
+	h := historyOf(t, newTestModel(t, storm, flatElev(192)), int(drained.Sub(t0)/time.Hour))
+	peak := h.DepthAt(downtown, storm.End)
 	if peak <= 0 {
 		t.Fatal("storm produced no flooding at downtown")
 	}
-	m.AdvanceTo(storm.End.Add(5 * 24 * time.Hour))
-	after := m.DepthAt(downtown)
+	after := h.DepthAt(downtown, drained)
 	if after >= peak {
 		t.Errorf("flood should drain after the storm: peak=%v after=%v", peak, after)
 	}
@@ -140,9 +137,9 @@ func TestDrainageAfterStorm(t *testing.T) {
 func TestAdvanceToNeverRewinds(t *testing.T) {
 	m := newTestModel(t, constRain{30}, flatElev(195))
 	m.AdvanceTo(t0.Add(2 * time.Hour))
-	d := m.DepthAt(downtown)
+	accum := append([]float64(nil), m.accum...)
 	m.AdvanceTo(t0.Add(time.Hour)) // earlier: no-op
-	if m.DepthAt(downtown) != d {
+	if !reflect.DeepEqual(m.accum, accum) {
 		t.Error("rewinding changed state")
 	}
 	if !m.Now().Equal(t0.Add(2 * time.Hour)) {
@@ -151,13 +148,13 @@ func TestAdvanceToNeverRewinds(t *testing.T) {
 }
 
 func TestInFloodZoneThreshold(t *testing.T) {
-	m := newTestModel(t, constRain{80}, flatElev(190))
-	if m.InFloodZone(downtown) {
+	h := historyOf(t, newTestModel(t, constRain{80}, flatElev(190)), 24)
+	if h.InFloodZone(downtown, t0) {
 		t.Error("flood zone before any rain")
 	}
-	m.AdvanceTo(t0.Add(24 * time.Hour))
-	if !m.InFloodZone(downtown) {
-		t.Errorf("24 h of heavy rain on low ground should be a flood zone (depth=%v)", m.DepthAt(downtown))
+	at := t0.Add(24 * time.Hour)
+	if !h.InFloodZone(downtown, at) {
+		t.Errorf("24 h of heavy rain on low ground should be a flood zone (depth=%v)", h.DepthAt(downtown, at))
 	}
 }
 
@@ -175,9 +172,9 @@ func buildTestGraph(t *testing.T, alt float64) (*roadnet.Graph, roadnet.SegmentI
 	return g, ab
 }
 
-// newTestRoadHistory records hours of m's flood timeline from t0, the
-// source of the road operability snapshots under test.
-func newTestRoadHistory(t *testing.T, m *Model, hours int) *History {
+// historyOf records hours of m's flood timeline from t0, the source of
+// the depth, flood-zone and road operability queries under test.
+func historyOf(t *testing.T, m *Model, hours int) *History {
 	t.Helper()
 	h, err := NewHistory(m, hours)
 	if err != nil {
@@ -188,7 +185,7 @@ func newTestRoadHistory(t *testing.T, m *Model, hours int) *History {
 
 func TestRoadStateClosesFloodedRoads(t *testing.T) {
 	g, seg := buildTestGraph(t, 190)
-	h := newTestRoadHistory(t, newTestModel(t, constRain{100}, flatElev(190)), 48)
+	h := historyOf(t, newTestModel(t, constRain{100}, flatElev(190)), 48)
 	// Dry state: open at full speed.
 	rs := h.RoadStateAt(g, t0)
 	if f := rs.SpeedFactor(seg); f != 1 {
@@ -212,7 +209,7 @@ func TestRoadStateClosesFloodedRoads(t *testing.T) {
 func TestRoadStatePartialSlowdown(t *testing.T) {
 	g, seg := buildTestGraph(t, 200)
 	m := newTestModel(t, constRain{20}, flatElev(200))
-	hist := newTestRoadHistory(t, m, 72)
+	hist := historyOf(t, m, 72)
 	// Advance until the road is wet but not closed.
 	for h := 1; h <= 72; h++ {
 		rs := hist.RoadStateAt(g, t0.Add(time.Duration(h)*time.Hour))
@@ -237,7 +234,7 @@ func TestRoadStatePartialSlowdown(t *testing.T) {
 
 func TestRoadStateOutOfRange(t *testing.T) {
 	g, _ := buildTestGraph(t, 200)
-	h := newTestRoadHistory(t, newTestModel(t, weather.Calm{}, flatElev(200)), 1)
+	h := historyOf(t, newTestModel(t, weather.Calm{}, flatElev(200)), 1)
 	rs := h.RoadStateAt(g, t0)
 	if d := rs.Depth(roadnet.SegmentID(999)); d != 0 {
 		t.Errorf("out-of-range depth = %v", d)
@@ -255,16 +252,12 @@ func TestFloodZonesFollowStormGeography(t *testing.T) {
 		d := geo.FastDistance(p, geo.Destination(downtown, 330, 9000))
 		return 235 - math.Min(45, d/400)
 	}
-	m, err := NewModel(storm, elev, testBBox(), t0, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.AdvanceTo(t0.Add(60 * time.Hour))
+	h := historyOf(t, newTestModel(t, storm, elev), 60)
+	at := t0.Add(60 * time.Hour)
 	lowPoint := geo.Destination(downtown, 120, 4000) // toward the track, low ground
 	highPoint := geo.Destination(downtown, 330, 8500)
-	if m.DepthAt(lowPoint) <= m.DepthAt(highPoint) {
-		t.Errorf("low ground near the track should flood deeper: low=%v high=%v",
-			m.DepthAt(lowPoint), m.DepthAt(highPoint))
+	if low, high := h.DepthAt(lowPoint, at), h.DepthAt(highPoint, at); low <= high {
+		t.Errorf("low ground near the track should flood deeper: low=%v high=%v", low, high)
 	}
 }
 
@@ -301,8 +294,8 @@ func TestPatchinessDeterministicAndBounded(t *testing.T) {
 func TestFloodIsPatchy(t *testing.T) {
 	// Uniform rain on uniform terrain must still produce spatial variety
 	// in depth (micro-topography), so some corridors survive.
-	m := newTestModel(t, constRain{60}, flatElev(195))
-	m.AdvanceTo(t0.Add(24 * time.Hour))
+	h := historyOf(t, newTestModel(t, constRain{60}, flatElev(195)), 24)
+	at := t0.Add(24 * time.Hour)
 	center := downtown
 	depths := make(map[string]float64)
 	var min, max float64
@@ -310,7 +303,7 @@ func TestFloodIsPatchy(t *testing.T) {
 	for i := -5; i <= 5; i++ {
 		for j := -5; j <= 5; j++ {
 			p := geo.Destination(geo.Destination(center, 0, float64(i)*1200), 90, float64(j)*1200)
-			d := m.DepthAt(p)
+			d := h.DepthAt(p, at)
 			depths[p.String()] = d
 			if first || d < min {
 				min = d

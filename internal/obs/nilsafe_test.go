@@ -50,9 +50,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 			var s *obs.Span
 			s.End()
 			s.End() // double-End must also hold on nil
-			if s.Name() != "" {
-				t.Error("nil span not inert")
-			}
 		}},
 		{"span_from_untraced_context", func() {
 			ctx, s := obs.StartSpan(context.Background(), "op")

@@ -89,14 +89,6 @@ func (s *Span) End() {
 	s.tracer.mu.Unlock()
 }
 
-// Name returns the span's name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // agg is one aggregated node of the rendered span tree: every same-named
 // sibling collapses into one line with a count and total duration.
 type agg struct {

@@ -26,14 +26,14 @@ func TestSpanTreeNesting(t *testing.T) {
 	if len(roots) != 1 {
 		t.Fatalf("roots = %d, want 1", len(roots))
 	}
-	if roots[0].Name() != "build" {
-		t.Errorf("root name = %q", roots[0].Name())
+	if roots[0].name != "build" {
+		t.Errorf("root name = %q", roots[0].name)
 	}
 	kids := roots[0].children
-	if len(kids) != 2 || kids[0].Name() != "flood" || kids[1].Name() != "mobility" {
+	if len(kids) != 2 || kids[0].name != "flood" || kids[1].name != "mobility" {
 		t.Fatalf("children = %+v, want [flood mobility]", kids)
 	}
-	if g := kids[1].children; len(g) != 1 || g[0].Name() != "trips" {
+	if g := kids[1].children; len(g) != 1 || g[0].name != "trips" {
 		t.Errorf("grandchildren = %+v, want [trips]", g)
 	}
 }
@@ -75,9 +75,6 @@ func TestStartSpanWithoutTracer(t *testing.T) {
 		t.Error("context should be returned unchanged without a tracer")
 	}
 	s.End() // nil-safe
-	if s.Name() != "" {
-		t.Error("nil span should read as zero")
-	}
 }
 
 // TestStartSpanNoTracerAllocations pins the zero-alloc disabled path.

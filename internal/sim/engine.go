@@ -513,7 +513,7 @@ func (s *Simulator) round(ctx context.Context) {
 		}
 	}
 	for _, v := range s.vehicles {
-		if v.phase == PhaseServing || v.phase == PhaseDelivering || v.phase == PhaseDwell {
+		if v.phase.Working() {
 			servingSet[v.id] = true
 		}
 	}
@@ -552,51 +552,37 @@ func (s *Simulator) round(ctx context.Context) {
 }
 
 // sanitizeOrders validates one round's order batch instead of trusting
-// the dispatcher blindly: orders naming unknown vehicles or out-of-range
-// target segments are rejected, and same-round duplicates for one
-// vehicle are dropped (first order wins). Every rejection is counted in
-// the run's resilience stats and metrics.
+// the dispatcher blindly: every order OrderFault flags is rejected
+// (for a duplicate, the first order for the vehicle wins). Every
+// rejection is counted in the run's resilience stats and metrics.
 func (s *Simulator) sanitizeOrders(orders []Order) []Order {
 	if len(orders) == 0 {
 		return orders
 	}
 	kept := orders[:0]
 	seen := make(map[VehicleID]bool, len(orders))
-	reject := func(kind string, v VehicleID) {
-		if s.ev != nil {
-			s.ev.Emit(eventlog.Event{Type: eventlog.TypeOrderReject, Kind: kind, Vehicle: int(v)})
-		}
-	}
 	for _, o := range orders {
-		switch {
-		case int(o.Vehicle) < 0 || int(o.Vehicle) >= len(s.vehicles):
-			s.res.OrdersRejectedBadVehicle++
-			s.met.rejectedVehicle.Inc()
-			reject("bad_vehicle", o.Vehicle)
-		case !o.ToDepot && (int(o.Target) < 0 || int(o.Target) >= s.city.Graph.NumSegments()):
-			s.res.OrdersRejectedBadTarget++
-			s.met.rejectedTarget.Inc()
-			reject("bad_target", o.Vehicle)
-		case seen[o.Vehicle]:
-			s.res.OrdersRejectedDuplicate++
-			s.met.rejectedDuplicate.Inc()
-			reject("duplicate", o.Vehicle)
-		default:
+		kind := OrderFault(o, len(s.vehicles), s.city.Graph.NumSegments(), seen)
+		switch kind {
+		case "":
 			seen[o.Vehicle] = true
 			kept = append(kept, o)
+			continue
+		case "bad_vehicle":
+			s.res.OrdersRejectedBadVehicle++
+			s.met.rejectedVehicle.Inc()
+		case "bad_target":
+			s.res.OrdersRejectedBadTarget++
+			s.met.rejectedTarget.Inc()
+		case "duplicate":
+			s.res.OrdersRejectedDuplicate++
+			s.met.rejectedDuplicate.Inc()
+		}
+		if s.ev != nil {
+			s.ev.Emit(eventlog.Event{Type: eventlog.TypeOrderReject, Kind: kind, Vehicle: int(o.Vehicle)})
 		}
 	}
 	return kept
-}
-
-// civilianCost unwraps the rescue-crawl adapter to the underlying
-// civilian cost model, which is where "closed" actually means closed
-// (RescueCost keeps everything traversable at crawl speed).
-func (s *Simulator) civilianCost() roadnet.CostModel {
-	if rc, ok := s.cost.(RescueCost); ok && rc.Base != nil {
-		return rc.Base
-	}
-	return s.cost
 }
 
 // rerouteVehicles repairs simulator-planned routes invalidated by
@@ -607,7 +593,7 @@ func (s *Simulator) civilianCost() roadnet.CostModel {
 // re-pick the nearest reachable hospital, others head to the depot, and
 // with nowhere reachable the vehicle crawls on along its old route.
 func (s *Simulator) rerouteVehicles() {
-	base := s.civilianCost()
+	base := Civilian(s.cost)
 	g := s.city.Graph
 	for _, v := range s.vehicles {
 		if v.verbatim || len(v.route) < 2 {

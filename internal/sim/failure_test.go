@@ -97,6 +97,21 @@ func TestRescueCostKeepsNetworkReachable(t *testing.T) {
 	}
 }
 
+func TestCivilian(t *testing.T) {
+	seg := testCity(t).Graph.Segment(roadnet.SegmentID(0))
+	// Under the crawl adapter a closed segment reads open; the civilian
+	// view sees it closed.
+	if _, open := Civilian(RescueCost{Base: closedAll{}, Crawl: 0.1}).SegmentTime(seg); open {
+		t.Error("civilian view of a closed base reads open")
+	}
+	// A plain model, or an adapter without a base, is its own view.
+	for _, cost := range []roadnet.CostModel{closedAll{}, roadnet.FreeFlow{}, RescueCost{Crawl: 0.1}} {
+		if got := Civilian(cost); got != cost {
+			t.Errorf("Civilian(%#v) = %#v, want it unchanged", cost, got)
+		}
+	}
+}
+
 func TestRouteOrderFollowedVerbatim(t *testing.T) {
 	city := testCity(t)
 	cfg := shortConfig()

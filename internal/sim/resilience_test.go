@@ -80,6 +80,33 @@ func TestSanitizeOrdersCountsRejections(t *testing.T) {
 	}
 }
 
+func TestOrderFault(t *testing.T) {
+	const vehicles, segments = 3, 10
+	seen := map[VehicleID]bool{1: true}
+	for _, tc := range []struct {
+		name string
+		o    Order
+		want string
+	}{
+		{"well formed", Order{Vehicle: 0, Target: 9}, ""},
+		{"negative vehicle", Order{Vehicle: -1, Target: 2}, "bad_vehicle"},
+		{"vehicle past fleet", Order{Vehicle: vehicles, Target: 2}, "bad_vehicle"},
+		{"negative target", Order{Vehicle: 0, Target: -1}, "bad_target"},
+		{"target past graph", Order{Vehicle: 0, Target: segments}, "bad_target"},
+		{"depot order ignores target", Order{Vehicle: 0, ToDepot: true, Target: segments}, ""},
+		{"duplicate", Order{Vehicle: 1, Target: 2}, "duplicate"},
+		{"duplicate depot order", Order{Vehicle: 1, ToDepot: true}, "duplicate"},
+		// The vehicle is checked before the target, the target before
+		// the duplicate.
+		{"bad vehicle and target", Order{Vehicle: vehicles, Target: segments}, "bad_vehicle"},
+		{"bad target and duplicate", Order{Vehicle: 1, Target: segments}, "bad_target"},
+	} {
+		if got := OrderFault(tc.o, vehicles, segments, seen); got != tc.want {
+			t.Errorf("%s: OrderFault(%+v) = %q, want %q", tc.name, tc.o, got, tc.want)
+		}
+	}
+}
+
 func TestVehicleFaultStallsVehicle(t *testing.T) {
 	city := testCity(t)
 	seg := city.Graph.Out(city.Hospitals[4])[0]

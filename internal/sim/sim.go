@@ -67,6 +67,17 @@ func (p VehiclePhase) String() string {
 	}
 }
 
+// Free reports whether a team in this phase takes new orders: it is
+// idle, or heading back to the depot.
+func (p VehiclePhase) Free() bool { return p == PhaseIdle || p == PhaseToDepot }
+
+// Working reports whether a team in this phase is out on a task:
+// driving to a target, delivering passengers, or stopped for a pickup
+// or dropoff. These teams count as serving in Figure 14.
+func (p VehiclePhase) Working() bool {
+	return p == PhaseServing || p == PhaseDelivering || p == PhaseDwell
+}
+
 // VehicleState is the dispatcher-visible state of one vehicle.
 type VehicleState struct {
 	ID      VehicleID
@@ -112,6 +123,24 @@ type Order struct {
 	// that ignores road closures exhibits the paper's Schedule behavior.
 	// An invalid route falls back to simulator routing.
 	Route []roadnet.SegmentID
+}
+
+// OrderFault names what makes o malformed, checked in this order: a
+// vehicle outside [0, vehicles) is "bad_vehicle", a target outside
+// [0, segments) on an order that is not ToDepot is "bad_target", and a
+// vehicle in seen (the vehicles whose earlier orders this round were
+// kept) is "duplicate". It returns "" for a well-formed order. The
+// simulator rejects every malformed order and counts it by this kind.
+func OrderFault(o Order, vehicles, segments int, seen map[VehicleID]bool) string {
+	switch {
+	case int(o.Vehicle) < 0 || int(o.Vehicle) >= vehicles:
+		return "bad_vehicle"
+	case !o.ToDepot && (int(o.Target) < 0 || int(o.Target) >= segments):
+		return "bad_target"
+	case seen[o.Vehicle]:
+		return "duplicate"
+	}
+	return ""
 }
 
 // Dispatcher decides vehicle orders each period. Implementations live in
@@ -166,6 +195,16 @@ func (rc RescueCost) SegmentTime(s roadnet.Segment) (float64, bool) {
 		crawl = 0.15
 	}
 	return s.FreeFlowTime() / crawl, true
+}
+
+// Civilian returns the cost model in which closed means closed: the
+// civilian model under a RescueCost adapter (which keeps every segment
+// open at crawl speed), or cost itself when it is no such adapter.
+func Civilian(cost roadnet.CostModel) roadnet.CostModel {
+	if rc, ok := cost.(RescueCost); ok && rc.Base != nil {
+		return rc.Base
+	}
+	return cost
 }
 
 // RescueCostProvider wraps a civilian CostProvider with RescueCost.

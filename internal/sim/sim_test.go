@@ -376,6 +376,26 @@ func TestVehiclePhaseStrings(t *testing.T) {
 	}
 }
 
+func TestVehiclePhaseFreeWorking(t *testing.T) {
+	for _, tc := range []struct {
+		p             VehiclePhase
+		free, working bool
+	}{
+		{PhaseIdle, true, false},
+		{PhaseToDepot, true, false},
+		{PhaseServing, false, true},
+		{PhaseDelivering, false, true},
+		{PhaseDwell, false, true},
+	} {
+		if got := tc.p.Free(); got != tc.free {
+			t.Errorf("%v.Free() = %v, want %v", tc.p, got, tc.free)
+		}
+		if got := tc.p.Working(); got != tc.working {
+			t.Errorf("%v.Working() = %v, want %v", tc.p, got, tc.working)
+		}
+	}
+}
+
 func BenchmarkSimulateDay(b *testing.B) {
 	cfgCity := roadnet.DefaultGenConfig()
 	cfgCity.GridRows, cfgCity.GridCols = 4, 4
