@@ -24,7 +24,6 @@ import (
 var callerAllowlist = map[string]string{
 	// Reference implementations the fast paths are pinned against.
 	"svm.(*Model).DecisionReference":   "the prediction oracle: svm's TestFastDecisionMatchesReference and core's TestPredictPerson call it",
-	"nn.(*Network).Forward":            "the reference TestForwardIntoMatchesForward pins ForwardInto against",
 	"roadnet.(*Graph).NearestSegment":  "linear-scan reference for SegmentIndex (segindex_test.go)",
 	"roadnet.(*Graph).NearestLandmark": "linear-scan reference for SpatialIndex (TestLandmarkIndexMatchesLinearScan)",
 	"weather.FactorsAt":                "reference for FactorIndex's zero-lookback path (TestFactorIndexFallback)",
@@ -38,16 +37,15 @@ var callerAllowlist = map[string]string{
 	"weather.Calm":   "storm-free field for the flood tests and core's TestPredictReuseCounted",
 
 	// Accessors of at most four lines that a test reads.
-	"chaos.(*Injector).NumSurges":       "TestInjectorSchedulesDeterministic",
-	"core.(*PredictProvider).CacheLen":  "TestPredictCacheEviction",
-	"core.(*PredictProvider).NumPeople": "the benchmark module's TestMetroSmoke (bench/bench_test.go) and TestPredictProviderFromSourceSparseIDs",
-	"core.(*PredictProvider).Source":    "TestPredictPerson and TestProvidersShareDatasetTraces",
-	"dispatch.(*Resilient).LastError":   "TestResilientRecoversPanics and the other resilient tests",
-	"mobility.(*Streamer).ID":           "TestStreamerSourceContract and core's TestPredictMovingPeopleMemos",
-	"rl.(*DQN).Steps":                   "TestMobiRescueTrainingObserves",
-	"serve.(*Session).ID":               "the handle serve's and core's session tests close and get sessions by",
-	"sim.(*Simulator).Run":              "the context-free entry point the sim, chaos, dispatch, eventlog and analyze tests call",
-	"tsa.(*Predictor).Keys":             "TestObserveAccumulates",
+	"chaos.(*Injector).NumSurges":      "TestInjectorSchedulesDeterministic",
+	"core.(*PredictProvider).CacheLen": "TestPredictCacheEviction",
+	"core.(*PredictProvider).Source":   "TestPredictPerson and TestProvidersShareDatasetTraces",
+	"dispatch.(*Resilient).LastError":  "TestResilientRecoversPanics and the other resilient tests",
+	"mobility.(*Streamer).ID":          "TestStreamerSourceContract and core's TestPredictMovingPeopleMemos",
+	"rl.(*DQN).Steps":                  "TestMobiRescueTrainingObserves",
+	"serve.(*Session).ID":              "the handle serve's and core's session tests close and get sessions by",
+	"sim.(*Simulator).Run":             "the context-free entry point the sim, chaos, dispatch, eventlog and analyze tests call",
+	"tsa.(*Predictor).Keys":            "TestObserveAccumulates",
 }
 
 // stdInterfaceMethods are the method names of the standard interfaces
@@ -106,7 +104,7 @@ type callGraph struct {
 // main of every command and example, every init function and
 // package-level var initializer, the root package's exported
 // declarations and every module object the benchmark module (bench/)
-// uses. An identifier used
+// uses, in its tests too. An identifier used
 // in a declaration is an edge; a reached method reaches its receiver
 // type; a reached type reaches each of its methods that reached code
 // calls through one of the module's interfaces that the type, or a
@@ -178,11 +176,32 @@ type modulePackage struct {
 }
 
 // loadModule type-checks the module's non-test files (standard packages
-// come from `go list -export` data) and the benchmark module's non-test
-// files against them, dependencies first.
+// come from `go list -export` data) and the benchmark module's files,
+// its tests included, against them, dependencies first.
 func loadModule(root string) (*token.FileSet, []*modulePackage, error) {
-	cmd := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard", "./...")
+	fset := token.NewFileSet()
+	benchDir := filepath.Join(root, "bench")
+	benchFiles, err := filepath.Glob(filepath.Join(benchDir, "*.go"))
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, f := range benchFiles {
+		benchFiles[i] = filepath.Base(f)
+	}
+	bench, err := parseFiles(fset, benchDir, benchFiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The benchmark's tests import packages (testing) that the module's
+	// own files may not; list them too so their export data is at hand.
+	args := []string{"list", "-deps", "-export",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard", "./..."}
+	for _, f := range bench {
+		for _, imp := range f.Imports {
+			args = append(args, strings.Trim(imp.Path.Value, `"`))
+		}
+	}
+	cmd := exec.Command("go", args...)
 	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -191,7 +210,6 @@ func loadModule(root string) (*token.FileSet, []*modulePackage, error) {
 		return nil, nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
-	fset := token.NewFileSet()
 	var pkgs []*modulePackage
 	exports := map[string]string{}
 	checked := map[string]*types.Package{}
@@ -238,26 +256,11 @@ func loadModule(root string) (*token.FileSet, []*modulePackage, error) {
 		})
 	}
 
-	benchDir := filepath.Join(root, "bench")
-	entries, err := os.ReadDir(benchDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var benchFiles []string
-	for _, e := range entries {
-		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			benchFiles = append(benchFiles, n)
-		}
-	}
-	files, err := parseFiles(fset, benchDir, benchFiles)
-	if err != nil {
-		return nil, nil, err
-	}
 	info := newInfo()
-	if _, err := conf.Check(modulePath+"/bench", fset, files, info); err != nil {
+	if _, err := conf.Check(modulePath+"/bench", fset, bench, info); err != nil {
 		return nil, nil, fmt.Errorf("type-checking bench: %v", err)
 	}
-	pkgs = append(pkgs, &modulePackage{files: files, info: info, bench: true})
+	pkgs = append(pkgs, &modulePackage{files: bench, info: info, bench: true})
 	return fset, pkgs, nil
 }
 

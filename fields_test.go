@@ -35,8 +35,8 @@ var encoders = map[string]bool{
 
 // TestEveryFieldIsRead fails on any struct field of a module non-test
 // file that nothing reads. A field counts as read when a non-test file
-// of the module or of the benchmark module (bench/) reads it through a
-// selector (the target of a plain = assignment, an ++ or -- operand and
+// of the module, or any file of the benchmark module (bench/), reads it
+// through a selector (the target of a plain = assignment, an ++ or -- operand and
 // a composite literal key are writes; x.f += y reads x.f); when it has a
 // json: tag; or when its struct
 // type reaches an argument of json.Marshal, json.MarshalIndent or an

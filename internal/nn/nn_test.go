@@ -2,9 +2,12 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -15,6 +18,20 @@ func mustNew(t testing.TB, seed int64, sizes []int, hidden, out Act) *Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// forward returns a copy of n's output for x.
+func forward(n *Network, x []float64) []float64 {
+	return append([]float64(nil), n.ForwardInto(x, n.NewScratch())...)
+}
+
+// gradient runs ForwardTrace and Backward for one sample, adding
+// dLoss/dParam to grad, and returns a copy of the output.
+func gradient(n *Network, x, dOut, grad []float64) []float64 {
+	trace := make([]float64, n.TraceSize())
+	out := append([]float64(nil), n.ForwardTrace(x, trace)...)
+	n.Backward(trace, dOut, grad, n.NewScratch())
+	return out
 }
 
 func TestNewValidation(t *testing.T) {
@@ -39,10 +56,10 @@ func TestForwardDeterministicAndSeeded(t *testing.T) {
 	b := mustNew(t, 42, []int{2, 4, 1}, ActTanh, ActLinear)
 	c := mustNew(t, 43, []int{2, 4, 1}, ActTanh, ActLinear)
 	x := []float64{0.5, -0.3}
-	if a.Forward(x)[0] != b.Forward(x)[0] {
+	if forward(a, x)[0] != forward(b, x)[0] {
 		t.Error("same seed should give same output")
 	}
-	if a.Forward(x)[0] == c.Forward(x)[0] {
+	if forward(a, x)[0] == forward(c, x)[0] {
 		t.Error("different seeds should give different outputs")
 	}
 }
@@ -54,7 +71,7 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	n.Forward([]float64{1})
+	forward(n, []float64{1})
 }
 
 func TestActivations(t *testing.T) {
@@ -92,7 +109,7 @@ func TestGradientMatchesNumerical(t *testing.T) {
 		target := []float64{0.7, -0.2}
 
 		loss := func() float64 {
-			out := n.Forward(x)
+			out := forward(n, x)
 			l, err := mse(out, target, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -102,12 +119,12 @@ func TestGradientMatchesNumerical(t *testing.T) {
 
 		// Analytic gradient.
 		grad := make([]float64, n.NumParams())
-		out := n.Forward(x)
+		out := forward(n, x)
 		dOut := make([]float64, len(out))
 		if _, err := mse(out, target, dOut); err != nil {
 			t.Fatal(err)
 		}
-		n.Gradient(x, dOut, grad)
+		gradient(n, x, dOut, grad)
 
 		// Numerical gradient for a sample of parameters.
 		params := n.Params()
@@ -132,10 +149,10 @@ func TestGradientAccumulates(t *testing.T) {
 	x := []float64{0.2, 0.4}
 	dOut := []float64{1}
 	g1 := make([]float64, n.NumParams())
-	n.Gradient(x, dOut, g1)
+	gradient(n, x, dOut, g1)
 	g2 := make([]float64, n.NumParams())
-	n.Gradient(x, dOut, g2)
-	n.Gradient(x, dOut, g2)
+	gradient(n, x, dOut, g2)
+	gradient(n, x, dOut, g2)
 	for i := range g1 {
 		if math.Abs(g2[i]-2*g1[i]) > 1e-12 {
 			t.Fatalf("param %d: gradient did not accumulate (%v vs 2*%v)", i, g2[i], g1[i])
@@ -158,18 +175,18 @@ func TestLearnXOR(t *testing.T) {
 		Zero(grad)
 		for _, idx := range rng.Perm(len(data)) {
 			d := data[idx]
-			out := n.Forward(d[0])
+			out := forward(n, d[0])
 			dOut := make([]float64, 1)
 			if _, err := mse(out, d[1], dOut); err != nil {
 				t.Fatal(err)
 			}
-			n.Gradient(d[0], dOut, grad)
+			gradient(n, d[0], dOut, grad)
 		}
 		Scale(grad, 1.0/float64(len(data)))
 		opt.Step(n.Params(), grad)
 	}
 	for _, d := range data {
-		out := n.Forward(d[0])[0]
+		out := forward(n, d[0])[0]
 		if math.Abs(out-d[1][0]) > 0.2 {
 			t.Errorf("XOR(%v) = %v, want %v", d[0], out, d[1][0])
 		}
@@ -180,17 +197,17 @@ func TestCloneAndSetParams(t *testing.T) {
 	n := mustNew(t, 9, []int{2, 3, 1}, ActReLU, ActLinear)
 	c := n.Clone()
 	x := []float64{0.1, 0.9}
-	if n.Forward(x)[0] != c.Forward(x)[0] {
+	if forward(n, x)[0] != forward(c, x)[0] {
 		t.Fatal("clone output differs")
 	}
 	// Mutating the clone must not affect the original.
 	c.Params()[0] += 1
-	if n.Forward(x)[0] == c.Forward(x)[0] {
+	if forward(n, x)[0] == forward(c, x)[0] {
 		t.Error("clone shares parameter storage")
 	}
 	// SetParams syncs them again.
 	c.SetParams(n.Params())
-	if n.Forward(x)[0] != c.Forward(x)[0] {
+	if forward(n, x)[0] != forward(c, x)[0] {
 		t.Error("SetParams did not sync")
 	}
 	defer func() {
@@ -236,18 +253,18 @@ func TestOptimizersReduceLoss(t *testing.T) {
 			x := []float64{0.5}
 			target := []float64{-0.3}
 			lossAt := func() float64 {
-				l, _ := mse(n.Forward(x), target, nil)
+				l, _ := mse(forward(n, x), target, nil)
 				return l
 			}
 			before := lossAt()
 			for i := 0; i < 200; i++ {
 				Zero(grad)
-				out := n.Forward(x)
+				out := forward(n, x)
 				dOut := make([]float64, 1)
 				if _, err := mse(out, target, dOut); err != nil {
 					t.Fatal(err)
 				}
-				n.Gradient(x, dOut, grad)
+				gradient(n, x, dOut, grad)
 				opt.Step(n.Params(), grad)
 			}
 			if after := lossAt(); after >= before*0.1 {
@@ -268,7 +285,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{0.4, -0.2, 0.9}
-	a, b := n.Forward(x), loaded.Forward(x)
+	a, b := forward(n, x), forward(loaded, x)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("output %d differs after round trip: %v vs %v", i, a[i], b[i])
@@ -282,7 +299,42 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkForward(b *testing.B) {
+// TestLoadBoundsParameterCount feeds Load streams of a few bytes that
+// declare huge networks: each must be rejected before New allocates
+// their weights.
+func TestLoadBoundsParameterCount(t *testing.T) {
+	for _, sizes := range [][]int{
+		{4096, 4096},             // 16.8M parameters, 134 MB of weights
+		{3, 1 << 20, 1 << 20, 2}, // 2^40 weights, each layer small enough alone
+		{1 << 23, 1},             // one layer past the cap
+	} {
+		var buf bytes.Buffer
+		acts := make([]Act, len(sizes)-1)
+		for i := range acts {
+			acts[i] = ActLinear
+		}
+		if err := gob.NewEncoder(&buf).Encode(netWire{Sizes: sizes, Acts: acts}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(&buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("sizes %v: Load accepted the stream", sizes)
+		}
+		if !strings.Contains(err.Error(), "corrupt network") {
+			t.Errorf("sizes %v: err = %v, want a corrupt-network error", sizes, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("sizes %v: Load allocated %d bytes before rejecting the stream, want under 1 MiB", sizes, alloc)
+		}
+	}
+}
+
+// BenchmarkBackward times one training sample's ForwardTrace and
+// Backward through a 64x128x64x16 network.
+func BenchmarkBackward(b *testing.B) {
 	n, err := New(1, []int{64, 128, 64, 16}, ActReLU, ActLinear)
 	if err != nil {
 		b.Fatal(err)
@@ -291,25 +343,17 @@ func BenchmarkForward(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i) / 64
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = n.Forward(x)
-	}
-}
-
-func BenchmarkGradient(b *testing.B) {
-	n, err := New(1, []int{64, 128, 64, 16}, ActReLU, ActLinear)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 64)
 	dOut := make([]float64, 16)
 	dOut[3] = 1
 	grad := make([]float64, n.NumParams())
+	trace := make([]float64, n.TraceSize())
+	scratch := n.NewScratch()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Zero(grad)
-		_ = n.Gradient(x, dOut, grad)
+		n.ForwardTrace(x, trace)
+		n.Backward(trace, dOut, grad, scratch)
 	}
 }
 

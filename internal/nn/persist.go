@@ -38,17 +38,23 @@ func Load(r io.Reader) (*Network, error) {
 	if len(wire.Sizes) < 2 || len(wire.Acts) != len(wire.Sizes)-1 {
 		return nil, fmt.Errorf("nn: corrupt network: %d sizes, %d acts", len(wire.Sizes), len(wire.Acts))
 	}
-	// Reject absurd layer sizes before New allocates in*out weights for
-	// them: a corrupt (or fuzzed) stream must not OOM the loader.
+	// Bound the parameter count New would allocate before it does: a
+	// stream of a few bytes must not make the loader ask for terabytes.
+	// Layer l holds in·out + out = out·(in+1) parameters; comparing by
+	// division keeps the check itself from overflowing.
 	total := 0
-	for _, s := range wire.Sizes {
-		if s <= 0 || s > maxLayerSize {
+	for l, s := range wire.Sizes {
+		if s <= 0 || s > maxParams {
 			return nil, fmt.Errorf("nn: corrupt network: layer size %d", s)
 		}
-		total += s
-	}
-	if total > maxTotalUnits {
-		return nil, fmt.Errorf("nn: corrupt network: %d total units exceeds cap %d", total, maxTotalUnits)
+		if l == 0 {
+			continue
+		}
+		in := wire.Sizes[l-1]
+		if s > (maxParams-total)/(in+1) {
+			return nil, fmt.Errorf("nn: corrupt network: more than %d parameters", maxParams)
+		}
+		total += s * (in + 1)
 	}
 	// Rebuild layout via New, then overwrite activations and params.
 	n, err := New(0, wire.Sizes, ActReLU, ActLinear)
@@ -68,12 +74,10 @@ func Load(r io.Reader) (*Network, error) {
 	return n, nil
 }
 
-// Sanity caps for Load: the dispatch networks are a few thousand
-// parameters, so anything near these bounds is corruption, not a model.
-const (
-	maxLayerSize  = 1 << 20
-	maxTotalUnits = 1 << 22
-)
+// maxParams caps the parameter count Load accepts (32 MiB of weights):
+// the dispatch networks have a few thousand parameters, so anything near
+// it is corruption, not a model.
+const maxParams = 1 << 22
 
 // Checkpoint envelope
 //

@@ -14,8 +14,9 @@ import (
 // byte-identical to serial.
 //
 // Actor implements Policy. It is not safe for concurrent use; run one
-// actor per rollout. The snapshot network is only read (nn.Network.Forward
-// is concurrency-safe), so any number of actors may share it.
+// actor per rollout. The snapshot network is only read (each actor calls
+// nn.Network.ForwardInto with its own scratch), so any number of actors
+// may share it.
 type Actor struct {
 	net     *nn.Network
 	rng     *RNG

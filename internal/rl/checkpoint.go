@@ -113,11 +113,8 @@ func (d *DQN) LoadCheckpoint(r io.Reader) (episodes uint64, err error) {
 		return 0, err
 	}
 	// All validation passed; commit atomically.
-	d.online = online
-	d.target = target
+	d.setNetworks(online, target)
 	d.opt = opt
-	d.grad = make([]float64, online.NumParams())
-	d.scratch = online.NewScratch()
 	d.steps = wire.Steps
 	d.learnN = wire.LearnN
 	d.rng.SetState(wire.RNGState)

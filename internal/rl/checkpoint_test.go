@@ -3,6 +3,7 @@ package rl
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"strings"
 	"testing"
@@ -137,6 +138,7 @@ func TestLoadCheckpointCorruption(t *testing.T) {
 		{name: "oversized length", data: putU64(valid, 16, nn.MaxEnvelopePayload+1), want: nn.ErrEnvelopeTooLarge},
 		{name: "valid envelope, garbage gob", data: garbagePayload, wantSub: "decoding checkpoint"},
 		{name: "network shape mismatch", data: shapeMismatch, wantSub: "shape"},
+		{name: "huge network", data: hugeNetworkCheckpoint(t), wantSub: "corrupt network"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,6 +162,25 @@ func TestLoadCheckpointCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hugeNetworkCheckpoint is a checkpoint with a valid envelope whose
+// network declares layers of 3, 2^20, 2^20 and 2 units: each size is
+// small alone, but together they ask for 2^40 weights.
+func hugeNetworkCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	var net, payload, buf bytes.Buffer
+	huge := netLayout{Sizes: []int{3, 1 << 20, 1 << 20, 2}, Acts: []nn.Act{nn.ActReLU, nn.ActReLU, nn.ActLinear}}
+	if err := gob.NewEncoder(&net).Encode(huge); err != nil {
+		tb.Fatal(err)
+	}
+	if err := gob.NewEncoder(&payload).Encode(dqnCheckpointWire{Online: net.Bytes()}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := nn.WriteEnvelope(&buf, nn.EnvelopeHeader{Version: CheckpointVersion, Episodes: 1}, payload.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func flipBit(b []byte, i int) []byte {
@@ -191,6 +212,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte("MRCK"))
 	f.Add(valid[:20])
 	f.Add(flipBit(valid, 33))
+	f.Add(hugeNetworkCheckpoint(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewDQN(3, 2, smallDQNConfig(7))
 		if err != nil {

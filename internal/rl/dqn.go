@@ -88,7 +88,8 @@ type DQN struct {
 	replay   *Replay
 	rng      *RNG
 	grad     []float64
-	scratch  []float64 // flat nn.ForwardInto buffer for the action/learn hot loops
+	scratch  []float64 // nn.ForwardInto buffer for decisions and targets, and Backward's deltas
+	acts     []float64 // the online network's nn.ForwardTrace of the sample learn is on
 	dOut     []float64
 	batch    []Transition
 	steps    int     // environment steps observed
@@ -117,18 +118,26 @@ func NewDQN(stateSize, numActions int, cfg DQNConfig) (*DQN, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DQN{
+	d := &DQN{
 		cfg:     cfg,
-		online:  online,
-		target:  online.Clone(),
 		opt:     nn.NewAdam(cfg.LR),
 		replay:  NewReplay(cfg.BufferSize),
 		rng:     NewRNG(cfg.Seed),
-		grad:    make([]float64, online.NumParams()),
-		scratch: online.NewScratch(),
 		dOut:    make([]float64, numActions),
 		nAction: numActions,
-	}, nil
+	}
+	d.setNetworks(online, online.Clone())
+	return d, nil
+}
+
+// setNetworks installs the online and target networks and sizes the
+// learner's buffers from them: a loaded network may have hidden sizes
+// other than Config.Hidden.
+func (d *DQN) setNetworks(online, target *nn.Network) {
+	d.online, d.target = online, target
+	d.grad = make([]float64, online.NumParams())
+	d.scratch = online.NewScratch()
+	d.acts = make([]float64, online.TraceSize())
 }
 
 // EnableMetrics registers the agent's training telemetry (environment
@@ -188,6 +197,10 @@ func (d *DQN) Observe(t Transition) {
 }
 
 // learn samples a minibatch and applies one Q-learning gradient step.
+// Each sample runs the target network forward once (unless terminal)
+// and the online network forward once, keeping its activations for
+// Backward; the loss and the gradient accumulate in sample order. It
+// allocates nothing once the optimizer holds its moments.
 func (d *DQN) learn() {
 	d.batch = d.replay.Sample(d.rng, d.cfg.BatchSize, d.batch)
 	nn.Zero(d.grad)
@@ -197,11 +210,11 @@ func (d *DQN) learn() {
 		target := tr.Reward
 		if !tr.Done {
 			// nextQ aliases d.scratch; it is fully consumed into the
-			// scalar target before the next ForwardInto reuses the buffer.
+			// scalar target before Backward reuses the buffer.
 			nextQ := d.target.ForwardInto(tr.NextState, d.scratch)
 			target += d.cfg.Gamma * maxMasked(nextQ, tr.NextMask)
 		}
-		q := d.online.ForwardInto(tr.State, d.scratch)
+		q := d.online.ForwardTrace(tr.State, d.acts)
 		for i := range dOut {
 			dOut[i] = 0
 		}
@@ -209,7 +222,7 @@ func (d *DQN) learn() {
 		td := q[tr.Action] - target
 		lossSum += td * td
 		dOut[tr.Action] = 2 * td
-		d.online.Gradient(tr.State, dOut, d.grad)
+		d.online.Backward(d.acts, dOut, d.grad, d.scratch)
 	}
 	nn.Scale(d.grad, 1.0/float64(len(d.batch)))
 	nn.ClipGradient(d.grad, d.cfg.GradClip)
@@ -241,10 +254,7 @@ func (d *DQN) LoadPolicy(r io.Reader) error {
 		return fmt.Errorf("rl: loaded network shape %dx%d does not match agent %dx%d",
 			net.InputSize(), net.OutputSize(), d.online.InputSize(), d.online.OutputSize())
 	}
-	d.online = net
-	d.target = net.Clone()
-	d.grad = make([]float64, net.NumParams())
-	d.scratch = net.NewScratch()
+	d.setNetworks(net, net.Clone())
 	return nil
 }
 

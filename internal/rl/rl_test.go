@@ -264,7 +264,8 @@ func TestDQNSaveLoadPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []float64{0.1, 0.2, 0.3}
-	qa, qb := d.SnapshotPolicy().Forward(state), d2.SnapshotPolicy().Forward(state)
+	qa := d.SnapshotPolicy().ForwardInto(state, d.scratch)
+	qb := d2.SnapshotPolicy().ForwardInto(state, d2.scratch)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatalf("Q values differ after load: %v vs %v", qa, qb)
@@ -284,37 +285,27 @@ func TestDQNSaveLoadPolicy(t *testing.T) {
 	}
 }
 
+// BenchmarkDQNInference times one greedy decision at MobiRescue's
+// Q-network (17 → 64 → 64 → 8).
 func BenchmarkDQNInference(b *testing.B) {
-	cfg := DefaultDQNConfig()
-	d, err := NewDQN(128, 16, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	state := make([]float64, 128)
+	d := mobiRescueDQN(b)
+	state := make([]float64, 17)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Greedy(state, nil)
 	}
 }
 
+// BenchmarkDQNLearnStep times one learner step (a minibatch of 32) at
+// MobiRescue's Q-network.
 func BenchmarkDQNLearnStep(b *testing.B) {
-	env := &chainEnv{n: 8}
-	cfg := DefaultDQNConfig()
-	cfg.LearnStart = 10
-	d, err := NewDQN(env.StateSize(), env.NumActions(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	state := env.Reset()
+	d := mobiRescueDQN(b)
+	d.learn() // the first step allocates the optimizer's moments
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := d.SelectAction(state, nil)
-		next, reward, done := env.Step(a)
-		d.Observe(Transition{State: state, Action: a, Reward: reward, NextState: next, Done: done})
-		state = next
-		if done {
-			state = env.Reset()
-		}
+		d.learn()
 	}
 }
 
