@@ -35,26 +35,29 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Go micro-benchmarks for working on one layer: Decide latency, the
-# routing fast path, the prediction kernels (SVM, network forward and
-# backward pass, storm series), the DQN's greedy decision and learner
-# step at MobiRescue's 17 -> 64 -> 64 -> 8 Q-network with batch 32, and
-# whole prediction windows over streamed populations of 10K to 1M
-# people, cold and next, on 1 and 2 CPUs. They print numbers and gate
-# nothing; tests pin the 0 allocs/op they report. End-to-end numbers
-# come from `bash bench/run.sh`.
+# routing fast path and the per-window router rebind, the flood
+# history's hourly road state (hit and miss) and a simulated day, the
+# prediction kernels (SVM, network forward and backward pass, storm
+# series), the DQN's greedy decision and learner step at MobiRescue's
+# 17 -> 64 -> 64 -> 8 Q-network with batch 32, and whole prediction
+# windows over streamed populations of 10K to 1M people, cold and next,
+# on 1 and 2 CPUs. They print numbers and gate nothing; tests pin the
+# 0 allocs/op they report. End-to-end numbers come from
+# `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkDecide -benchtime 100x ./internal/dispatch
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/roadnet
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/roadnet ./internal/flood ./internal/sim
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/svm ./internal/nn ./internal/rl ./internal/weather
 	$(GO) test -run '^$$' -bench PredictStreamer -cpu 1,2 ./internal/core
 
-# One-iteration pass over the same micro-benchmarks, core's
-# BenchmarkTrainEpisodes, and the root package's figure, ablation,
-# dispatch-latency and simulate-day benchmarks (the regenerators
-# DESIGN §4 lists) — the only run of the benchmark bodies, which
-# `make test` skips — so their code cannot rot between commits.
+# One-iteration pass over every benchmark in the module: the
+# micro-benchmarks above, core's BenchmarkTrainEpisodes, the root
+# package's figure, ablation, dispatch-latency and simulate-day
+# benchmarks (the regenerators DESIGN §4 lists), and the rest (geo,
+# ilp, mobility, eventlog). It is the only run of the benchmark bodies,
+# which `make test` skips, so their code cannot rot between commits.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/roadnet ./internal/dispatch ./internal/svm ./internal/nn ./internal/rl ./internal/weather ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Short fuzz pass over the city loader, the checkpoint loader, and the
 # session API handlers (the corpus seeds always run as part of `make

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,8 +9,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"mobirescue/internal/flood"
+	"mobirescue/internal/roadnet"
 	"mobirescue/internal/serve"
+	"mobirescue/internal/sim"
 )
 
 // TestSessionWorldMethods exercises the serving bridge over the real
@@ -212,5 +217,65 @@ func TestSessionWorldDrainRestore(t *testing.T) {
 	got := finish(resSvc, preSess.ID())
 	if !reflect.DeepEqual(want.Progress, got.Progress) {
 		t.Fatalf("restored run diverged from undrained reference\nreference: %+v\nrestored:  %+v", want.Progress, got.Progress)
+	}
+}
+
+// costRecorder is a dispatcher that orders nothing and keeps the
+// civilian road state it was shown each window.
+type costRecorder struct{ seen []roadnet.CostModel }
+
+func (c *costRecorder) Name() string { return "cost-recorder" }
+
+func (c *costRecorder) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
+	c.seen = append(c.seen, sim.Civilian(snap.Cost))
+	return nil, 0
+}
+
+// TestSessionSimsShareRoadState pins the flood history's per-hour road
+// state from above: two simulators over one episode and day, as two
+// serve sessions are, are shown the very same *flood.RoadState in each
+// window, and a window shares its state with exactly the windows of its
+// hour.
+func TestSessionSimsShareRoadState(t *testing.T) {
+	sys := testSystem(t)
+	ep := sys.Scenario.Eval
+	day := ep.PeakRequestDay()
+	const windows = 14
+	var recs [2]costRecorder
+	for i := range recs {
+		cfg := sys.simConfigForDay(ep, day)
+		cfg.Workers = 1
+		s, err := sys.newDaySim(ep, day, cfg, ep.Disaster(sys.Scenario.City.Graph), &recs[i], 1, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Advance(context.Background(), windows); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs[i].seen) != windows {
+			t.Fatalf("simulator %d decided %d windows, want %d", i, len(recs[i].seen), windows)
+		}
+	}
+	hours := 0
+	for w, cm := range recs[0].seen {
+		rs, ok := cm.(*flood.RoadState)
+		if !ok {
+			t.Fatalf("window %d: civilian cost is %T, want *flood.RoadState", w, cm)
+		}
+		if recs[1].seen[w] != cm {
+			t.Fatalf("window %d: the two simulators hold different road states", w)
+		}
+		if w == 0 || !rs.At.Equal(recs[0].seen[w-1].(*flood.RoadState).At) {
+			hours++
+		}
+		for v := 0; v < w; v++ {
+			prev := recs[0].seen[v].(*flood.RoadState)
+			if (prev == rs) != prev.At.Equal(rs.At) {
+				t.Fatalf("windows %d and %d: same state %v, same hour %v", v, w, prev == rs, prev.At.Equal(rs.At))
+			}
+		}
+	}
+	if hours < 2 {
+		t.Fatalf("%d windows spanned %d hour(s), want at least 2", windows, hours)
 	}
 }

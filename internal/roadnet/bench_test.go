@@ -76,3 +76,17 @@ func BenchmarkPrefetchTrees(b *testing.B) {
 		r.PrefetchTrees(srcs)
 	}
 }
+
+// BenchmarkRebind prices the simulator's per-window rebind: one
+// cost-model call per segment builds the new weight column, then the
+// tree cache starts a new epoch.
+func BenchmarkRebind(b *testing.B) {
+	city := benchCity(b)
+	costs := []CostModel{closedSet{closed: everyNth(city.Graph, 9, 4), factor: 0.5}, FreeFlow{}}
+	r := NewRouter(city.Graph, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Rebind(costs[i%len(costs)])
+	}
+}

@@ -10,9 +10,11 @@ import (
 // the segment is currently open. The flood package provides a cost model
 // reflecting the surviving network Ẽ; FreeFlow ignores the disaster.
 //
-// Cost models handed to a Router must be immutable snapshots: the
-// router's tree cache assumes every SegmentTime answer stays fixed
-// between epoch bumps (see Rebind/Invalidate).
+// A Router asks its cost model once per segment, when it is built or
+// rebound, and routes on those answers until the next Rebind; a model
+// that changes afterwards goes unseen. Cost models must still be
+// immutable snapshots, because dispatchers also read them directly
+// (sim.Snapshot.Cost) throughout a decision window.
 type CostModel interface {
 	// SegmentTime returns the traversal time in seconds and whether the
 	// segment is drivable.
@@ -28,11 +30,31 @@ var _ CostModel = FreeFlow{}
 // SegmentTime implements CostModel.
 func (FreeFlow) SegmentTime(s Segment) (float64, bool) { return s.FreeFlowTime(), true }
 
-// costBox wraps a CostModel so the router can swap it atomically: an
-// atomic.Value would panic on inconsistently-typed models, and a plain
-// interface field would race with stragglers (e.g. a dispatch.Resilient
-// primary that outlived its deadline) still routing under the old cost.
-type costBox struct{ cm CostModel }
+// costBox is the router's weight column: each segment's traversal time
+// under the bound cost model, indexed by SegmentID, with +Inf where the
+// segment is closed or impassable. Dijkstra reads it directly instead of
+// asking the cost model on every relaxed edge. A column is never
+// written after it is built, and Rebind swaps in a new box atomically,
+// so stragglers (e.g. a dispatch.Resilient primary that outlived its
+// deadline) still routing on the old column read stale data, never
+// racy data.
+type costBox struct{ col []float64 }
+
+// newCostBox evaluates cost once per segment of g; nil means FreeFlow.
+func newCostBox(g *Graph, cost CostModel) *costBox {
+	if cost == nil {
+		cost = FreeFlow{}
+	}
+	col := make([]float64, g.NumSegments())
+	for i, s := range g.segments {
+		w, open := cost.SegmentTime(s)
+		if !open {
+			w = math.Inf(1)
+		}
+		col[i] = w
+	}
+	return &costBox{col: col}
+}
 
 // Router computes time-shortest routes over a graph under a cost model.
 //
@@ -57,11 +79,8 @@ type Router struct {
 // NewRouter returns a Router over g using cost. A nil cost defaults to
 // FreeFlow.
 func NewRouter(g *Graph, cost CostModel) *Router {
-	if cost == nil {
-		cost = FreeFlow{}
-	}
 	r := &Router{g: g}
-	r.cost.Store(&costBox{cm: cost})
+	r.cost.Store(newCostBox(g, cost))
 	r.cache.init()
 	return r
 }
@@ -69,25 +88,20 @@ func NewRouter(g *Graph, cost CostModel) *Router {
 // Graph returns the underlying graph.
 func (r *Router) Graph() *Graph { return r.g }
 
-// Cost returns the cost model currently bound to the router.
-func (r *Router) Cost() CostModel { return r.cost.Load().cm }
-
-// Rebind swaps the router's cost model and starts a new cache epoch, so
-// no tree computed under the old cost is ever served again. This is the
+// Rebind builds the weight column of a new cost model (one SegmentTime
+// call per segment), swaps it in and starts a new cache epoch, so no
+// tree computed under the old cost is ever served again. This is the
 // window-boundary entry point: instead of discarding the router (and all
 // its warmed-up cache structure) each dispatch window, callers rebind the
-// fresh cost snapshot in place.
+// fresh cost snapshot in place. A nil cost means FreeFlow.
 //
 // Rebind is memory-safe under concurrency, but a routing call racing the
 // rebind may observe either epoch's cost; callers needing strict window
 // consistency (the simulator) rebind only at round boundaries.
 func (r *Router) Rebind(cost CostModel) {
-	if cost == nil {
-		cost = FreeFlow{}
-	}
 	// Order matters: publish the new cost before bumping the epoch, so
 	// any reader that observes the new epoch also observes the new cost.
-	r.cost.Store(&costBox{cm: cost})
+	r.cost.Store(newCostBox(r.g, cost))
 	r.Invalidate()
 }
 
@@ -171,8 +185,9 @@ func (h *minHeap) pop() pqItem {
 	return top
 }
 
-// Tree runs Dijkstra from src and returns a freshly allocated
-// shortest-path tree the caller owns, using a pooled heap as scratch.
+// Tree runs Dijkstra from src over the weight column and returns a
+// freshly allocated shortest-path tree the caller owns, using a pooled
+// heap as scratch. A segment whose weight is +Inf is never entered.
 // CachedTree runs it on a miss; other callers should prefer CachedTree,
 // which shares one tree per (source, epoch).
 func (r *Router) Tree(src LandmarkID) *Tree {
@@ -190,7 +205,7 @@ func (r *Router) Tree(src LandmarkID) *Tree {
 	}
 	if r.g.validLandmark(src) {
 		h := r.cache.getHeap()
-		cost := r.Cost()
+		col := r.cost.Load().col
 		t.dist[src] = 0
 		t.prevSeg[src] = NoSegment
 		t.labeled[src] = true
@@ -202,13 +217,12 @@ func (r *Router) Tree(src LandmarkID) *Tree {
 				continue // stale entry
 			}
 			for _, sid := range r.g.Out(item.lm) {
-				seg := r.g.Segment(sid)
-				w, open := cost.SegmentTime(seg)
-				if !open || math.IsInf(w, 1) {
+				w := col[sid]
+				if math.IsInf(w, 1) {
 					continue
 				}
 				nd := item.dist + w
-				to := seg.To
+				to := r.g.segments[sid].To
 				if t.labeled[to] && nd >= t.dist[to] {
 					continue
 				}
@@ -281,8 +295,8 @@ func (r *Router) remainingTime(pos Position) float64 {
 	if remaining < 0 {
 		remaining = 0
 	}
-	w, open := r.Cost().SegmentTime(seg)
-	if !open || math.IsInf(w, 1) {
+	w := r.cost.Load().col[pos.Seg]
+	if math.IsInf(w, 1) {
 		// Traverse the rest at the free-flow time as a best effort.
 		w = seg.FreeFlowTime()
 	}
@@ -307,8 +321,8 @@ func (r *Router) RouteToSegmentEnd(pos Position, target SegmentID) (Route, error
 		return Route{Segs: []SegmentID{target}, Time: r.remainingTime(pos)}, nil
 	}
 	tgt := r.g.Segment(target)
-	tw, open := r.Cost().SegmentTime(tgt)
-	if !open || math.IsInf(tw, 1) {
+	tw := r.cost.Load().col[target]
+	if math.IsInf(tw, 1) {
 		return Route{}, fmt.Errorf("%w: target segment %d closed", ErrNoPath, target)
 	}
 	startLM := r.g.Segment(pos.Seg).To

@@ -163,8 +163,11 @@ func New(city *roadnet.City, costProv CostProvider, disp Dispatcher, requests []
 	return s, nil
 }
 
-// refreshCost rebinds the cost model to the current time. The router is
-// built once and kept for the whole run: Rebind swaps the cost snapshot
+// refreshCost rebinds the cost model to the current time. A flood
+// history's provider returns the same road state for every window of an
+// hour, so this costs no depth recomputation after an hour's first
+// window. The router is built once and kept for the whole run: Rebind
+// builds the window's weight column (one cost-model call per segment)
 // and bumps the tree-cache epoch, so trees warmed within one decision
 // window are shared by the engine and the dispatcher instead of being
 // thrown away with the router each round.
