@@ -59,11 +59,10 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Short fuzz pass over the city loader, the checkpoint loader, and the
-# session API handlers (the corpus seeds always run as part of `make
-# test`; this explores further).
+# Short fuzz pass over the checkpoint loader, the session API handlers
+# and the assignment solver (the corpus seeds always run as part of
+# `make test`; this explores further).
 fuzz:
-	$(GO) test -fuzz FuzzReadCityJSON -fuzztime 30s ./internal/roadnet
 	$(GO) test -fuzz FuzzLoadCheckpoint -fuzztime 30s ./internal/rl
 	$(GO) test -fuzz FuzzSessionAPI -fuzztime 30s ./internal/serve
 	$(GO) test -fuzz FuzzHungarian -fuzztime 30s ./internal/ilp

@@ -16,11 +16,11 @@ import (
 // per-figure benchmarks: one scenario, one trained system, one
 // three-method comparison.
 type benchFixture struct {
-	sc  *Scenario
-	sys *System
-	m   *Measurement
-	cmp *Comparison
-	pq  *PredictionQuality
+	sc  *core.Scenario
+	sys *core.System
+	m   *core.Measurement
+	cmp *core.Comparison
+	pq  *core.PredictionQuality
 }
 
 var (
@@ -32,12 +32,12 @@ var (
 func getFixture(b *testing.B) *benchFixture {
 	b.Helper()
 	fixtureOnce.Do(func() {
-		sc, err := BuildScenario(SmallScenarioConfig())
+		sc, err := core.BuildScenario(core.SmallScenarioConfig())
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		sys, err := NewSystem(sc, DefaultSystemConfig())
+		sys, err := core.NewSystem(sc, core.DefaultSystemConfig())
 		if err != nil {
 			fixtureErr = err
 			return
@@ -57,7 +57,7 @@ func getFixture(b *testing.B) *benchFixture {
 			return
 		}
 		fixture = &benchFixture{
-			sc: sc, sys: sys, m: NewMeasurement(sc), cmp: cmp, pq: pq,
+			sc: sc, sys: sys, m: core.NewMeasurement(sc), cmp: cmp, pq: pq,
 		}
 	})
 	if fixtureErr != nil {

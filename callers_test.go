@@ -29,8 +29,6 @@ var callerAllowlist = map[string]string{
 	"weather.FactorsAt":                "reference for FactorIndex's zero-lookback path (TestFactorIndexFallback)",
 	"sim.(*Result).RewardPerHour":      "the Eq. 5 reward that TestGoldenReplay pins",
 	"core.(*System).RunDispatcher":     "the hook BenchmarkAblationIPLatency uses (EXPERIMENTS \"Ablations\")",
-	"roadnet.ReadCityJSON":             "the read side of genscenario -city: TestCityJSONRoundTrip and FuzzReadCityJSON",
-	"roadnet.(*City).Validate":         "checks a city read by ReadCityJSON; TestValidateDetectsCorruption and FuzzReadCityJSON",
 
 	// Test doubles other packages' tests use.
 	"sim.StaticCost": "fixed cost model for the sim, chaos and serve tests",
@@ -101,15 +99,14 @@ type callGraph struct {
 
 // TestEveryDeclarationHasACaller fails on any package-level declaration
 // of a non-test file that no production root reaches. The roots are
-// main of every command and example, every init function and
-// package-level var initializer, the root package's exported
-// declarations and every module object the benchmark module (bench/)
-// uses, in its tests too. An identifier used
-// in a declaration is an edge; a reached method reaches its receiver
-// type; a reached type reaches each of its methods that reached code
-// calls through one of the module's interfaces that the type, or a
-// pointer to it, implements, or that a standard interface names which
-// reflection or the runtime calls (stdInterfaceMethods). Declaring an
+// main of every command, every init function and package-level var
+// initializer, and every module object the benchmark module (bench/)
+// uses, in its tests too. An identifier used in a declaration is an
+// edge; a reached method reaches its receiver type; a reached type
+// reaches each of its methods that reached code calls through one of
+// the module's interfaces that the type, or a pointer to it,
+// implements, or that a standard interface names which reflection or
+// the runtime calls (stdInterfaceMethods). Declaring an
 // interface method calls nothing. The constants of an iota block are
 // reached together, and a blank `var _ I = T{}` assertion is not a
 // root. Declarations that stay without a caller are listed, with their
@@ -170,8 +167,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 type modulePackage struct {
 	files   []*ast.File
 	info    *types.Info
-	root    bool // the module's root package
-	command bool // a command or example main package
+	command bool // a command's main package
 	bench   bool // the benchmark module, which is frozen
 }
 
@@ -250,9 +246,7 @@ func loadModule(root string) (*token.FileSet, []*modulePackage, error) {
 		checked[p.ImportPath] = pkg
 		pkgs = append(pkgs, &modulePackage{
 			files: files, info: info,
-			root: p.ImportPath == modulePath,
-			command: p.Name == "main" &&
-				(strings.HasPrefix(p.ImportPath, modulePath+"/cmd/") || strings.HasPrefix(p.ImportPath, modulePath+"/examples/")),
+			command: p.Name == "main" && strings.HasPrefix(p.ImportPath, modulePath+"/cmd/"),
 		})
 	}
 
@@ -278,7 +272,7 @@ func loadCallGraph(root string) (*callGraph, error) {
 	}
 	for _, p := range pkgs {
 		if !p.bench {
-			g.addPackage(p.files, p.info, p.root, p.command)
+			g.addPackage(p.files, p.info, p.command)
 			continue
 		}
 		// The benchmark module is frozen: everything it uses is a root.
@@ -290,7 +284,7 @@ func loadCallGraph(root string) (*callGraph, error) {
 }
 
 // addPackage records one package's declarations and roots.
-func (g *callGraph) addPackage(files []*ast.File, info *types.Info, rootPkg, isCommand bool) {
+func (g *callGraph) addPackage(files []*ast.File, info *types.Info, isCommand bool) {
 	for _, f := range files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
@@ -306,17 +300,17 @@ func (g *callGraph) addPackage(files []*ast.File, info *types.Info, rootPkg, isC
 					}
 					continue
 				}
-				if d.Name.Name == "init" || (isCommand && d.Name.Name == "main") || (rootPkg && fn.Exported()) {
+				if d.Name.Name == "init" || (isCommand && d.Name.Name == "main") {
 					g.roots = append(g.roots, cd)
 				}
 			case *ast.GenDecl:
-				g.addGenDecl(d, info, rootPkg)
+				g.addGenDecl(d, info)
 			}
 		}
 	}
 }
 
-func (g *callGraph) addGenDecl(d *ast.GenDecl, info *types.Info, rootPkg bool) {
+func (g *callGraph) addGenDecl(d *ast.GenDecl, info *types.Info) {
 	var block []*callDecl
 	hasIota := false
 	for _, spec := range d.Specs {
@@ -325,9 +319,6 @@ func (g *callGraph) addGenDecl(d *ast.GenDecl, info *types.Info, rootPkg bool) {
 			cd := g.collect(s, info)
 			cd.obj, cd.pos = info.Defs[s.Name], g.fset.Position(s.Name.Pos())
 			g.decls[cd.obj] = cd
-			if rootPkg && cd.obj.Exported() {
-				g.roots = append(g.roots, cd)
-			}
 		case *ast.ValueSpec:
 			for _, v := range s.Values {
 				ast.Inspect(v, func(n ast.Node) bool {
@@ -355,9 +346,6 @@ func (g *callGraph) addGenDecl(d *ast.GenDecl, info *types.Info, rootPkg bool) {
 				cd.obj, cd.pos = info.Defs[name], g.fset.Position(name.Pos())
 				g.decls[cd.obj] = cd
 				block = append(block, cd)
-				if rootPkg && cd.obj.Exported() {
-					g.roots = append(g.roots, cd)
-				}
 			}
 		}
 	}

@@ -62,8 +62,12 @@ func main() {
 	fmt.Printf("city:      %d landmarks, %d segments, %d regions, %d hospitals\n",
 		sc.City.Graph.NumLandmarks(), sc.City.Graph.NumSegments(),
 		sc.City.NumRegions(), len(sc.City.Hospitals))
-	for name, ep := range map[string]*core.Episode{"eval (Florence-like)": sc.Eval, "train (Michael-like)": sc.Train} {
-		fmt.Printf("%s:\n", name)
+	for _, e := range []struct {
+		name string
+		ep   *core.Episode
+	}{{"eval (Florence-like)", sc.Eval}, {"train (Michael-like)", sc.Train}} {
+		ep := e.ep
+		fmt.Printf("%s:\n", e.name)
 		fmt.Printf("  storm:    %s, impact %s .. %s\n", ep.Storm.Name,
 			ep.Storm.Start.Format("Jan 2 15:04"), ep.Storm.End.Format("Jan 2 15:04"))
 		fmt.Printf("  people:   %d\n", len(ep.Data.People))

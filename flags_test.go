@@ -36,7 +36,7 @@ var flagInventory = map[string]string{
 	"internal/cli -cpuprofile":      "path",
 	"internal/cli -memprofile":      "path",
 
-	"cmd/mobirescue -method": "examples/rundiff runs -method schedule; ROADMAP item 1 runs all three methods",
+	"cmd/mobirescue -method": "README's run-diffing walkthrough runs -method schedule -episodes -1; ROADMAP item 1 runs all three methods",
 
 	"cmd/experiments -fig": "DESIGN.md's figure table prints one figure per run, -fig 9 to -fig 16",
 

@@ -160,7 +160,7 @@ func TestSVMTrainingSetAndModel(t *testing.T) {
 	if pos == 0 || neg == 0 {
 		t.Fatalf("unbalanced training set: %d pos, %d neg", pos, neg)
 	}
-	model, err := TrainSVM(sc.City, sc.Train, sc.Elev, 1)
+	model, err := TrainSVM(sc.City, sc.Train, sc.Elev, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,14 +93,9 @@ func BuildSVMTrainingSet(city *roadnet.City, ep *Episode, elev func(geo.Point) f
 }
 
 // TrainSVM fits the rescue-decision SVM (Equation 1) on the training
-// episode.
-func TrainSVM(city *roadnet.City, ep *Episode, elev func(geo.Point) float64, seed int64) (*svm.Model, error) {
-	return TrainSVMObserved(city, ep, elev, seed, nil)
-}
-
-// TrainSVMObserved is TrainSVM with SMO training telemetry registered in
-// reg (nil reg disables telemetry, matching TrainSVM).
-func TrainSVMObserved(city *roadnet.City, ep *Episode, elev func(geo.Point) float64, seed int64, reg *obs.Registry) (*svm.Model, error) {
+// episode, registering SMO training telemetry in reg (a nil reg
+// disables it).
+func TrainSVM(city *roadnet.City, ep *Episode, elev func(geo.Point) float64, seed int64, reg *obs.Registry) (*svm.Model, error) {
 	x, y, err := BuildSVMTrainingSet(city, ep, elev, seed)
 	if err != nil {
 		return nil, err

@@ -152,7 +152,7 @@ func NewSystemContext(ctx context.Context, sc *Scenario, cfg SystemConfig) (*Sys
 	}
 	svmStart := time.Now()
 	_, svmSpan := obs.StartSpan(ctx, "svm.train")
-	model, err := TrainSVMObserved(sc.City, sc.Train, sc.Elev, cfg.Seed, cfg.Metrics)
+	model, err := TrainSVM(sc.City, sc.Train, sc.Elev, cfg.Seed, cfg.Metrics)
 	svmSpan.End()
 	if err != nil {
 		return nil, err

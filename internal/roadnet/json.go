@@ -2,12 +2,12 @@ package roadnet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// graphJSON is the serialized form of a Graph; adjacency lists are
-// rebuilt on load.
+// graphJSON is the serialized form of a Graph: its landmarks and
+// segments, each list in ID order. Adjacency is not written; it follows
+// from the segments' endpoints.
 type graphJSON struct {
 	Landmarks []Landmark `json:"landmarks"`
 	Segments  []Segment  `json:"segments"`
@@ -16,40 +16,6 @@ type graphJSON struct {
 // MarshalJSON implements json.Marshaler.
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(graphJSON{Landmarks: g.landmarks, Segments: g.segments})
-}
-
-// UnmarshalJSON implements json.Unmarshaler, rebuilding adjacency lists
-// and validating the result.
-func (g *Graph) UnmarshalJSON(data []byte) error {
-	var gj graphJSON
-	if err := json.Unmarshal(data, &gj); err != nil {
-		return fmt.Errorf("roadnet: decoding graph: %w", err)
-	}
-	*g = Graph{
-		landmarks: gj.Landmarks,
-		segments:  gj.Segments,
-		out:       make([][]SegmentID, len(gj.Landmarks)),
-		in:        make([][]SegmentID, len(gj.Landmarks)),
-	}
-	// IDs are positional throughout the package (Landmark(id) and
-	// Segment(id) index by ID), so serialized IDs must match their slice
-	// positions or every downstream lookup silently reads the wrong row.
-	for i, lm := range g.landmarks {
-		if lm.ID != LandmarkID(i) {
-			return fmt.Errorf("roadnet: landmark at index %d has id %d", i, lm.ID)
-		}
-	}
-	for i, s := range g.segments {
-		if s.ID != SegmentID(i) {
-			return fmt.Errorf("roadnet: segment at index %d has id %d", i, s.ID)
-		}
-		if !g.validLandmark(s.From) || !g.validLandmark(s.To) {
-			return fmt.Errorf("roadnet: segment %d references missing landmark", s.ID)
-		}
-		g.out[s.From] = append(g.out[s.From], s.ID)
-		g.in[s.To] = append(g.in[s.To], s.ID)
-	}
-	return g.Validate()
 }
 
 // cityJSON is the serialized form of a City.
@@ -67,62 +33,4 @@ func (c *City) WriteJSON(w io.Writer) error {
 		Graph: c.Graph, Regions: c.Regions,
 		Hospitals: c.Hospitals, Depot: c.Depot,
 	})
-}
-
-// ReadCityJSON deserializes a City written by WriteJSON. The loaded
-// city is fully validated — dangling hospital or depot references,
-// inconsistent region tables, and segments pointing at nonexistent
-// regions are rejected here rather than left to panic deep inside
-// routing or dispatching. Whatever bytes r yields, ReadCityJSON
-// returns a usable city or an error; it never panics.
-func ReadCityJSON(r io.Reader) (*City, error) {
-	var cj cityJSON
-	if err := json.NewDecoder(r).Decode(&cj); err != nil {
-		return nil, fmt.Errorf("roadnet: decoding city: %w", err)
-	}
-	if cj.Graph == nil {
-		return nil, fmt.Errorf("roadnet: city JSON missing graph")
-	}
-	c := &City{
-		Graph: cj.Graph, Regions: cj.Regions,
-		Hospitals: cj.Hospitals, Depot: cj.Depot,
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Validate checks the city-level invariants the dispatch layer relies
-// on: hospitals and the depot name real landmarks, the region table is
-// positionally indexed (Regions[i].ID == i, slot 0 unused), and every
-// segment's region exists. The graph's own structural invariants are
-// checked by Graph.Validate during unmarshaling.
-func (c *City) Validate() error {
-	g := c.Graph
-	if g == nil {
-		return fmt.Errorf("roadnet: city has no graph")
-	}
-	for i, h := range c.Hospitals {
-		if !g.validLandmark(h) {
-			return fmt.Errorf("roadnet: hospital %d references missing landmark %d", i, h)
-		}
-	}
-	if c.Depot != NoLandmark && !g.validLandmark(c.Depot) {
-		return fmt.Errorf("roadnet: depot references missing landmark %d", c.Depot)
-	}
-	for i := 1; i < len(c.Regions); i++ {
-		if c.Regions[i].ID != i {
-			return fmt.Errorf("roadnet: region at index %d has id %d", i, c.Regions[i].ID)
-		}
-	}
-	numRegions := c.NumRegions()
-	var regionErr error
-	g.Segments(func(s Segment) {
-		if regionErr == nil && (s.Region < 0 || s.Region > numRegions) {
-			regionErr = fmt.Errorf("roadnet: segment %d in nonexistent region %d (city has %d)",
-				s.ID, s.Region, numRegions)
-		}
-	})
-	return regionErr
 }

@@ -2,51 +2,16 @@ package roadnet
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
-func TestGraphJSONRoundTrip(t *testing.T) {
-	orig, _ := buildLine(t, 4, 750)
-	data, err := orig.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Graph
-	if err := got.UnmarshalJSON(data); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumLandmarks() != orig.NumLandmarks() || got.NumSegments() != orig.NumSegments() {
-		t.Fatalf("size mismatch after round trip")
-	}
-	for i := 0; i < orig.NumLandmarks(); i++ {
-		if orig.Landmark(LandmarkID(i)) != got.Landmark(LandmarkID(i)) {
-			t.Errorf("landmark %d differs", i)
-		}
-	}
-	for i := 0; i < orig.NumSegments(); i++ {
-		if orig.Segment(SegmentID(i)) != got.Segment(SegmentID(i)) {
-			t.Errorf("segment %d differs", i)
-		}
-	}
-	// Adjacency must be rebuilt.
-	for i := 0; i < orig.NumLandmarks(); i++ {
-		if len(orig.Out(LandmarkID(i))) != len(got.Out(LandmarkID(i))) {
-			t.Errorf("out-degree of %d differs", i)
-		}
-	}
-}
-
-func TestGraphJSONRejectsCorrupt(t *testing.T) {
-	var g Graph
-	if err := g.UnmarshalJSON([]byte(`{"landmarks":[],"segments":[{"id":0,"from":5,"to":6,"length":1,"speed_limit":1}]}`)); err == nil {
-		t.Error("dangling segment endpoints should be rejected")
-	}
-	if err := g.UnmarshalJSON([]byte(`not json`)); err == nil {
-		t.Error("malformed JSON should be rejected")
-	}
-}
-
+// TestCityJSONRoundTrip decodes the city JSON that `genscenario -city`
+// writes with plain encoding/json, the way a reader outside the module
+// would, and checks that every landmark, segment, region, hospital and
+// the depot survive it. Unknown fields fail the decode, so the format
+// cannot grow a field this test does not compare.
 func TestCityJSONRoundTrip(t *testing.T) {
 	cfg := DefaultGenConfig()
 	cfg.GridRows, cfg.GridCols = 4, 4
@@ -55,34 +20,46 @@ func TestCityJSONRoundTrip(t *testing.T) {
 	if err := city.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCityJSON(&buf)
-	if err != nil {
+
+	var got struct {
+		Graph struct {
+			Landmarks []Landmark `json:"landmarks"`
+			Segments  []Segment  `json:"segments"`
+		} `json:"graph"`
+		Regions   []RegionInfo `json:"regions"`
+		Hospitals []LandmarkID `json:"hospitals"`
+		Depot     LandmarkID   `json:"depot"`
+	}
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Depot != city.Depot {
-		t.Errorf("depot %v != %v", got.Depot, city.Depot)
-	}
-	if len(got.Hospitals) != len(city.Hospitals) {
-		t.Errorf("hospitals %d != %d", len(got.Hospitals), len(city.Hospitals))
-	}
-	if got.Graph.NumSegments() != city.Graph.NumSegments() {
-		t.Errorf("segments differ")
-	}
-	if got.NumRegions() != city.NumRegions() {
-		t.Errorf("regions differ")
-	}
-	// Routing still works on the loaded graph.
-	tree := NewRouter(got.Graph, nil).Tree(got.Depot)
-	if !tree.Reachable(got.Hospitals[0]) {
-		t.Error("hospital unreachable after round trip")
-	}
-}
 
-func TestReadCityJSONErrors(t *testing.T) {
-	if _, err := ReadCityJSON(strings.NewReader("garbage")); err == nil {
-		t.Error("garbage should error")
+	g := city.Graph
+	if len(got.Graph.Landmarks) != g.NumLandmarks() {
+		t.Fatalf("%d landmarks, want %d", len(got.Graph.Landmarks), g.NumLandmarks())
 	}
-	if _, err := ReadCityJSON(strings.NewReader(`{"regions":[]}`)); err == nil {
-		t.Error("missing graph should error")
+	for i, lm := range got.Graph.Landmarks {
+		if want := g.Landmark(LandmarkID(i)); lm != want {
+			t.Errorf("landmark %d = %+v, want %+v", i, lm, want)
+		}
+	}
+	if len(got.Graph.Segments) != g.NumSegments() {
+		t.Fatalf("%d segments, want %d", len(got.Graph.Segments), g.NumSegments())
+	}
+	for i, s := range got.Graph.Segments {
+		if want := g.Segment(SegmentID(i)); s != want {
+			t.Errorf("segment %d = %+v, want %+v", i, s, want)
+		}
+	}
+	if !reflect.DeepEqual(got.Regions, city.Regions) {
+		t.Errorf("regions = %+v, want %+v", got.Regions, city.Regions)
+	}
+	if !reflect.DeepEqual(got.Hospitals, city.Hospitals) {
+		t.Errorf("hospitals = %v, want %v", got.Hospitals, city.Hospitals)
+	}
+	if got.Depot != city.Depot {
+		t.Errorf("depot = %d, want %d", got.Depot, city.Depot)
 	}
 }

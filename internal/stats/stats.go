@@ -163,11 +163,3 @@ func (c Confusion) Precision() float64 {
 	}
 	return float64(c.TP) / float64(c.TP+c.FP)
 }
-
-// Recall returns TP/(TP+FN), or 0 when no actual positives exist.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}

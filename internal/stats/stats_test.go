@@ -195,14 +195,11 @@ func TestConfusion(t *testing.T) {
 	if got := c.Precision(); !almostEqual(got, 0.75, 1e-12) {
 		t.Errorf("Precision = %v", got)
 	}
-	if got := c.Recall(); !almostEqual(got, 0.6, 1e-12) {
-		t.Errorf("Recall = %v", got)
-	}
 }
 
 func TestConfusionEdgeCases(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 {
+	if c.Accuracy() != 0 || c.Precision() != 0 {
 		t.Error("empty confusion should report zeros")
 	}
 }
