@@ -35,7 +35,8 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Go micro-benchmarks for working on one layer: Decide latency, the
-# routing fast path and the per-window router rebind, the flood
+# routing fast path and the router rebind (to a new road state, and to
+# the same one in the other windows of a flood hour), the flood
 # history's hourly road state (hit and miss) and a simulated day, the
 # prediction kernels (SVM, network forward and backward pass, storm
 # series), the DQN's greedy decision and learner step at MobiRescue's
@@ -88,12 +89,16 @@ cover:
 		fi; \
 	done
 
-# Flight-recorder determinism smoke: record the small scenario three
-# times — workers 1 vs 8 (telemetry, like results, must not depend on
-# physical parallelism) and once more with crash-safe snapshots on
-# (durability is the same run path, so the same bytes) — assert
-# `analyze diff` reports zero divergence for both pairs, and render a
-# timeline from the structured log.
+# Flight-recorder determinism smoke: record two small-scenario runs
+# three times each — workers 1 vs 8 (telemetry, like results, must not
+# depend on physical parallelism) and once more with crash-safe
+# snapshots on (durability is the same run path, so the same bytes) —
+# assert `analyze diff` reports zero divergence for every pair, and
+# render a timeline from the structured log. The first run is
+# MobiRescue without chaos; the second is Schedule under the default
+# chaos profile, whose road surges start and end mid-hour (the first
+# two start at 01:40 and 04:41 at seed 7), so the router drops its
+# trees within an hour as well as at hour boundaries.
 eventlog-smoke:
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -eventlog eventlog_a.jsonl
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -workers 8 -eventlog eventlog_b.jsonl
@@ -101,6 +106,12 @@ eventlog-smoke:
 	$(GO) run ./cmd/mobirescue -scale small -method mr -episodes 1 -snapshot-dir eventlog_snaps -eventlog eventlog_c.jsonl
 	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_b.jsonl
 	$(GO) run ./cmd/analyze diff eventlog_a.jsonl eventlog_c.jsonl
+	$(GO) run ./cmd/mobirescue -scale small -method schedule -episodes -1 -chaos default -chaos-seed 7 -workers 1 -eventlog eventlog_chaos_a.jsonl
+	$(GO) run ./cmd/mobirescue -scale small -method schedule -episodes -1 -chaos default -chaos-seed 7 -workers 8 -eventlog eventlog_chaos_b.jsonl
+	rm -rf eventlog_snaps
+	$(GO) run ./cmd/mobirescue -scale small -method schedule -episodes -1 -chaos default -chaos-seed 7 -snapshot-dir eventlog_snaps -eventlog eventlog_chaos_c.jsonl
+	$(GO) run ./cmd/analyze diff eventlog_chaos_a.jsonl eventlog_chaos_b.jsonl
+	$(GO) run ./cmd/analyze diff eventlog_chaos_a.jsonl eventlog_chaos_c.jsonl
 	$(GO) run ./cmd/analyze timeline eventlog_a.jsonl >/dev/null
 
 # Serving-layer smoke: a short cmd/loadgen run, which exits 1 unless

@@ -40,8 +40,8 @@ type PredictFn func(t time.Time) map[roadnet.SegmentID]float64
 // returned slice is shared — callers must not mutate it.
 type DemandFn func(t time.Time) []float64
 
-// prefetchTrees warms r's epoch-scoped shortest-path tree cache for the
-// head landmark of every given vehicle, computing missing trees in
+// prefetchTrees warms r's road-state-scoped shortest-path tree cache for
+// the head landmark of every given vehicle, computing missing trees in
 // parallel across the router's worker bound. Dispatch decision loops
 // stay sequential — prefetching only moves the Dijkstra work onto a
 // pool, so a dispatcher's output is byte-identical for any worker

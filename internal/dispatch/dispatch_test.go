@@ -361,8 +361,7 @@ func TestRescueObserveFeedsPredictor(t *testing.T) {
 
 // TestRescueStateCodec: Rescue's snapshot blob is the bare time-series
 // predictor blob, so it restores into a plain tsa.Predictor with the
-// same forecasts (gob map encoding is not byte-deterministic, so the
-// forecasts are the check).
+// same forecasts.
 func TestRescueStateCodec(t *testing.T) {
 	city := testCity(t)
 	pred, err := tsa.New(3, 0.7)
@@ -395,6 +394,50 @@ func TestRescueStateCodec(t *testing.T) {
 		}
 		if got := bare.Predict(int(seg), 34); got != want {
 			t.Errorf("segment %d: restored predicts %v, want %v", seg, got, want)
+		}
+	}
+}
+
+// TestMobiRescueStateBytesDeterministic: one MobiRescue state, with
+// several target assignments and last decisions, always encodes to the
+// same bytes (gob would write a map in random order), and the bytes
+// restore the same assignments.
+func TestMobiRescueStateBytesDeterministic(t *testing.T) {
+	m, err := NewMobiRescue(7, constPredict(nil), DefaultMRConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := sim.VehicleID(0); v < 9; v++ {
+		m.assigned[v] = roadnet.SegmentID(40 - 3*int(v))
+		m.last[v] = &decision{state: []float64{float64(v), 1}, action: int(v) % 8, served: int(v)}
+	}
+	first, err := m.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := m.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("capture %d encoded different bytes", i)
+		}
+	}
+	fresh, err := NewMobiRescue(7, constPredict(nil), DefaultMRConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(first); err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.assigned) != len(m.assigned) || len(fresh.last) != len(m.last) {
+		t.Fatalf("restored %d assignments and %d decisions, want %d and %d",
+			len(fresh.assigned), len(fresh.last), len(m.assigned), len(m.last))
+	}
+	for v, seg := range m.assigned {
+		if got, ok := fresh.assigned[v]; !ok || got != seg {
+			t.Errorf("vehicle %d: restored target %d (present %v), want %d", v, got, ok, seg)
 		}
 	}
 }

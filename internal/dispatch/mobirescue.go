@@ -224,19 +224,27 @@ type mrDecisionWire struct {
 	Served      int
 }
 
+// mrAssignWire serializes one entry of the target-assignment map.
+type mrAssignWire struct {
+	Vehicle sim.VehicleID
+	Target  roadnet.SegmentID
+}
+
 // mrWire is the dispatcher's snapshot state: the agent's checkpoint
 // (policy, optimizer, counters, RNG — the replay buffer is only needed
 // for exact mid-*training* resume, which snapshots the learner
-// separately) plus the cross-window decision bookkeeping.
+// separately) plus the cross-window decision bookkeeping. Maps travel as
+// slices sorted by vehicle, so one state always encodes to the same
+// bytes.
 type mrWire struct {
 	Agent    []byte // rl checkpoint envelope; nil on actor views
 	Last     []mrDecisionWire
-	Assigned map[sim.VehicleID]roadnet.SegmentID
+	Assigned []mrAssignWire
 }
 
 // CaptureState implements sim.StateCodec.
 func (m *MobiRescue) CaptureState() ([]byte, error) {
-	w := mrWire{Assigned: m.assigned}
+	var w mrWire
 	if m.agent != nil {
 		var buf bytes.Buffer
 		if err := m.agent.SaveCheckpoint(&buf, 0); err != nil {
@@ -255,6 +263,14 @@ func (m *MobiRescue) CaptureState() ([]byte, error) {
 			Vehicle: id, State: d.state, Action: d.action,
 			PlannedTime: d.plannedTime, Served: d.served,
 		})
+	}
+	ids = ids[:0]
+	for id := range m.assigned {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		w.Assigned = append(w.Assigned, mrAssignWire{Vehicle: id, Target: m.assigned[id]})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
@@ -281,9 +297,9 @@ func (m *MobiRescue) RestoreState(blob []byte) error {
 			plannedTime: d.PlannedTime, served: d.Served,
 		}
 	}
-	m.assigned = w.Assigned
-	if m.assigned == nil {
-		m.assigned = make(map[sim.VehicleID]roadnet.SegmentID)
+	m.assigned = make(map[sim.VehicleID]roadnet.SegmentID, len(w.Assigned))
+	for _, a := range w.Assigned {
+		m.assigned[a.Vehicle] = a.Target
 	}
 	return nil
 }

@@ -64,9 +64,9 @@ func (s *Schedule) Decide(snap *sim.Snapshot) ([]sim.Order, time.Duration) {
 		return nil, delay
 	}
 	// Warm the free-flow tree cache in parallel. The freeRouter never
-	// rebinds its cost, so its cache epoch never advances and trees for
-	// recurring positions (the hospitals teams hold between calls) are
-	// hits across the whole run, not just within a round.
+	// rebinds its cost, so its tree generation never changes and trees
+	// for recurring positions (the hospitals teams hold between calls)
+	// are hits across the whole run, not just within a round.
 	prefetchTrees(s.freeRouter, avail)
 
 	orders := make([]sim.Order, 0, len(avail))

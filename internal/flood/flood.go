@@ -210,7 +210,16 @@ type RoadState struct {
 	minFac float64
 }
 
-var _ roadnet.CostModel = (*RoadState)(nil)
+var _ roadnet.SnapshotCost = (*RoadState)(nil)
+
+// SameAs implements roadnet.SnapshotCost: a road state is the same
+// state only as itself. History.RoadStateAt hands every caller in an
+// hour the same pointer, so a router rebound within an hour keeps its
+// trees.
+func (rs *RoadState) SameAs(other roadnet.CostModel) bool {
+	o, ok := other.(*RoadState)
+	return ok && rs != nil && o == rs
+}
 
 // Depth returns the water depth on segment id.
 func (rs *RoadState) Depth(id roadnet.SegmentID) float64 {

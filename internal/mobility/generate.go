@@ -98,10 +98,10 @@ func (tl *timeline) positionAt(t time.Time) geo.Point {
 }
 
 // routeCache memoizes one router per simulated day. Per-source
-// shortest-path trees ride on each router's own epoch-scoped tree cache
+// shortest-path trees ride on each router's own tree cache
 // (roadnet.Router.CachedTree): a day's router never rebinds its cost
-// model, so its cache epoch never advances and every tree computed for
-// that day stays a hit for the rest of the generation — the same
+// model, so its tree generation never changes and every tree computed
+// for that day stays a hit for the rest of the run — the same
 // memoization the private (day, src) tree map here used to do by hand.
 type routeCache struct {
 	g       *roadnet.Graph

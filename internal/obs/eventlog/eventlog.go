@@ -194,8 +194,10 @@ type Event struct {
 	DelayMS int64 `json:"delay_ms,omitempty"` // modeled computation delay
 	DurMS   int64 `json:"dur_ms,omitempty"`   // fault/stall duration
 
-	Hits   int64 `json:"hits,omitempty"`   // tree-cache hits this window
-	Misses int64 `json:"misses,omitempty"` // tree-cache misses this window
+	// Hits and Misses (decide events) are the tree-cache calls since the
+	// previous decide, counted per window (see roadnet.CacheStats).
+	Hits   int64 `json:"hits,omitempty"`
+	Misses int64 `json:"misses,omitempty"`
 
 	Round       int     `json:"round,omitempty"`
 	Episodes    int     `json:"episodes,omitempty"`

@@ -24,14 +24,14 @@ func BenchmarkTreeCold(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeCached is the epoch-cache hit path every dispatcher and
-// the engine ride within a decision window: one mutex-guarded map
-// lookup, no Dijkstra (TestRouterMetricsCounts pins that a hit never
-// recomputes the tree).
+// BenchmarkTreeCached is the cache hit path every dispatcher and the
+// engine ride under one road state: one mutex-guarded map lookup, no
+// Dijkstra (TestRouterMetricsCounts pins that a hit never recomputes
+// the tree).
 func BenchmarkTreeCached(b *testing.B) {
 	city := benchCity(b)
 	r := NewRouter(city.Graph, nil)
-	r.CachedTree(city.Depot) // warm the epoch
+	r.CachedTree(city.Depot) // warm the generation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,21 +72,35 @@ func BenchmarkPrefetchTrees(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Invalidate() // new window: all misses again
+		r.Invalidate() // new generation: all misses again
 		r.PrefetchTrees(srcs)
 	}
 }
 
-// BenchmarkRebind prices the simulator's per-window rebind: one
-// cost-model call per segment builds the new weight column, then the
-// tree cache starts a new epoch.
+// BenchmarkRebind prices the simulator's per-window rebind. "changed"
+// is a rebind to a different road state (a new flood hour, a chaos
+// surge): one cost-model call per segment builds the new weight column,
+// then the tree cache starts a new generation. "same-state" is the
+// other windows of a flood hour: the column and every tree stay
+// (TestRebindSameStateKeepsTrees pins its 0 allocs/op).
 func BenchmarkRebind(b *testing.B) {
 	city := benchCity(b)
-	costs := []CostModel{closedSet{closed: everyNth(city.Graph, 9, 4), factor: 0.5}, FreeFlow{}}
-	r := NewRouter(city.Graph, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Rebind(costs[i%len(costs)])
-	}
+	b.Run("changed", func(b *testing.B) {
+		costs := []CostModel{closedSet{closed: everyNth(city.Graph, 9, 4), factor: 0.5}, FreeFlow{}}
+		r := NewRouter(city.Graph, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Rebind(costs[i%len(costs)])
+		}
+	})
+	b.Run("same-state", func(b *testing.B) {
+		var state CostModel = &countingState{factor: 0.5}
+		r := NewRouter(city.Graph, state)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Rebind(state)
+		}
+	})
 }

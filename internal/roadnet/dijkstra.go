@@ -21,6 +21,19 @@ type CostModel interface {
 	SegmentTime(s Segment) (seconds float64, open bool)
 }
 
+// SnapshotCost is the optional interface of a cost model that is an
+// immutable snapshot of one road state, such as a flood hour's
+// operability. SameAs reports whether other is a snapshot of the same
+// state, so that both give every segment the same answer; a Router
+// rebound to such a model keeps its weight column and every cached
+// tree. SameAs must answer false whenever it cannot be sure, and must
+// not compare interfaces with == or reflection: cost models may hold
+// maps, and == on an interface holding a map panics.
+type SnapshotCost interface {
+	CostModel
+	SameAs(other CostModel) bool
+}
+
 // FreeFlow is the disaster-free cost model: every segment is open at its
 // speed limit.
 type FreeFlow struct{}
@@ -37,8 +50,12 @@ func (FreeFlow) SegmentTime(s Segment) (float64, bool) { return s.FreeFlowTime()
 // written after it is built, and Rebind swaps in a new box atomically,
 // so stragglers (e.g. a dispatch.Resilient primary that outlived its
 // deadline) still routing on the old column read stale data, never
-// racy data.
-type costBox struct{ col []float64 }
+// racy data. model is the cost model the column was built from, which
+// Rebind asks whether a new model is the same road state.
+type costBox struct {
+	col   []float64
+	model CostModel
+}
 
 // newCostBox evaluates cost once per segment of g; nil means FreeFlow.
 func newCostBox(g *Graph, cost CostModel) *costBox {
@@ -53,16 +70,17 @@ func newCostBox(g *Graph, cost CostModel) *costBox {
 		}
 		col[i] = w
 	}
-	return &costBox{col: col}
+	return &costBox{col: col, model: cost}
 }
 
 // Router computes time-shortest routes over a graph under a cost model.
 //
-// A Router is safe for concurrent routing. It carries an epoch-scoped
-// shortest-path tree cache (see treecache.go): TreeFromPosition,
-// CachedTree, and RouteToSegmentEnd share trees per source landmark
-// within an epoch, and Rebind/Invalidate start a new epoch when the cost
-// model changes (the simulator does this once per decision window).
+// A Router is safe for concurrent routing. It carries a shortest-path
+// tree cache (see treecache.go): TreeFromPosition, CachedTree, and
+// RouteToSegmentEnd share one tree per source landmark for as long as
+// the road state they were computed under stays bound. The simulator
+// rebinds once per decision window; a rebind to the same road state
+// keeps every tree, and any other rebind starts a new tree generation.
 type Router struct {
 	g    *Graph
 	cost atomic.Pointer[costBox]
@@ -88,30 +106,43 @@ func NewRouter(g *Graph, cost CostModel) *Router {
 // Graph returns the underlying graph.
 func (r *Router) Graph() *Graph { return r.g }
 
-// Rebind builds the weight column of a new cost model (one SegmentTime
-// call per segment), swaps it in and starts a new cache epoch, so no
-// tree computed under the old cost is ever served again. This is the
-// window-boundary entry point: instead of discarding the router (and all
-// its warmed-up cache structure) each dispatch window, callers rebind the
-// fresh cost snapshot in place. A nil cost means FreeFlow.
+// Weight returns segment sid's traversal time under the bound cost
+// model, or +Inf where that model closes it.
+func (r *Router) Weight(sid SegmentID) float64 { return r.cost.Load().col[sid] }
+
+// Rebind binds a new cost model and starts a new window of the
+// CacheStats tally. This is the window-boundary entry point: instead of
+// discarding the router (and its cache) each dispatch window, callers
+// rebind the fresh cost snapshot in place. A nil cost means FreeFlow.
+//
+// When cost is a SnapshotCost that reports the same road state as the
+// bound model, the weight column and every cached tree stay: that path
+// makes no SegmentTime call and allocates nothing. Any other model gets
+// a new weight column (one SegmentTime call per segment) and a new tree
+// generation, so no tree computed under the old column is served again.
 //
 // Rebind is memory-safe under concurrency, but a routing call racing the
-// rebind may observe either epoch's cost; callers needing strict window
+// rebind may observe either column; callers needing strict window
 // consistency (the simulator) rebind only at round boundaries.
 func (r *Router) Rebind(cost CostModel) {
-	// Order matters: publish the new cost before bumping the epoch, so
-	// any reader that observes the new epoch also observes the new cost.
+	if s, ok := cost.(SnapshotCost); ok && s.SameAs(r.cost.Load().model) {
+		r.cache.window.Add(1)
+		return
+	}
+	// Order matters: publish the new column before starting the new
+	// generation, so any reader that observes the new generation also
+	// observes the new column.
 	r.cost.Store(newCostBox(r.g, cost))
 	r.Invalidate()
 }
 
 // Tree is a single-source shortest-path tree produced by Router.Tree or
-// the router's epoch-scoped tree cache.
+// the router's tree cache.
 //
 // dist/prevSeg slots are meaningful only where labeled[i] is set, so a
 // fresh tree needs no O(V) +Inf initialization. Trees are immutable once
-// computed and remain readable even after an epoch bump (stragglers see
-// consistent, merely stale data).
+// computed and remain readable after a new generation starts
+// (stragglers see consistent, merely stale data).
 type Tree struct {
 	g       *Graph
 	Source  LandmarkID
@@ -189,7 +220,7 @@ func (h *minHeap) pop() pqItem {
 // freshly allocated shortest-path tree the caller owns, using a pooled
 // heap as scratch. A segment whose weight is +Inf is never entered.
 // CachedTree runs it on a miss; other callers should prefer CachedTree,
-// which shares one tree per (source, epoch).
+// which shares one tree per (source, generation).
 func (r *Router) Tree(src LandmarkID) *Tree {
 	var startNS int64
 	if r.met.dijkstraSeconds != nil {
@@ -295,7 +326,7 @@ func (r *Router) remainingTime(pos Position) float64 {
 	if remaining < 0 {
 		remaining = 0
 	}
-	w := r.cost.Load().col[pos.Seg]
+	w := r.Weight(pos.Seg)
 	if math.IsInf(w, 1) {
 		// Traverse the rest at the free-flow time as a best effort.
 		w = seg.FreeFlowTime()
@@ -310,9 +341,9 @@ func (r *Router) remainingTime(pos Position) float64 {
 // target, per the paper's dispatch semantics ("drive to the end of the
 // destination road segment"). The returned route's first element is
 // pos.Seg (possibly partially traversed) and its last element is target.
-// The underlying shortest-path tree comes from the epoch-scoped cache,
-// so repeated route requests from the same landmark within a window pay
-// one Dijkstra total.
+// The underlying shortest-path tree comes from the tree cache, so
+// repeated route requests from the same landmark under one road state
+// pay one Dijkstra total.
 func (r *Router) RouteToSegmentEnd(pos Position, target SegmentID) (Route, error) {
 	if !r.g.validSegment(pos.Seg) || !r.g.validSegment(target) {
 		return Route{}, fmt.Errorf("roadnet: invalid segment in route request (%d -> %d)", pos.Seg, target)
@@ -321,7 +352,7 @@ func (r *Router) RouteToSegmentEnd(pos Position, target SegmentID) (Route, error
 		return Route{Segs: []SegmentID{target}, Time: r.remainingTime(pos)}, nil
 	}
 	tgt := r.g.Segment(target)
-	tw := r.cost.Load().col[target]
+	tw := r.Weight(target)
 	if math.IsInf(tw, 1) {
 		return Route{}, fmt.Errorf("%w: target segment %d closed", ErrNoPath, target)
 	}
@@ -345,9 +376,9 @@ func (r *Router) RouteToSegmentEnd(pos Position, target SegmentID) (Route, error
 // TreeFromPosition returns the shortest-path tree from the head landmark
 // of the segment the vehicle is on, and the time to finish that segment.
 // TimeTo(lm)+head gives the full position-to-landmark time. The tree
-// comes from the epoch-scoped cache: vehicles co-located at a landmark
-// (a depot, a hospital) share one Dijkstra per decision window instead
-// of paying one each.
+// comes from the tree cache: vehicles co-located at a landmark (a
+// depot, a hospital) share one Dijkstra per road state instead of
+// paying one each.
 func (r *Router) TreeFromPosition(pos Position) (tree *Tree, head float64) {
 	seg := r.g.Segment(pos.Seg)
 	return r.CachedTree(seg.To), r.remainingTime(pos)

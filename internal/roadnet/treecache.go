@@ -14,14 +14,14 @@ import (
 // are registered by Router.EnableMetrics; without it the router runs
 // metric-free at zero cost.
 const (
-	// MetricTreeCacheHits counts CachedTree calls answered from the
-	// current epoch's cache.
+	// MetricTreeCacheHits counts CachedTree calls answered with a tree
+	// already computed under the current generation.
 	MetricTreeCacheHits = "mobirescue_routing_tree_cache_hits_total"
 	// MetricTreeCacheMisses counts CachedTree calls that had to run a
-	// full Dijkstra (cold source or stale epoch).
+	// full Dijkstra (cold source or stale generation).
 	MetricTreeCacheMisses = "mobirescue_routing_tree_cache_misses_total"
-	// MetricTreeCacheEpochs counts cache invalidations (cost rebinds
-	// plus explicit Invalidate calls).
+	// MetricTreeCacheEpochs counts tree generations started (rebinds to
+	// a different road state plus explicit Invalidate calls).
 	MetricTreeCacheEpochs = "mobirescue_routing_tree_cache_epochs_total"
 	// MetricDijkstraSeconds is the latency histogram of single-source
 	// Dijkstra computations (cache misses and uncached Tree calls).
@@ -49,7 +49,7 @@ func (r *Router) EnableMetrics(reg *obs.Registry) {
 	r.met = routerMetrics{
 		hits:   reg.Counter(MetricTreeCacheHits, "Shortest-path tree cache hits."),
 		misses: reg.Counter(MetricTreeCacheMisses, "Shortest-path tree cache misses (full Dijkstra runs)."),
-		epochs: reg.Counter(MetricTreeCacheEpochs, "Tree cache epoch bumps (cost rebinds/invalidations)."),
+		epochs: reg.Counter(MetricTreeCacheEpochs, "Tree cache generations (road-state changes/invalidations)."),
 		dijkstraSeconds: reg.Histogram(MetricDijkstraSeconds,
 			"Wall-clock single-source Dijkstra latency.", obs.DefSecondsBuckets),
 	}
@@ -61,33 +61,41 @@ func (r *Router) EnableMetrics(reg *obs.Registry) {
 func nowNanos() int64 { return time.Now().UnixNano() }
 
 // treeEntry is one cache slot: the shortest-path tree rooted at a
-// source landmark, valid for exactly one epoch. The tree pointer is
-// replaced — never recomputed in place — on epoch change, because
-// stragglers (e.g. a dispatch.Resilient primary that outlived its
-// deadline) may still be reading the old tree; immutable trees make
-// that merely stale, not racy.
+// source landmark, valid for the tree generation gen it was computed
+// under, and the window it was last used in (for the CacheStats
+// tally). The tree pointer is replaced — never recomputed in place —
+// when the generation changes, because stragglers (e.g. a
+// dispatch.Resilient primary that outlived its deadline) may still be
+// reading the old tree; immutable trees make that merely stale, not
+// racy.
 type treeEntry struct {
-	mu    sync.Mutex
-	epoch uint64
-	tree  *Tree
+	mu     sync.Mutex
+	gen    uint64
+	window uint64
+	tree   *Tree
 }
 
-// treeCache is the router's epoch-scoped shortest-path tree cache.
+// treeCache is the router's road-state-scoped shortest-path tree cache.
 //
-// Epoch semantics: the cache carries a monotonically increasing epoch
-// (starting at 1, so zero-valued entries always miss). Invalidate bumps
-// it in O(1); no stored tree is cleared, entries are simply recomputed
-// lazily on next use. Within an epoch every CachedTree(src) call after
-// the first is a pointer lookup.
+// It carries two monotone counters, both starting at 1 so zero-valued
+// entries always miss. gen is the tree generation: Invalidate (which a
+// Rebind to a different road state calls) bumps it in O(1); no stored
+// tree is cleared, stale entries are recomputed lazily on next use.
+// Under one generation every CachedTree(src) call after the first is a
+// pointer lookup, across any number of windows. window counts Rebind
+// calls (and Invalidate calls), one per decision window in the
+// simulator; it only drives the per-window CacheStats tally.
 type treeCache struct {
-	epoch   atomic.Uint64
+	gen     atomic.Uint64
+	window  atomic.Uint64
 	mu      sync.RWMutex // guards entries map shape (not entry contents)
 	entries map[LandmarkID]*treeEntry
 	heaps   sync.Pool // *minHeap scratch for Router.Tree
 }
 
 func (c *treeCache) init() {
-	c.epoch.Store(1)
+	c.gen.Store(1)
+	c.window.Store(1)
 	c.entries = make(map[LandmarkID]*treeEntry)
 	c.heaps.New = func() any { return new(minHeap) }
 }
@@ -112,46 +120,58 @@ func (c *treeCache) entry(src LandmarkID) *treeEntry {
 	return e
 }
 
-// Invalidate starts a new cache epoch and returns it. Every cached tree
-// becomes stale atomically in O(1); trees are recomputed lazily on next
-// use. Trees already handed out remain readable (they are immutable),
-// they just describe the previous cost model.
+// Invalidate starts a new tree generation (and a new window) and
+// returns the generation. Every cached tree becomes stale atomically in
+// O(1); trees are recomputed lazily on next use. Trees already handed
+// out remain readable (they are immutable), they just describe the
+// previous weight column.
 func (r *Router) Invalidate() uint64 {
-	e := r.cache.epoch.Add(1)
+	g := r.cache.gen.Add(1)
+	r.cache.window.Add(1)
 	r.met.epochs.Inc()
-	return e
+	return g
 }
 
 // CachedTree returns the shortest-path tree rooted at src for the
-// current epoch, computing it at most once per (src, epoch) pair. It is
-// safe for concurrent use: concurrent callers for the same source
-// serialize on the entry and share one Dijkstra; callers for different
-// sources proceed in parallel. The returned tree is shared and
-// immutable — do not mutate it.
+// current generation, computing it at most once per (src, generation)
+// pair. It is safe for concurrent use: concurrent callers for the same
+// source serialize on the entry and share one Dijkstra; callers for
+// different sources proceed in parallel. The returned tree is shared
+// and immutable — do not mutate it. The registry counters count real
+// lookups and Dijkstra runs; the CacheStats tally counts per window.
 func (r *Router) CachedTree(src LandmarkID) *Tree {
-	epoch := r.cache.epoch.Load()
+	// Load the generation before Tree loads the column: Rebind publishes
+	// a column before bumping the generation, so a tree is never
+	// stamped with a generation newer than its column.
+	window := r.cache.window.Load()
+	gen := r.cache.gen.Load()
 	e := r.cache.entry(src)
 	e.mu.Lock()
-	if e.epoch == epoch && e.tree != nil {
-		t := e.tree
-		e.mu.Unlock()
+	firstUse := e.window != window
+	e.window = window
+	t := e.tree
+	kept := t != nil && e.gen == gen
+	if !kept {
+		// Compute a brand-new tree (never reuse e.tree's storage — a
+		// straggler may still be reading it) while holding the entry
+		// lock so co-located callers wait for this one Dijkstra instead
+		// of running their own.
+		t = r.Tree(src)
+		e.tree = t
+		e.gen = gen
+	}
+	e.mu.Unlock()
+	if kept {
 		r.met.hits.Inc()
-		if r.stats != nil {
+	} else {
+		r.met.misses.Inc()
+	}
+	if r.stats != nil {
+		if firstUse {
+			r.stats.Misses.Add(1)
+		} else {
 			r.stats.Hits.Add(1)
 		}
-		return t
-	}
-	// Miss: compute a brand-new tree (never reuse e.tree's storage — a
-	// straggler may still be reading it) while holding the entry lock so
-	// co-located callers wait for this one Dijkstra instead of running
-	// their own.
-	t := r.Tree(src)
-	e.tree = t
-	e.epoch = epoch
-	e.mu.Unlock()
-	r.met.misses.Inc()
-	if r.stats != nil {
-		r.stats.Misses.Add(1)
 	}
 	return t
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mobirescue/internal/obs"
@@ -107,7 +108,7 @@ func TestCachedTreeSharedWithinEpoch(t *testing.T) {
 	t1 := r.CachedTree(src)
 	t2 := r.CachedTree(src)
 	if t1 != t2 {
-		t.Fatal("CachedTree recomputed within one epoch")
+		t.Fatal("CachedTree recomputed within one generation")
 	}
 	sameTree(t, city.Graph, t1, r.Tree(src))
 }
@@ -120,11 +121,11 @@ func TestCachedTreeMatchesTreeEverySource(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidationNeverServesStale is the chaos-surge/flood-window
+// TestEpochInvalidationNeverServesStale is the chaos-surge/flood-hour
 // scenario: after the cost model changes (Rebind — what the simulator's
-// refreshCost does each decision window, including when a chaos surge
-// closes segments), the cache must never serve a tree computed under
-// the old cost, while trees already handed out stay readable.
+// refreshCost does when a new flood hour opens or a chaos surge closes
+// segments), the cache must never serve a tree computed under the old
+// cost, while trees already handed out stay readable.
 func TestEpochInvalidationNeverServesStale(t *testing.T) {
 	city := smallCity(t)
 	g := city.Graph
@@ -170,7 +171,7 @@ func TestEpochInvalidationNeverServesStale(t *testing.T) {
 	// answers.
 	inv := r.Invalidate()
 	if next := r.Invalidate(); next != inv+1 {
-		t.Fatalf("Invalidate returned epoch %d after %d, want %d", next, inv, inv+1)
+		t.Fatalf("Invalidate returned generation %d after %d, want %d", next, inv, inv+1)
 	}
 	again := r.CachedTree(src)
 	if again == after {
@@ -181,25 +182,29 @@ func TestEpochInvalidationNeverServesStale(t *testing.T) {
 
 // TestRouterConcurrentUse hammers one Router from many goroutines —
 // cached tree reads, route requests, prefetches, and concurrent Rebind
-// epoch bumps — and checks every answer is internally consistent. Run
-// under -race (the CI race job does) this is the routing layer's
-// concurrency safety net, covering the engine + N-dispatcher sharing
-// pattern and the abandoned-Resilient-straggler pattern (old trees read
-// after an epoch bump).
+// calls, both same-state and generation-changing — and checks every
+// answer is internally consistent. Run under -race (the CI race job
+// does) this is the routing layer's concurrency safety net, covering
+// the engine + N-dispatcher sharing pattern and the
+// abandoned-Resilient-straggler pattern (old trees read after a new
+// generation starts).
 func TestRouterConcurrentUse(t *testing.T) {
 	city := smallCity(t)
 	g := city.Graph
 	r := NewRouter(g, nil)
 	r.SetWorkers(4)
 
+	state := &countingState{factor: 0.8}
 	costs := []CostModel{
 		nil, // FreeFlow via Rebind default
 		closedSet{closed: map[SegmentID]bool{1: true, 2: true, 5: true}},
+		state,
+		state, // same state: keeps the column and trees
 		closedSet{factor: 0.5},
 	}
 	stop := make(chan struct{})
 	rebinderDone := make(chan struct{})
-	// Rebinder: keeps flipping cost models / epochs.
+	// Rebinder: keeps flipping cost models / generations.
 	go func() {
 		defer close(rebinderDone)
 		for i := 0; ; i++ {
@@ -227,7 +232,7 @@ func TestRouterConcurrentUse(t *testing.T) {
 					return
 				}
 				// Straggler pattern: keep reading the tree after other
-				// goroutines have bumped the epoch.
+				// goroutines have started a new generation.
 				if lm := LandmarkID(rng.Intn(g.NumLandmarks())); tree.Reachable(lm) {
 					if _, err := tree.PathTo(lm); err != nil {
 						t.Errorf("worker %d: PathTo on reachable landmark: %v", w, err)
@@ -274,8 +279,11 @@ func TestPrefetchMatchesSerial(t *testing.T) {
 func TestRouterMetricsCounts(t *testing.T) {
 	city := smallCity(t)
 	reg := obs.NewRegistry()
-	r := NewRouter(city.Graph, nil)
+	state := &countingState{factor: 1}
+	r := NewRouter(city.Graph, state)
 	r.EnableMetrics(reg)
+	var stats CacheStats
+	r.TrackCache(&stats)
 	src := city.Depot
 	r.CachedTree(src) // miss
 	r.CachedTree(src) // hit
@@ -296,5 +304,83 @@ func TestRouterMetricsCounts(t *testing.T) {
 	hist := reg.Histogram(MetricDijkstraSeconds, "", obs.DefSecondsBuckets)
 	if got := hist.Count(); got != 2 {
 		t.Errorf("dijkstra histogram count = %d, want 2 (hits must not re-observe)", got)
+	}
+	if h, m := stats.Totals(); h != 1 || m != 2 {
+		t.Errorf("CacheStats = %d hits, %d misses, want 1 and 2", h, m)
+	}
+
+	// A same-state rebind opens a new window but keeps the tree: the
+	// window's first use counts as a CacheStats miss, while the
+	// registry, which counts real lookups and Dijkstra runs, sees a hit.
+	r.Rebind(state)
+	r.CachedTree(src)
+	r.CachedTree(src)
+	if got := hits.Value(); got != 3 {
+		t.Errorf("after same-state rebind: hits = %d, want 3", got)
+	}
+	if got := misses.Value(); got != 2 {
+		t.Errorf("after same-state rebind: misses = %d, want 2 (no Dijkstra ran)", got)
+	}
+	if got := epochs.Value(); got != 1 {
+		t.Errorf("after same-state rebind: epochs = %d, want 1", got)
+	}
+	if got := hist.Count(); got != 2 {
+		t.Errorf("after same-state rebind: dijkstra histogram count = %d, want 2", got)
+	}
+	if h, m := stats.Totals(); h != 2 || m != 3 {
+		t.Errorf("after same-state rebind: CacheStats = %d hits, %d misses, want 2 and 3", h, m)
+	}
+}
+
+// countingState is a SnapshotCost test double: each *countingState is
+// one road state, and it counts its SegmentTime calls.
+type countingState struct {
+	factor float64
+	calls  atomic.Int64
+}
+
+func (c *countingState) SegmentTime(s Segment) (float64, bool) {
+	c.calls.Add(1)
+	return s.FreeFlowTime() / c.factor, true
+}
+
+func (c *countingState) SameAs(other CostModel) bool {
+	o, ok := other.(*countingState)
+	return ok && o == c
+}
+
+// TestRebindSameStateKeepsTrees pins the generation rule's fast path: a
+// Rebind to the same road state keeps the weight column and every
+// cached tree, asks the model nothing and allocates nothing.
+func TestRebindSameStateKeepsTrees(t *testing.T) {
+	city := smallCity(t)
+	g := city.Graph
+	state := &countingState{factor: 0.7}
+	r := NewRouter(g, state)
+	want := r.CachedTree(city.Depot)
+	calls := state.calls.Load()
+	if calls != int64(g.NumSegments()) {
+		t.Fatalf("NewRouter made %d SegmentTime calls, want %d", calls, g.NumSegments())
+	}
+	var model CostModel = state
+	for i := 0; i < 5; i++ {
+		r.Rebind(model)
+		if got := r.CachedTree(city.Depot); got != want {
+			t.Fatalf("rebind %d to the same state recomputed the tree", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Rebind(model) }); allocs != 0 {
+		t.Errorf("same-state Rebind allocates %v times, want 0", allocs)
+	}
+	if got := state.calls.Load(); got != calls {
+		t.Errorf("same-state Rebind made %d SegmentTime calls, want 0", got-calls)
+	}
+	if r.CachedTree(city.Depot) != want {
+		t.Fatal("tree dropped after same-state rebinds")
+	}
+	for sid := SegmentID(0); int(sid) < g.NumSegments(); sid++ {
+		if w, _ := state.SegmentTime(g.Segment(sid)); r.Weight(sid) != w {
+			t.Fatalf("Weight(%d) = %v, want %v", sid, r.Weight(sid), w)
+		}
 	}
 }

@@ -17,7 +17,11 @@ import (
 // CheckpointVersion is the serve checkpoint payload version carried in
 // the nn envelope header (the same versioned CRC-32 envelope the
 // training checkpoints and run snapshots use).
-const CheckpointVersion uint32 = 1
+//
+// v2: the simulator and dispatcher state blobs encode their maps as
+// key-sorted slices (snapshot.Version 3), so a drain of one state
+// always writes the same bytes; a v1 checkpoint no longer decodes.
+const CheckpointVersion uint32 = 2
 
 // sessionState is one live session's complete captured state.
 type sessionState struct {

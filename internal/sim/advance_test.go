@@ -312,3 +312,31 @@ func TestAdvanceCaptureRestoreRoundTrip(t *testing.T) {
 		t.Error("restored finished run's outcomes differ")
 	}
 }
+
+// TestCaptureStateBytesDeterministic: one mid-run state, with requests
+// waiting on several segments, always encodes to the same bytes (gob
+// would write the active-request map in random order).
+func TestCaptureStateBytesDeterministic(t *testing.T) {
+	city := testCity(t)
+	var buf bytes.Buffer
+	s, _, _ := recordedSim(t, city, spreadRequests(city, 24, simStart, 20*time.Minute), &buf)
+	if done, err := s.Advance(context.Background(), 4); err != nil || done {
+		t.Fatalf("Advance(4): done=%v err=%v", done, err)
+	}
+	if len(s.activeBySeg) < 3 {
+		t.Fatalf("requests wait on %d segments, want at least 3", len(s.activeBySeg))
+	}
+	first, err := s.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := s.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("capture %d encoded different bytes", i)
+		}
+	}
+}

@@ -166,11 +166,12 @@ func New(city *roadnet.City, costProv CostProvider, disp Dispatcher, requests []
 // refreshCost rebinds the cost model to the current time. A flood
 // history's provider returns the same road state for every window of an
 // hour, so this costs no depth recomputation after an hour's first
-// window. The router is built once and kept for the whole run: Rebind
-// builds the window's weight column (one cost-model call per segment)
-// and bumps the tree-cache epoch, so trees warmed within one decision
-// window are shared by the engine and the dispatcher instead of being
-// thrown away with the router each round.
+// window. The router is built once and kept for the whole run, and
+// Rebind keeps its weight column and every cached tree while the road
+// state stays the same: trees warmed in one window are shared by the
+// engine and the dispatcher for the rest of the hour. A new hour, or a
+// chaos surge opening or closing roads, builds a new column (one
+// cost-model call per segment) and starts a new tree generation.
 func (s *Simulator) refreshCost() {
 	s.cost = s.costProv.CostAt(s.now)
 	if s.cost == nil {
@@ -221,9 +222,12 @@ func (s *Simulator) roundDue() bool { return !s.now.Before(s.nextRound) }
 // rounds have completed or the configured duration is exhausted,
 // whichever comes first; windows <= 0 runs to completion. A
 // window-bounded call stops exactly at the next window boundary, before
-// any of that window's round work, including the cost rebind, so a
-// state captured there resumes with a router cache exactly as cold as
-// the uninterrupted run's after the rebind. Advance reports done=true
+// any of that window's round work, including the cost rebind. A state
+// captured there resumes with a cold router where the uninterrupted run
+// may have kept trees from earlier windows of the hour; that changes no
+// route (a kept tree is the one a fresh Dijkstra would compute) and no
+// decide event's hits and misses (roadnet.CacheStats counts per
+// window). Advance reports done=true
 // once the run has ended; the finalized outcome is then available from
 // Result. When ctx carries an obs tracer, each round records a
 // sim.round > dispatch.decide span tree under ctx's span. The error is
@@ -525,7 +529,8 @@ func (s *Simulator) round(ctx context.Context) {
 	if s.ev != nil {
 		// Tree-cache activity attributed to this window: everything since
 		// the previous decide (includes this window's reroute repairs and
-		// the dispatcher's own routing).
+		// the dispatcher's own routing), counted per window, so kept
+		// trees and a cold resumed router give the same numbers.
 		hits, misses := s.cstats.Totals()
 		e := eventlog.Event{
 			Type: eventlog.TypeDecide, Method: s.disp.Name(),
@@ -773,10 +778,12 @@ func (s *Simulator) routeToLandmark(pos roadnet.Position, lm roadnet.LandmarkID)
 // segmentSpeed returns the current driving speed on seg in m/s. A
 // vehicle on a flooded-closed segment crawls across at a small fraction
 // of the speed limit — it cannot leave the road, and a dispatcher that
-// planned through the closure pays for it in driving time.
+// planned through the closure pays for it in driving time. It reads the
+// router's weight column, which holds the cost model's time where seg
+// is open and +Inf where it is closed.
 func (s *Simulator) segmentSpeed(seg roadnet.Segment) float64 {
-	w, open := s.cost.SegmentTime(seg)
-	if !open || math.IsInf(w, 1) || w <= 0 {
+	w := s.router.Weight(seg.ID)
+	if math.IsInf(w, 1) || w <= 0 {
 		return seg.SpeedLimit * s.cfg.CrawlFactor
 	}
 	return seg.Length / w

@@ -180,7 +180,20 @@ type RescueCost struct {
 	Crawl float64 // fraction of free-flow speed on closed segments
 }
 
-var _ roadnet.CostModel = RescueCost{}
+var _ roadnet.SnapshotCost = RescueCost{}
+
+// SameAs implements roadnet.SnapshotCost: other is the same road state
+// when it is a RescueCost with the same crawl factor over a base that
+// reports the same state. A base that is no roadnet.SnapshotCost is
+// never the same state.
+func (rc RescueCost) SameAs(other roadnet.CostModel) bool {
+	o, ok := other.(RescueCost)
+	if !ok || o.Crawl != rc.Crawl {
+		return false
+	}
+	base, ok := rc.Base.(roadnet.SnapshotCost)
+	return ok && base.SameAs(o.Base)
+}
 
 // SegmentTime implements roadnet.CostModel.
 func (rc RescueCost) SegmentTime(s roadnet.Segment) (float64, bool) {
@@ -264,8 +277,8 @@ type Config struct {
 	// Workers bounds the routing layer's parallel shortest-path tree
 	// prefetching (roadnet.Router.PrefetchTrees); 0 means GOMAXPROCS, 1
 	// forces serial routing. The worker count never changes results —
-	// parallel prefetch only warms the epoch-scoped tree cache that the
-	// sequential decision loop then reads — so any value is
+	// parallel prefetch only warms the road-state-scoped tree cache
+	// that the sequential decision loop then reads — so any value is
 	// byte-identical to Workers=1.
 	Workers int
 	// Metrics, when non-nil, receives run metrics (rounds, pickups,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sort"
 	"time"
 
 	"mobirescue/internal/roadnet"
@@ -54,7 +55,14 @@ type timedOrdersWire struct {
 	Orders []Order
 }
 
-// simWire is the simulator's complete mid-run state.
+// activeWire is one segment's entry of the active-request table.
+type activeWire struct {
+	Seg  roadnet.SegmentID
+	Reqs []int
+}
+
+// simWire is the simulator's complete mid-run state. Maps travel as
+// slices sorted by key, so one state always encodes to the same bytes.
 type simWire struct {
 	Now        time.Time
 	NextRound  time.Time
@@ -62,7 +70,7 @@ type simWire struct {
 	NextFault  int
 	Requests   []RequestOutcome
 	Vehicles   []vehicleWire
-	Active     map[roadnet.SegmentID][]int
+	Active     []activeWire
 	Delayed    []timedOrdersWire
 	Rounds     []RoundStat
 	Delays     []time.Duration
@@ -98,7 +106,6 @@ func (s *Simulator) CaptureState() ([]byte, error) {
 		NextAppear: s.nextAppear,
 		NextFault:  s.nextFault,
 		Requests:   s.requests,
-		Active:     s.activeBySeg,
 		Rounds:     s.rounds,
 		Delays:     s.delays,
 		Res:        s.res,
@@ -119,6 +126,14 @@ func (s *Simulator) CaptureState() ([]byte, error) {
 			vw.Pending = *v.pending
 		}
 		w.Vehicles = append(w.Vehicles, vw)
+	}
+	segs := make([]roadnet.SegmentID, 0, len(s.activeBySeg))
+	for seg := range s.activeBySeg {
+		segs = append(segs, seg)
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	for _, seg := range segs {
+		w.Active = append(w.Active, activeWire{Seg: seg, Reqs: s.activeBySeg[seg]})
 	}
 	for _, to := range s.delayed {
 		w.Delayed = append(w.Delayed, timedOrdersWire{At: to.at, Orders: to.orders})
@@ -188,10 +203,9 @@ func (s *Simulator) RestoreState(blob []byte) error {
 	s.nextAppear = w.NextAppear
 	s.nextFault = w.NextFault
 	s.requests = w.Requests
-	if w.Active != nil {
-		s.activeBySeg = w.Active
-	} else {
-		s.activeBySeg = make(map[roadnet.SegmentID][]int)
+	s.activeBySeg = make(map[roadnet.SegmentID][]int, len(w.Active))
+	for _, a := range w.Active {
+		s.activeBySeg[a.Seg] = a.Reqs
 	}
 	for i, vw := range w.Vehicles {
 		v := s.vehicles[i]

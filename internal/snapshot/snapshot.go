@@ -45,7 +45,12 @@ import (
 // v2: simWire gained Started/Finished run-lifecycle flags (PR-9
 // incremental Advance); a v1 blob restored under v2 would re-emit
 // run_start, breaking resume byte-identity.
-const Version = 2
+//
+// v3: the simulator's active-request table, MobiRescue's target
+// assignments and the time-series predictor's history travel as
+// key-sorted slices instead of gob maps, so two runs of one build write
+// byte-identical snapshot files; a v2 blob no longer decodes.
+const Version = 3
 
 // DefaultKeep is how many snapshot generations Manager retains when the
 // caller passes keep <= 0. Two generations is the minimum that survives

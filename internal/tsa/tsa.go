@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sort"
 )
 
 // Predictor accumulates hourly observations per key and predicts future
@@ -79,12 +80,28 @@ func (p *Predictor) Predict(key, hour int) float64 {
 // Keys returns the number of distinct keys observed.
 func (p *Predictor) Keys() int { return len(p.hist) }
 
+// histWire is one key's history in a captured state.
+type histWire struct {
+	Key int
+	Obs []float64
+}
+
 // CaptureState serializes the predictor's accumulated history (days and
 // decay are construction parameters, not state) for crash-safe
-// snapshots.
+// snapshots. Keys are written in ascending order, so equal histories
+// give equal bytes.
 func (p *Predictor) CaptureState() ([]byte, error) {
+	keys := make([]int, 0, len(p.hist))
+	for k := range p.hist {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	w := make([]histWire, len(keys))
+	for i, k := range keys {
+		w[i] = histWire{Key: k, Obs: p.hist[k]}
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.hist); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 		return nil, fmt.Errorf("tsa: encoding state: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -93,11 +110,15 @@ func (p *Predictor) CaptureState() ([]byte, error) {
 // RestoreState replaces the predictor's history with one captured by
 // CaptureState.
 func (p *Predictor) RestoreState(blob []byte) error {
-	hist := make(map[int][]float64)
+	var w []histWire
 	if len(blob) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&hist); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&w); err != nil {
 			return fmt.Errorf("tsa: decoding state: %w", err)
 		}
+	}
+	hist := make(map[int][]float64, len(w))
+	for _, h := range w {
+		hist[h.Key] = h.Obs
 	}
 	p.hist = hist
 	return nil

@@ -1,6 +1,7 @@
 package tsa
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -99,5 +100,46 @@ func TestObserveAccumulates(t *testing.T) {
 	}
 	if p.Keys() != 1 {
 		t.Errorf("Keys = %d", p.Keys())
+	}
+}
+
+// TestCaptureStateBytesDeterministic: one history always encodes to the
+// same bytes (gob would write a map in random order), and the bytes
+// restore to the same forecasts.
+func TestCaptureStateBytesDeterministic(t *testing.T) {
+	p, err := New(3, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := 0; key < 12; key++ {
+		p.Observe(key*5, key%4+24, float64(key+1))
+	}
+	first, err := p.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := p.CaptureState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("capture %d encoded different bytes", i)
+		}
+	}
+	q, err := New(3, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.RestoreState(first); err != nil {
+		t.Fatal(err)
+	}
+	if q.Keys() != p.Keys() {
+		t.Fatalf("restored %d keys, want %d", q.Keys(), p.Keys())
+	}
+	for key := 0; key < 12; key++ {
+		if got, want := q.Predict(key*5, key%4+48), p.Predict(key*5, key%4+48); got != want || want == 0 {
+			t.Errorf("key %d: restored predicts %v, want %v (non-zero)", key*5, got, want)
+		}
 	}
 }
